@@ -54,7 +54,6 @@ from .theorems import (
     verify_pythagoras,
 )
 
-THEOREMS = ("pythagoras", "sines", "cosines", "nd-pythagoras")
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
 
 # Everything that counts as a class-2 (input) failure at the CLI boundary.
@@ -229,22 +228,25 @@ def _finish_report(command, seeds, entries, started) -> tuple[RunReport, int]:
     return report, 0 if pass_count == len(entries) else 1
 
 
-def _verify_instance(theorem, instance, tol_abs, tol_rel) -> dict:
-    if theorem == "pythagoras":
-        return verify_pythagoras(instance, tol_abs, tol_rel).to_dict()
-    if theorem == "sines":
-        return verify_law_of_sines(instance, tol_abs, tol_rel).to_dict()
-    if theorem == "cosines":
-        return verify_law_of_cosines(instance, tol_abs, tol_rel).to_dict()
-    return verify_nd_pythagoras(instance, tol_abs, tol_rel).to_dict()
-
-
-def _random_instance(theorem, seed, dim, legs):
-    if theorem == "pythagoras":
-        return random_triangle(seed, "right")
-    if theorem in ("sines", "cosines"):
-        return random_triangle(seed, "general")
-    return random_right_simplex(seed, dim, legs)
+# theorem -> (random instance from (seed, dim, legs), verifier taking
+# (instance, tol_abs, tol_rel), instance from a ShapeDocument). The lambdas
+# look the functions up by name when called, so a function rebound on this
+# module after import (by a tracer or a test) is the one that runs.
+THEOREM_TABLE = {
+    "pythagoras": (lambda seed, dim, legs: random_triangle(seed, "right"),
+                   lambda *args: verify_pythagoras(*args),
+                   ShapeDocument.triangle),
+    "sines": (lambda seed, dim, legs: random_triangle(seed, "general"),
+              lambda *args: verify_law_of_sines(*args),
+              ShapeDocument.triangle),
+    "cosines": (lambda seed, dim, legs: random_triangle(seed, "general"),
+                lambda *args: verify_law_of_cosines(*args),
+                ShapeDocument.triangle),
+    "nd-pythagoras": (lambda *args: random_right_simplex(*args),
+                      lambda *args: verify_nd_pythagoras(*args),
+                      ShapeDocument.right_simplex),
+}
+THEOREMS = tuple(THEOREM_TABLE)
 
 
 def run_verify(
@@ -264,31 +266,28 @@ def run_verify(
 
     Input errors raise (the caller maps them to exit code 2).
     """
-    if theorem not in THEOREMS:
+    if theorem not in THEOREM_TABLE:
         raise ShapeValidationError(f"unknown theorem {theorem!r}")
+    generate, verify, from_document = THEOREM_TABLE[theorem]
     started = time.perf_counter()
-    entries = []
     seeds = None
     if input_path is not None:
         with open(input_path, "r", encoding="utf-8") as handle:
             doc = parse_shape(handle.read())
-        instance = (
-            doc.right_simplex() if theorem == "nd-pythagoras" else doc.triangle()
-        )
-        entry = _verify_instance(theorem, instance, tol_abs, tol_rel)
-        entry["seed"] = None
-        entries.append(entry)
+        instances = [(None, from_document(doc))]
     elif random_batch:
         if count < 1:
             raise ShapeValidationError(f"--count must be positive, got {count}")
         seeds = [seed + k for k in range(count)]
-        for s in seeds:
-            instance = _random_instance(theorem, s, dim, legs)
-            entry = _verify_instance(theorem, instance, tol_abs, tol_rel)
-            entry["seed"] = s
-            entries.append(entry)
+        # Lazy, so each instance is generated just before it is verified.
+        instances = ((s, generate(s, dim, legs)) for s in seeds)
     else:
         raise ShapeValidationError("verify needs --input PATH or --random")
+    entries = []
+    for s, instance in instances:
+        entry = verify(instance, tol_abs, tol_rel).to_dict()
+        entry["seed"] = s
+        entries.append(entry)
     return _finish_report(command, seeds, entries, started)
 
 
@@ -300,8 +299,8 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
             raise ShapeParseError(f"invalid field JSON: {err}") from err
         _require(isinstance(raw, dict) and "matrix" in raw and "offset" in raw,
                  "field spec needs 'matrix' and 'offset'", parse=True)
-        return AffineField(np.array(raw["matrix"], dtype=float),
-                           np.array(raw["offset"], dtype=float))
+        return AffineField(_float_array(raw["matrix"], "field 'matrix'"),
+                           _float_array(raw["offset"], "field 'offset'"))
     if spec == "pythagoras":
         return pythagoras_field(doc.triangle())
     if spec.startswith("sines:"):
@@ -329,8 +328,26 @@ def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:
         raise ShapeParseError(f"invalid density JSON: {err}") from err
     _require(isinstance(raw, dict) and "gradient" in raw and "constant" in raw,
              "density spec needs 'gradient' and 'constant'", parse=True)
-    return AffineDensity(np.array(raw["gradient"], dtype=float),
-                         float(raw["constant"]))
+    constant = raw["constant"]
+    _require(isinstance(constant, (int, float)) and not isinstance(constant, bool),
+             f"density 'constant' must be a number, got {constant!r}", parse=True)
+    return AffineDensity(_float_array(raw["gradient"], "density 'gradient'"),
+                         float(constant))
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ShapeParseError(f"{name} must hold numbers: {err}") from err
+
+
+def tolerance(text: str) -> float:
+    """argparse type of ``--tol-abs`` / ``--tol-rel``: finite and >= 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def run_derive(
@@ -378,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=float, default=1e-12,
+    common.add_argument("--tol-abs", type=tolerance, default=1e-12,
                         help="absolute residual tolerance (default 1e-12)")
-    common.add_argument("--tol-rel", type=float, default=1e-12,
+    common.add_argument("--tol-rel", type=tolerance, default=1e-12,
                         help="relative residual tolerance (default 1e-12)")
     common.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report format (default json)")

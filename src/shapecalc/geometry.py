@@ -1,8 +1,9 @@
 """Simplex geometry in R^N: volumes, facet enumeration, outward normals,
 facet measures, and triangle-specific derived quantities.
 
-Every public object is immutable after construction (vertex arrays are
-marked read-only), so values can be shared freely between threads.
+Vertex and normal arrays are read-only and ``Simplex`` and ``Facet`` are
+frozen dataclasses. ``Triangle`` is a plain class whose attributes can be
+reassigned; only its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -107,49 +108,28 @@ class Simplex:
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
-        """All N+1 facets, ordered by ascending opposite-vertex index."""
-        return tuple(
-            _build_facet(self.vertices, i) for i in range(self.dim + 1)
-        )
+        """All N+1 facets, ordered by ascending opposite-vertex index.
 
-
-def _gram_measure(points: np.ndarray) -> float:
-    """Measure of the k-simplex spanned by ``points``: sqrt(det(E E^T)) / k!
-    for the edge matrix E rooted at the first point."""
-    k = points.shape[0] - 1
-    edges = points[1:] - points[0]
-    gram = edges @ edges.T
-    det = float(np.linalg.det(gram))
-    scale = float(np.sqrt((edges**2).sum(axis=-1)).max())
-    if det <= 0.0 or math.sqrt(det) <= DEGENERACY_EPS * scale**k:
-        raise DegenerateSimplexError(
-            f"degenerate facet: Gram determinant {det:.3e}"
-        )
-    return math.sqrt(det) / math.factorial(k)
-
-
-def _build_facet(vertices: np.ndarray, i: int) -> Facet:
-    fverts = np.delete(vertices, i, axis=0)
-    measure = _gram_measure(fverts)
-    # Orthonormalize the facet edge basis, then orthogonalize the
-    # (opposite vertex -> facet centroid) direction against it. Two
-    # projection passes keep the normal orthogonal even for slivers.
-    basis, _ = np.linalg.qr((fverts[1:] - fverts[0]).T)
-    w = fverts.mean(axis=0) - vertices[i]
-    r = w - basis @ (basis.T @ w)
-    r -= basis @ (basis.T @ r)
-    norm = float(np.linalg.norm(r))
-    if norm == 0.0:
-        raise DegenerateSimplexError(f"cannot orient normal of facet {i}")
-    normal = r / norm
-    fverts.flags.writeable = False
-    normal.flags.writeable = False
-    return Facet(
-        opposite_vertex_index=i,
-        vertices=fverts,
-        normal=normal,
-        measure=measure,
-    )
+        Closed form from the barycentric gradients: the rows of inv(E)^T,
+        E = V[1:] - V[0], are grad lambda_1..N, and grad lambda_0 is minus
+        their sum. Facet i lies on lambda_i = 0, so its outward normal is
+        -grad lambda_i / |grad lambda_i|; its distance to vertex i is
+        1 / |grad lambda_i|, so base-times-height gives the measure
+        N * volume * |grad lambda_i|.
+        """
+        v = self.vertices
+        grads = np.linalg.inv(v[1:] - v[0]).T
+        grads = np.vstack([-grads.sum(axis=0), grads])
+        lengths = np.linalg.norm(grads, axis=1)
+        normals = -grads / lengths[:, None]
+        normals.flags.writeable = False
+        measures = self.dim * self.volume * lengths
+        result = []
+        for i in range(self.dim + 1):
+            fverts = np.delete(v, i, axis=0)
+            fverts.flags.writeable = False
+            result.append(Facet(i, fverts, normals[i], float(measures[i])))
+        return tuple(result)
 
 
 def simplex_volume(s: Simplex) -> float:
@@ -163,8 +143,12 @@ def facets(s: Simplex) -> tuple[Facet, ...]:
 
 
 def facet_measure(f: Facet) -> float:
-    """(N-1)-dimensional measure of a facet, recomputed from its vertices."""
-    return _gram_measure(f.vertices)
+    """(N-1)-dimensional measure of a facet, recomputed from its vertices as
+    sqrt(det(E E^T)) / (N-1)! for the edge matrix E rooted at the first
+    vertex: a check independent of the closed form behind ``f.measure``."""
+    edges = f.vertices[1:] - f.vertices[0]
+    det = float(np.linalg.det(edges @ edges.T))
+    return math.sqrt(det) / math.factorial(edges.shape[0])
 
 
 def outward_normal(s: Simplex, i: int) -> np.ndarray:

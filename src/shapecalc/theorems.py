@@ -328,10 +328,6 @@ def _translate_into_box(points: np.ndarray, rng: np.random.Generator) -> np.ndar
     return centered + shift
 
 
-def _angles_of(t: Triangle) -> tuple[float, float, float]:
-    return t.alpha, t.beta, t.gamma
-
-
 def random_triangle(seed: int, kind: str = "general") -> Triangle:
     """Deterministic random triangle with vertices in [-1, 1]^2 and all
     angles at least MIN_ANGLE.
@@ -363,7 +359,7 @@ def random_triangle(seed: int, kind: str = "general") -> Triangle:
             tri = Triangle(points[0], points[1], points[2])
         except DegenerateSimplexError:
             continue
-        angles = _angles_of(tri)
+        angles = (tri.alpha, tri.beta, tri.gamma)
         if min(angles) < MIN_ANGLE:
             continue
         if kind == "obtuse" and max(angles) <= math.pi / 2.0:
@@ -374,12 +370,12 @@ def random_triangle(seed: int, kind: str = "general") -> Triangle:
     )
 
 
-def _random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
+def _qr_frame(matrix: np.ndarray) -> np.ndarray:
+    """Q factor of ``matrix`` with column signs fixed so that diag(R) >= 0,
+    which makes the factorization unique (Haar-distributed for Gaussian
+    input)."""
+    q, r = np.linalg.qr(matrix)
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
 
 
 def random_right_simplex(
@@ -400,11 +396,12 @@ def random_right_simplex(
         raw = rng.standard_normal((dim, dim))
         if np.linalg.cond(raw) > 1e6:
             continue
-        q, r = np.linalg.qr(raw)
-        legs = (q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)).T
+        legs = _qr_frame(raw).T
         if leg_mode == "scaled":
             legs = legs * rng.uniform(0.5, 2.0, size=dim)[:, None]
-        rotation = _random_rotation(rng, dim)
+        rotation = _qr_frame(rng.standard_normal((dim, dim)))
+        if np.linalg.det(rotation) < 0.0:
+            rotation[:, 0] = -rotation[:, 0]
         apex = rng.uniform(-1.0, 1.0, size=dim)
         return RightSimplexSpec(apex=apex, legs=legs @ rotation.T)
     raise RuntimeError(

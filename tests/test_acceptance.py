@@ -260,7 +260,14 @@ def test_criterion_8_cli_contract(tmp_path):
     if main(["verify", "pythagoras", "--input", str(shape),
              "--out", str(tmp_path / "c0.json")]) != 0:
         failures.append(("exit 0",))
-    if main(["verify", "cosines", "--input", str(shape), "--tol-abs", "0",
+    # A generic triangle: its zero-tolerance cosines residual is rounding
+    # noise, while the 3-4-5 terms are exact and leave a residual of 0.
+    generic = tmp_path / "generic.json"
+    generic.write_text(json.dumps({
+        "dim": 2,
+        "vertices": [[0.1, 0.7], [0.93, -0.31], [-0.55, 0.2]],
+    }))
+    if main(["verify", "cosines", "--input", str(generic), "--tol-abs", "0",
              "--tol-rel", "0", "--out", str(tmp_path / "c1.json")]) != 1:
         failures.append(("exit 1",))
     if main(["verify", "pythagoras", "--input", str(equilateral),

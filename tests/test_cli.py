@@ -25,6 +25,9 @@ EQUILATERAL = {
     "dim": 2,
     "vertices": [[0.5, 0.8660254037844386], [1.0, 0.0], [0.0, 0.0]],
 }
+# Generic triangle whose zero-tolerance cosines residual is nonzero rounding
+# noise (-8.9e-16); the 3-4-5 per-facet terms are exact, so its residual is 0.
+GENERIC = {"dim": 2, "vertices": [[0.1, 0.7], [0.93, -0.31], [-0.55, 0.2]]}
 UNIT_SIMPLEX_2 = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 RIGHT_TETRA = {
     "dim": 3,
@@ -136,11 +139,11 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
     def test_verification_failure_is_one(self, shape_file):
-        # The 3-4-5 cosines residual is nonzero rounding noise, so zero
+        # The GENERIC cosines residual is nonzero rounding noise, so zero
         # tolerances must fail it.
         report, code = run_verify(
             "cosines",
-            input_path=shape_file(T345),
+            input_path=shape_file(GENERIC),
             tol_abs=0.0,
             tol_rel=0.0,
         )
@@ -149,7 +152,7 @@ class TestExitCodes:
         assert (
             main(
                 [
-                    "verify", "cosines", "--input", shape_file(T345),
+                    "verify", "cosines", "--input", shape_file(GENERIC),
                     "--tol-abs", "0", "--tol-rel", "0",
                 ]
             )
@@ -190,20 +193,40 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_bad_field_spec_is_two(self, shape_file):
-        assert (
-            main(["derive", "--input", shape_file(T345), "--field", "bogus"]) == 2
-        )
+        for spec in ("bogus", '{"matrix": {}, "offset": [0, 0]}'):
+            assert (
+                main(["derive", "--input", shape_file(T345), "--field", spec])
+                == 2
+            ), spec
 
     def test_bad_density_spec_is_two(self, shape_file):
-        assert (
-            main(
-                [
-                    "derive", "--input", shape_file(T345),
-                    "--field", "pythagoras", "--density", "{broken",
-                ]
-            )
-            == 2
-        )
+        for spec in (
+            "{broken",
+            '{"gradient": [0, 0], "constant": null}',
+            '{"gradient": [0, 0], "constant": [1]}',
+            '{"gradient": [0, 0], "constant": "1"}',
+            '{"gradient": {}, "constant": 1}',
+        ):
+            assert (
+                main(
+                    [
+                        "derive", "--input", shape_file(T345),
+                        "--field", "pythagoras", "--density", spec,
+                    ]
+                )
+                == 2
+            ), spec
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-abs", "nan"), ("--tol-abs", "inf"), ("--tol-rel", "-1"),
+         ("--tol-rel", "abc")],
+    )
+    def test_bad_tolerance_is_two(self, shape_file, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "pythagoras", "--input", shape_file(T345),
+                  flag, value])
+        assert exc.value.code == 2
 
 
 class TestVerifyRuns:

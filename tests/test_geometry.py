@@ -1,6 +1,7 @@
 """Geometry tests: worked examples, oracle equivalence, and invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,6 +232,54 @@ class TestOracleEquivalence:
         assert f.measure == pytest.approx(
             support.cayley_menger_measure(f.vertices), rel=1e-12
         )
+
+
+def exact_gram_det(points) -> Fraction:
+    """Exact det(E E^T) for the edge matrix E rooted at the first point.
+
+    Floats are dyadic rationals, so one power-of-two scale turns every
+    coordinate into an integer; fraction-free (Bareiss) elimination then
+    stays in integers. The Gram matrix is positive definite, so every
+    leading pivot is nonzero."""
+    rational = [[Fraction(x) for x in p] for p in points]
+    denom = math.lcm(*(x.denominator for p in rational for x in p))
+    ints = [[int(x * denom) for x in p] for p in rational]
+    edges = [[a - b for a, b in zip(p, ints[0])] for p in ints[1:]]
+    m = [[sum(a * b for a, b in zip(u, v)) for v in edges] for u in edges]
+    n, prev = len(m), 1
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return Fraction(m[-1][-1], denom ** (2 * n))
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_facet_measure_squared_matches_exact_gram(self, dim):
+        # Slivers: scaling the last coordinate shrinks the determinant while
+        # the facets stay well shaped in their own hyperplanes.
+        checked = 0
+        for seed in range(3):
+            base = np.random.default_rng(1000 + seed).uniform(
+                -1.0, 1.0, (dim + 1, dim)
+            )
+            for factor in (1e-2, 1e-5, 1e-8):
+                verts = base.copy()
+                verts[:, -1] *= factor
+                try:
+                    s = Simplex(verts)
+                except DegenerateSimplexError:
+                    continue
+                for f in facets(s):
+                    exact = exact_gram_det(f.vertices.tolist()) / math.factorial(
+                        dim - 1
+                    ) ** 2
+                    rel = abs(Fraction(f.measure) ** 2 - exact) / exact
+                    assert rel <= Fraction(1, 10**12), (seed, factor, float(rel))
+                checked += 1
+        assert checked > 0
 
 
 class TestRigidMotionInvariance:
