@@ -35,10 +35,6 @@ from .geometry import (
     Triangle,
     base_height_volume,
     facet_measure,
-    facets,
-    outward_normal,
-    simplex_volume,
-    triangle_metrics,
 )
 from .hadamard import (
     DerivativeReport,
@@ -87,18 +83,14 @@ __all__ = [
     "eval_field",
     "face_normal_identity",
     "facet_measure",
-    "facets",
     "fd_derivative",
     "hadamard_derivative",
     "nd_pythagoras_field",
-    "outward_normal",
     "perturbed_integral",
     "pythagoras_field",
     "random_right_simplex",
     "random_triangle",
-    "simplex_volume",
     "sines_field",
-    "triangle_metrics",
     "verify_law_of_cosines",
     "verify_law_of_sines",
     "verify_nd_pythagoras",

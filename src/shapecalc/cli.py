@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateSimplexError,
-    DimensionMismatchError,
-    LegOrthogonalityError,
-    NotRightTriangleError,
-    ShapeParseError,
-    ShapeValidationError,
-)
+from .errors import ShapeParseError, ShapeValidationError
 from .fields import (
     AffineDensity,
     AffineField,
@@ -45,6 +38,8 @@ from .fields import (
 from .geometry import Simplex, Triangle
 from .hadamard import hadamard_derivative
 from .theorems import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
     RightSimplexSpec,
     random_right_simplex,
     random_triangle,
@@ -56,17 +51,9 @@ from .theorems import (
 
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
 
-# Everything that counts as a class-2 (input) failure at the CLI boundary.
-INPUT_ERRORS = (
-    ShapeParseError,
-    ShapeValidationError,
-    DegenerateSimplexError,
-    DimensionMismatchError,
-    NotRightTriangleError,
-    LegOrthogonalityError,
-    ValueError,
-    OSError,
-)
+# Everything that counts as a class-2 (input) failure at the CLI boundary;
+# every ShapeCalcError is a ValueError. ROADMAP Open item 4 narrows this.
+INPUT_ERRORS = (ValueError, OSError)
 
 
 @dataclass
@@ -140,15 +127,16 @@ def parse_shape(text: str) -> ShapeDocument:
              "'vertices' must be a list of coordinate lists", parse=True)
     _require(len(vertices) == dim + 1,
              f"expected {dim + 1} vertices for dim {dim}, got {len(vertices)}")
+    coords = []
     for v in vertices:
         _require(len(v) == dim,
                  f"every vertex needs {dim} coordinates, got {len(v)}")
         _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
                      for x in v),
                  "vertex coordinates must be numbers", parse=True)
-        _require(all(math.isfinite(float(x)) for x in v),
-                 "vertex coordinates must be finite")
-    coords = [[float(x) for x in v] for v in vertices]
+        row = _float_array(v, "vertex coordinates")
+        _require(np.isfinite(row).all(), "vertex coordinates must be finite")
+        coords.append(row.tolist())
 
     labels = raw.get("labels")
     if labels is not None:
@@ -258,8 +246,8 @@ def run_verify(
     seed: int = 0,
     dim: int = 3,
     legs: str = "orthonormal",
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-12,
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
     command: list[str] | None = None,
 ) -> tuple[RunReport, int]:
     """Run one verification command; returns (report, exit code 0/1).
@@ -332,12 +320,14 @@ def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:
     _require(isinstance(constant, (int, float)) and not isinstance(constant, bool),
              f"density 'constant' must be a number, got {constant!r}", parse=True)
     return AffineDensity(_float_array(raw["gradient"], "density 'gradient'"),
-                         float(constant))
+                         _float_array(constant, "density 'constant'"))
 
 
 def _float_array(value, name: str) -> np.ndarray:
     try:
         return np.array(value, dtype=float)
+    except OverflowError as err:
+        raise ShapeValidationError(f"{name} must fit in a float: {err}") from err
     except (TypeError, ValueError) as err:
         raise ShapeParseError(f"{name} must hold numbers: {err}") from err
 
@@ -355,8 +345,8 @@ def run_derive(
     field_spec: str,
     density_spec: str | None = None,
     *,
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-12,
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
     command: list[str] | None = None,
 ) -> tuple[RunReport, int]:
     """Run one derivative command; returns (report, exit code 0/1).
@@ -395,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=tolerance, default=1e-12,
-                        help="absolute residual tolerance (default 1e-12)")
-    common.add_argument("--tol-rel", type=tolerance, default=1e-12,
-                        help="relative residual tolerance (default 1e-12)")
+    common.add_argument("--tol-abs", type=tolerance, default=DEFAULT_TOL_ABS,
+                        help="absolute residual tolerance (default %(default)s)")
+    common.add_argument("--tol-rel", type=tolerance, default=DEFAULT_TOL_REL,
+                        help="relative residual tolerance (default %(default)s)")
     common.add_argument("--format", choices=["json", "csv"], default="json",
                         help="report format (default json)")
     common.add_argument("--out", metavar="PATH",

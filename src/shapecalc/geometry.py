@@ -9,7 +9,7 @@ reassigned; only its arrays are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,9 +61,14 @@ class Facet:
 
 @dataclass(frozen=True, eq=False)
 class Simplex:
-    """Non-degenerate N-simplex given by N+1 vertices (rows) in R^N, N >= 2."""
+    """Non-degenerate N-simplex given by N+1 vertices (rows) in R^N, N >= 2.
+
+    ``volume`` is |det(v_1 - v_0, ..., v_N - v_0)| / N!, from the determinant
+    that the degeneracy gate computes.
+    """
 
     vertices: np.ndarray
+    volume: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -84,6 +89,7 @@ class Simplex:
                 f"degenerate simplex: |det| = {det:.3e} <= "
                 f"{DEGENERACY_EPS} * scale^{n}"
             )
+        object.__setattr__(self, "volume", float(det / math.factorial(n)))
 
     @property
     def dim(self) -> int:
@@ -100,11 +106,6 @@ class Simplex:
         c = self.vertices.mean(axis=0)
         c.flags.writeable = False
         return c
-
-    @cached_property
-    def volume(self) -> float:
-        edges = self.vertices[1:] - self.vertices[0]
-        return float(abs(np.linalg.det(edges)) / math.factorial(self.dim))
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
@@ -132,16 +133,6 @@ class Simplex:
         return tuple(result)
 
 
-def simplex_volume(s: Simplex) -> float:
-    """N-volume of ``s``: |det(v_1 - v_0, ..., v_N - v_0)| / N!."""
-    return s.volume
-
-
-def facets(s: Simplex) -> tuple[Facet, ...]:
-    """The N+1 facets of ``s``, ordered by ascending opposite-vertex index."""
-    return s.facets
-
-
 def facet_measure(f: Facet) -> float:
     """(N-1)-dimensional measure of a facet, recomputed from its vertices as
     sqrt(det(E E^T)) / (N-1)! for the edge matrix E rooted at the first
@@ -149,11 +140,6 @@ def facet_measure(f: Facet) -> float:
     edges = f.vertices[1:] - f.vertices[0]
     det = float(np.linalg.det(edges @ edges.T))
     return math.sqrt(det) / math.factorial(edges.shape[0])
-
-
-def outward_normal(s: Simplex, i: int) -> np.ndarray:
-    """Outward unit normal of the facet opposite vertex ``i``."""
-    return s.facets[i].normal
 
 
 def base_height_volume(s: Simplex, base_index: int) -> float:
@@ -202,18 +188,3 @@ class Triangle:
             f"Triangle(A={self.A.tolist()}, B={self.B.tolist()}, "
             f"C={self.C.tolist()})"
         )
-
-
-def triangle_metrics(t: Triangle) -> dict:
-    """Side lengths, angles, and outward side normals of ``t``."""
-    return {
-        "a": t.a,
-        "b": t.b,
-        "c": t.c,
-        "alpha": t.alpha,
-        "beta": t.beta,
-        "gamma": t.gamma,
-        "n_a": t.n_a,
-        "n_b": t.n_b,
-        "n_c": t.n_c,
-    }

@@ -57,27 +57,15 @@ class TheoremReport:
     def to_dict(self) -> dict:
         return {
             "theorem": self.theorem,
-            "summary": _jsonable(self.summary),
+            "summary": self.summary,
             "per_facet": [[i, v] for i, v in self.per_facet],
             "residual": self.residual,
             "tol_abs": self.tol_abs,
             "tol_rel": self.tol_rel,
             "scale": self.scale,
             "passed": self.passed,
-            "auxiliary": _jsonable(self.auxiliary),
+            "auxiliary": self.auxiliary,
         }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _passes(residual: float, tol_abs: float, tol_rel: float, scale: float) -> bool:
@@ -86,7 +74,7 @@ def _passes(residual: float, tol_abs: float, tol_rel: float, scale: float) -> bo
 
 def _triangle_summary(t: Triangle) -> dict:
     return {
-        "vertices": t.simplex.vertices,
+        "vertices": t.simplex.vertices.tolist(),
         "a": t.a,
         "b": t.b,
         "c": t.c,
@@ -290,8 +278,8 @@ def verify_nd_pythagoras(
         theorem="nd_pythagoras",
         summary={
             "dim": s.dim,
-            "vertices": s.vertices,
-            "leg_lengths": r.leg_lengths,
+            "vertices": s.vertices.tolist(),
+            "leg_lengths": r.leg_lengths.tolist(),
             "hyp_measure": hyp_measure,
         },
         per_facet=per_facet,

@@ -14,11 +14,9 @@ from shapecalc import (
     Triangle,
     base_height_volume,
     face_normal_identity,
-    facets,
     hadamard_derivative,
     random_right_simplex,
     random_triangle,
-    simplex_volume,
     verify_law_of_cosines,
     verify_law_of_sines,
     verify_nd_pythagoras,
@@ -141,19 +139,19 @@ def test_criterion_6_geometry_invariants():
     for k in range(1000):
         dim = 2 + k % 5
         s = support.random_simplex(rng, dim)
-        fs = facets(s)
+        fs = s.facets
         total_measure = sum(f.measure for f in fs)
         resultant = np.linalg.norm(sum(f.measure * f.normal for f in fs))
         if resultant > 1e-13 * total_measure:
             failures.append(("minkowski", k, resultant))
-        volume = simplex_volume(s)
+        volume = s.volume
         for i in range(dim + 1):
             if abs(base_height_volume(s, i) - volume) > 1e-13 * volume:
                 failures.append(("base-height", k, i))
     for k in range(100):
         dim = 2 + k % 5
         s = support.random_simplex(rng, dim)
-        f = facets(s)[int(rng.integers(0, dim + 1))]
+        f = s.facets[int(rng.integers(0, dim + 1))]
         oracle = support.cayley_menger_measure(f.vertices)
         if abs(f.measure - oracle) > 1e-12 * oracle:
             failures.append(("cayley-menger", k, f.measure, oracle))

@@ -5,8 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from shapecalc import DegenerateSimplexError
+from shapecalc import (
+    AffineDensity,
+    AffineField,
+    DegenerateSimplexError,
+    Simplex,
+    hadamard_derivative,
+    random_right_simplex,
+    random_triangle,
+    verify_law_of_cosines,
+    verify_law_of_sines,
+    verify_nd_pythagoras,
+    verify_pythagoras,
+)
 from shapecalc.cli import (
+    THEOREMS,
     ShapeDocument,
     ShapeParseError,
     ShapeValidationError,
@@ -28,6 +41,8 @@ EQUILATERAL = {
 # Generic triangle whose zero-tolerance cosines residual is nonzero rounding
 # noise (-8.9e-16); the 3-4-5 per-facet terms are exact, so its residual is 0.
 GENERIC = {"dim": 2, "vertices": [[0.1, 0.7], [0.93, -0.31], [-0.55, 0.2]]}
+# An integer literal too large for a float: float() raises OverflowError.
+HUGE_INT = 10**400
 UNIT_SIMPLEX_2 = {"dim": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
 RIGHT_TETRA = {
     "dim": 3,
@@ -82,6 +97,12 @@ class TestParseShape:
     def test_coordinate_count_mismatch(self):
         with pytest.raises(ShapeValidationError):
             parse_shape('{"dim": 2, "vertices": [[0,0],[1,0],[0,1,5]]}')
+
+    def test_coordinate_beyond_float_range(self):
+        with pytest.raises(ShapeValidationError):
+            parse_shape(
+                f'{{"dim": 2, "vertices": [[0, {HUGE_INT}], [1, 0], [0, 1]]}}'
+            )
 
     def test_collinear_vertices(self):
         with pytest.raises(DegenerateSimplexError):
@@ -193,7 +214,12 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_bad_field_spec_is_two(self, shape_file):
-        for spec in ("bogus", '{"matrix": {}, "offset": [0, 0]}'):
+        for spec in (
+            "bogus",
+            '{"matrix": {}, "offset": [0, 0]}',
+            f'{{"matrix": [[1, 0], [0, {HUGE_INT}]], "offset": [0, 0]}}',
+            f'{{"matrix": [[1, 0], [0, 1]], "offset": [{HUGE_INT}, 0]}}',
+        ):
             assert (
                 main(["derive", "--input", shape_file(T345), "--field", spec])
                 == 2
@@ -206,6 +232,7 @@ class TestExitCodes:
             '{"gradient": [0, 0], "constant": [1]}',
             '{"gradient": [0, 0], "constant": "1"}',
             '{"gradient": {}, "constant": 1}',
+            f'{{"gradient": [0, 0], "constant": {HUGE_INT}}}',
         ):
             assert (
                 main(
@@ -387,3 +414,64 @@ class TestOutputFormats:
             assert main(argv) == 0
             contents.append(out.read_bytes())
         assert contents[0] == contents[1]
+
+
+PLAIN_LEAVES = (int, float, str, bool, type(None))
+
+
+def assert_plain(value, path="report"):
+    """Every container is exactly a dict or list and every leaf exactly a
+    JSON scalar type. json.dumps accepts np.float64 as a float subclass, so
+    only an exact type check catches a leaked numpy value."""
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            assert_plain(item, f"{path}.{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            assert_plain(item, f"{path}[{i}]")
+    else:
+        assert type(value) in PLAIN_LEAVES, f"{path}: {type(value).__name__}"
+
+
+class TestReportsArePlainData:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "verify, kind",
+        [
+            (verify_pythagoras, "right"),
+            (verify_law_of_sines, "general"),
+            (verify_law_of_cosines, "general"),
+            (verify_law_of_cosines, "obtuse"),
+        ],
+    )
+    def test_triangle_reports(self, verify, kind, seed):
+        assert_plain(verify(random_triangle(seed, kind)).to_dict())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim", [3, 16])
+    @pytest.mark.parametrize("legs", ["orthonormal", "scaled"])
+    def test_nd_reports(self, dim, legs, seed):
+        r = random_right_simplex(seed, dim, legs)
+        assert_plain(verify_nd_pythagoras(r).to_dict())
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_derivative_report(self, dim):
+        rng = np.random.default_rng(dim)
+        s = Simplex(np.vstack([np.zeros(dim), np.eye(dim)]))
+        f = AffineDensity(rng.standard_normal(dim), 0.5)
+        xi = AffineField(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+        assert_plain(hadamard_derivative(s, f, xi).to_dict())
+
+    @pytest.mark.parametrize("theorem", list(THEOREMS))
+    def test_verify_run_report(self, theorem):
+        report, _ = run_verify(
+            theorem, random_batch=True, count=2, seed=4, dim=16, legs="scaled"
+        )
+        assert_plain(report.to_dict())
+
+    def test_derive_run_report(self, shape_file):
+        report, _ = run_derive(
+            shape_file(T345), "sines:b", '{"gradient": [1, 2], "constant": 3}'
+        )
+        assert_plain(report.to_dict())

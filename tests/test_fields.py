@@ -15,7 +15,6 @@ from shapecalc import (
     cosines_field,
     div_density_field,
     eval_field,
-    facets,
     nd_pythagoras_field,
     pythagoras_field,
     sines_field,
@@ -184,7 +183,7 @@ class TestProofFields:
             for i in range(dim + 1):
                 field = nd_pythagoras_field(s, i)
                 assert np.linalg.norm(field.offset) == pytest.approx(
-                    facets(s)[i].measure, rel=1e-14
+                    s.facets[i].measure, rel=1e-14
                 )
 
     def test_nd_field_bad_index(self):

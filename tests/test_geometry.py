@@ -16,10 +16,6 @@ from shapecalc import (
     Triangle,
     base_height_volume,
     facet_measure,
-    facets,
-    outward_normal,
-    simplex_volume,
-    triangle_metrics,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -32,14 +28,14 @@ def unit_simplex(dim: int) -> Simplex:
 
 class TestVolume:
     def test_unit_2_simplex(self):
-        assert simplex_volume(unit_simplex(2)) == pytest.approx(0.5, abs=1e-15)
+        assert unit_simplex(2).volume == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_3_simplex(self):
-        assert simplex_volume(unit_simplex(3)) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert unit_simplex(3).volume == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_right_triangle_3_4(self):
         s = Simplex(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]))
-        assert simplex_volume(s) == pytest.approx(6.0, abs=1e-14)
+        assert s.volume == pytest.approx(6.0, abs=1e-14)
 
     def test_collinear_vertices_rejected(self):
         with pytest.raises(DegenerateSimplexError):
@@ -61,30 +57,30 @@ class TestVolume:
 
 class TestFacets:
     def test_unit_2_simplex_measures(self):
-        measures = sorted(f.measure for f in facets(unit_simplex(2)))
+        measures = sorted(f.measure for f in unit_simplex(2).facets)
         assert measures == pytest.approx([1.0, 1.0, SQRT2], abs=1e-14)
 
     def test_unit_3_simplex_measures(self):
         # Oblique face spans e1, e2, e3; Gram matrix [[2,1],[1,2]] has
         # determinant 3, so its area is sqrt(3)/2.
-        measures = sorted(f.measure for f in facets(unit_simplex(3)))
+        measures = sorted(f.measure for f in unit_simplex(3).facets)
         assert measures == pytest.approx([0.5, 0.5, 0.5, SQRT3 / 2.0], abs=1e-14)
 
     def test_facet_count(self):
         rng = np.random.default_rng(11)
         for dim in (2, 3, 4, 6):
             s = support.random_simplex(rng, dim)
-            assert len(facets(s)) == dim + 1
+            assert len(s.facets) == dim + 1
 
     def test_segment_length(self):
         s = Simplex(np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0]]))
-        segment = facets(s)[2]  # spans (0,0)-(3,4)
+        segment = s.facets[2]  # spans (0,0)-(3,4)
         assert segment.measure == pytest.approx(5.0, abs=1e-14)
         assert facet_measure(segment) == pytest.approx(5.0, abs=1e-14)
 
     def test_oblique_face_cross_product_oracle(self):
         s = unit_simplex(3)
-        oblique = facets(s)[0]
+        oblique = s.facets[0]
         e1, e2, e3 = np.eye(3)
         oracle = np.linalg.norm(np.cross(e2 - e1, e3 - e1)) / 2.0
         assert oblique.measure == pytest.approx(oracle, rel=1e-15)
@@ -92,7 +88,7 @@ class TestFacets:
 
     def test_standard_4_simplex_face_cayley_menger_oracle(self):
         s = unit_simplex(4)
-        face = facets(s)[0]  # spans e1..e4
+        face = s.facets[0]  # spans e1..e4
         oracle = support.cayley_menger_measure(face.vertices)
         assert face.measure == pytest.approx(oracle, rel=1e-12)
         assert face.measure == pytest.approx(1.0 / 3.0, rel=1e-13)
@@ -101,20 +97,20 @@ class TestFacets:
         rng = np.random.default_rng(5)
         for dim in (2, 3, 5):
             s = support.random_simplex(rng, dim)
-            for f in facets(s):
+            for f in s.facets:
                 assert facet_measure(f) == pytest.approx(f.measure, rel=1e-14)
 
 
 class TestNormals:
     def test_unit_triangle_normals(self):
         s = unit_simplex(2)
-        hyp, left, bottom = facets(s)
+        hyp, left, bottom = s.facets
         assert hyp.normal == pytest.approx([1.0 / SQRT2, 1.0 / SQRT2], abs=1e-14)
         assert left.normal == pytest.approx([-1.0, 0.0], abs=1e-14)
         assert bottom.normal == pytest.approx([0.0, -1.0], abs=1e-14)
 
     def test_unit_tetrahedron_oblique_normal(self):
-        n = outward_normal(unit_simplex(3), 0)
+        n = unit_simplex(3).facets[0].normal
         assert n == pytest.approx(np.ones(3) / SQRT3, abs=1e-14)
 
     @given(st.integers(0, 10_000))
@@ -123,7 +119,7 @@ class TestNormals:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        for f in facets(s):
+        for f in s.facets:
             assert abs(np.linalg.norm(f.normal) - 1.0) <= 1e-14
             edges = f.vertices[1:] - f.vertices[0]
             for edge in edges:
@@ -135,7 +131,7 @@ class TestNormals:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        for f in facets(s):
+        for f in s.facets:
             opposite = s.vertices[f.opposite_vertex_index]
             assert float(f.normal @ (f.centroid - opposite)) > 0.0
 
@@ -145,7 +141,7 @@ class TestNormals:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        fs = facets(s)
+        fs = s.facets
         total = sum(f.measure for f in fs)
         resultant = np.linalg.norm(sum(f.measure * f.normal for f in fs))
         assert resultant <= 1e-13 * total
@@ -154,11 +150,10 @@ class TestNormals:
 class TestTriangle:
     def test_3_4_5_metrics(self):
         t = Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
-        m = triangle_metrics(t)
-        assert m["a"] == pytest.approx(4.0, abs=1e-14)
-        assert m["b"] == pytest.approx(3.0, abs=1e-14)
-        assert m["c"] == pytest.approx(5.0, abs=1e-14)
-        assert m["gamma"] == pytest.approx(math.pi / 2.0, abs=1e-14)
+        assert t.a == pytest.approx(4.0, abs=1e-14)
+        assert t.b == pytest.approx(3.0, abs=1e-14)
+        assert t.c == pytest.approx(5.0, abs=1e-14)
+        assert t.gamma == pytest.approx(math.pi / 2.0, abs=1e-14)
 
     def test_equilateral_angles(self):
         t = Triangle([0.5, SQRT3 / 2.0], [1.0, 0.0], [0.0, 0.0])
@@ -217,7 +212,7 @@ class TestBaseHeightVolume:
         s = support.random_simplex(rng, dim)
         for i in range(dim + 1):
             assert base_height_volume(s, i) == pytest.approx(
-                simplex_volume(s), rel=1e-13
+                s.volume, rel=1e-13
             )
 
 
@@ -228,7 +223,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        f = facets(s)[int(rng.integers(0, dim + 1))]
+        f = s.facets[int(rng.integers(0, dim + 1))]
         assert f.measure == pytest.approx(
             support.cayley_menger_measure(f.vertices), rel=1e-12
         )
@@ -272,7 +267,7 @@ class TestExactOracle:
                     s = Simplex(verts)
                 except DegenerateSimplexError:
                     continue
-                for f in facets(s):
+                for f in s.facets:
                     exact = exact_gram_det(f.vertices.tolist()) / math.factorial(
                         dim - 1
                     ) ** 2
@@ -293,7 +288,7 @@ class TestRigidMotionInvariance:
         shift = rng.uniform(-2.0, 2.0, dim)
         moved = Simplex(s.vertices @ rotation.T + shift)
         assert moved.volume == pytest.approx(s.volume, rel=1e-12)
-        for f, g in zip(facets(s), facets(moved)):
+        for f, g in zip(s.facets, moved.facets):
             assert g.measure == pytest.approx(f.measure, rel=1e-12)
 
     @given(st.integers(0, 10_000))

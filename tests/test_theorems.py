@@ -194,6 +194,15 @@ class TestNdPythagoras:
             c = report.summary["hyp_measure"]
             assert abs(report.residual) <= 1e-10 * c**2
 
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_relative_only_verdict_at_high_dim(self, dim):
+        # tol_abs is in units of C^2. For these seeds C^2 is at most 1e-4 at
+        # dim 8 and 1e-17 at dim 16, so the default tol_abs = 1e-12 outweighs
+        # tol_rel * C^2 there. With tol_abs = 0 only the relative check runs.
+        for seed in range(50):
+            r = random_right_simplex(seed, dim, "scaled")
+            assert verify_nd_pythagoras(r, tol_abs=0.0).passed, seed
+
 
 class TestFaceNormalIdentity:
     def test_unit_tetrahedron_values(self):
