@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
+    FloatRangeError,
     LegOrthogonalityError,
     NotRightTriangleError,
     ShapeCalcError,
@@ -31,6 +32,7 @@ from .fields import (
 from .geometry import (
     DEGENERACY_EPS,
     Facet,
+    Facets,
     Simplex,
     Triangle,
     base_height_volume,
@@ -66,6 +68,8 @@ __all__ = [
     "DerivativeReport",
     "DimensionMismatchError",
     "Facet",
+    "Facets",
+    "FloatRangeError",
     "LegOrthogonalityError",
     "NotRightTriangleError",
     "RightSimplexSpec",

@@ -17,6 +17,7 @@ Exit codes: 0 all instances pass, 1 at least one verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,12 +60,15 @@ INPUT_ERRORS = (ValueError, OSError)
 @dataclass
 class ShapeDocument:
     """Parsed shape file: dim, dim+1 vertices, optional triangle labels,
-    optional hypotenuse facet index for right simplices."""
+    optional hypotenuse facet index for right simplices. ``simplex()`` is
+    built once and kept, so the vertices must not change afterwards."""
 
     dim: int
     vertices: list[list[float]]
     labels: dict[str, int] | None = None
     hyp_index: int | None = None
+    _simplex: Simplex | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def to_dict(self) -> dict:
         doc: dict = {"dim": self.dim, "vertices": self.vertices}
@@ -78,7 +82,10 @@ class ShapeDocument:
         return json.dumps(self.to_dict())
 
     def simplex(self) -> Simplex:
-        return Simplex(np.array(self.vertices))
+        """The document's simplex, built on the first call and then kept."""
+        if self._simplex is None:
+            self._simplex = Simplex(np.array(self.vertices))
+        return self._simplex
 
     def triangle(self) -> Triangle:
         if self.dim != 2:
@@ -110,7 +117,7 @@ def _require(condition: bool, message: str, parse: bool = False):
 
 def parse_shape(text: str) -> ShapeDocument:
     """Parse and validate a JSON shape document; the simplex is constructed
-    once to surface degeneracy early."""
+    here to surface degeneracy early, and the document keeps it."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -376,7 +383,9 @@ def run_derive(
     return _finish_report(command, None, [entry], started)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="shapecalc",
         description="Shape-derivative computations and theorem verification "

@@ -27,3 +27,7 @@ class ShapeParseError(ShapeCalcError, ValueError):
 
 class ShapeValidationError(ShapeCalcError, ValueError):
     """Well-formed shape document with inconsistent content."""
+
+
+class FloatRangeError(ShapeCalcError, ValueError):
+    """A computed quantity overflows the double-precision float range."""

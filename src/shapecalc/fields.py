@@ -51,7 +51,7 @@ class AffineField:
         return self.matrix @ x + self.offset
 
     def at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on an (m, N) stack of points, returning (m, N) values."""
+        """Evaluate on a (..., N) stack of points, returning (..., N) values."""
         return points @ self.matrix.T + self.offset
 
 
@@ -83,7 +83,7 @@ class AffineDensity:
         return float(self.gradient @ x + self.constant)
 
     def at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on an (m, N) stack of points, returning (m,) values."""
+        """Evaluate on a (..., N) stack of points, returning (...) values."""
         return points @ self.gradient + self.constant
 
 
@@ -101,7 +101,7 @@ def div_density_field(f: AffineDensity, xi: AffineField) -> AffineDensity:
         raise DimensionMismatchError(
             f"density dim {f.dim} != field dim {xi.dim}"
         )
-    trace = float(np.trace(xi.matrix))
+    trace = np.trace(xi.matrix)  # a numpy scalar, so np.errstate covers its products
     gradient = xi.matrix.T @ f.gradient + trace * f.gradient
     constant = float(f.gradient @ xi.offset) + f.constant * trace
     return AffineDensity(gradient, constant)
@@ -140,5 +140,5 @@ def nd_pythagoras_field(s: Simplex, hyp_index: int) -> AffineField:
         raise ValueError(
             f"hyp_index must be in 0..{s.dim}, got {hyp_index}"
         )
-    hyp = s.facets[hyp_index]
-    return AffineField.constant(hyp.measure * hyp.normal)
+    facets = s.facets
+    return AffineField.constant(facets.measures[hyp_index] * facets.normals[hyp_index])

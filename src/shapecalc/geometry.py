@@ -1,14 +1,21 @@
 """Simplex geometry in R^N: volumes, facet enumeration, outward normals,
 facet measures, and triangle-specific derived quantities.
 
-Vertex and normal arrays are read-only and ``Simplex`` and ``Facet`` are
-frozen dataclasses. ``Triangle`` is a plain class whose attributes can be
-reassigned; only its arrays are read-only.
+The facets of a simplex are held as arrays, one row per facet
+(struct of arrays): ``Simplex.facets`` is a ``Facets`` sequence whose
+``vertices``, ``normals`` and ``measures`` cover all N+1 facets at once, and
+it builds a single ``Facet`` only when one is indexed.
+
+Vertex, normal and measure arrays are read-only; ``Simplex``, ``Facets`` and
+``Facet`` are frozen dataclasses. ``Triangle`` is a plain class whose
+attributes can be reassigned; only its arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,6 +67,33 @@ class Facet:
 
 
 @dataclass(frozen=True, eq=False)
+class Facets(Sequence):
+    """All N+1 facets of an N-simplex, ordered by opposite-vertex index.
+
+    ``vertices`` has shape (N+1, N, N): row i is the simplex's vertex array
+    without vertex i. ``normals`` (N+1, N) holds the outward unit normals and
+    ``measures`` (N+1,) the (N-1)-dimensional areas. ``facets[i]`` (negative
+    ``i`` too) builds the ``Facet`` of row i on demand.
+    """
+
+    vertices: np.ndarray
+    normals: np.ndarray
+    measures: np.ndarray
+
+    def __len__(self) -> int:
+        return self.measures.shape[0]
+
+    def __getitem__(self, index) -> Facet:
+        n = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"facet index {index} out of range for {n} facets")
+        return Facet(i, self.vertices[i], self.normals[i], float(self.measures[i]))
+
+
+@dataclass(frozen=True, eq=False)
 class Simplex:
     """Non-degenerate N-simplex given by N+1 vertices (rows) in R^N, N >= 2.
 
@@ -108,7 +142,7 @@ class Simplex:
         return c
 
     @cached_property
-    def facets(self) -> tuple[Facet, ...]:
+    def facets(self) -> Facets:
         """All N+1 facets, ordered by ascending opposite-vertex index.
 
         Closed form from the barycentric gradients: the rows of inv(E)^T,
@@ -116,21 +150,21 @@ class Simplex:
         their sum. Facet i lies on lambda_i = 0, so its outward normal is
         -grad lambda_i / |grad lambda_i|; its distance to vertex i is
         1 / |grad lambda_i|, so base-times-height gives the measure
-        N * volume * |grad lambda_i|.
+        N * volume * |grad lambda_i|. The facet vertex arrays come from one
+        gather: entry j of row i is vertex j + (j >= i).
         """
         v = self.vertices
+        n = self.dim
         grads = np.linalg.inv(v[1:] - v[0]).T
         grads = np.vstack([-grads.sum(axis=0), grads])
         lengths = np.linalg.norm(grads, axis=1)
         normals = -grads / lengths[:, None]
-        normals.flags.writeable = False
-        measures = self.dim * self.volume * lengths
-        result = []
-        for i in range(self.dim + 1):
-            fverts = np.delete(v, i, axis=0)
-            fverts.flags.writeable = False
-            result.append(Facet(i, fverts, normals[i], float(measures[i])))
-        return tuple(result)
+        measures = n * self.volume * lengths
+        j = np.arange(n)
+        vertices = v[j + (j >= np.arange(n + 1)[:, None])]
+        for a in (vertices, normals, measures):
+            a.flags.writeable = False
+        return Facets(vertices, normals, measures)
 
 
 def facet_measure(f: Facet) -> float:
@@ -178,10 +212,7 @@ class Triangle:
         self.alpha = _interior_angle(self.B - self.A, self.C - self.A)
         self.beta = _interior_angle(self.A - self.B, self.C - self.B)
         self.gamma = _interior_angle(self.A - self.C, self.B - self.C)
-        side_a, side_b, side_c = self.simplex.facets
-        self.n_a = side_a.normal
-        self.n_b = side_b.normal
-        self.n_c = side_c.normal
+        self.n_a, self.n_b, self.n_c = self.simplex.facets.normals
 
     def __repr__(self):
         return (

@@ -271,8 +271,9 @@ def verify_nd_pythagoras(
     total, per_facet = boundary_integral(
         s, AffineDensity.one(s.dim), nd_pythagoras_field(s, r.hyp_index)
     )
-    hyp_measure = s.facets[r.hyp_index].measure
-    leg_measures = [s.facets[i].measure for i in range(1, s.dim + 1)]
+    measures = s.facets.measures
+    hyp_measure = float(measures[r.hyp_index])
+    leg_measures = measures[1:].tolist()
     expected = [hyp_measure**2] + [-m**2 for m in leg_measures]
     return TheoremReport(
         theorem="nd_pythagoras",
@@ -299,12 +300,11 @@ def verify_nd_pythagoras(
 def face_normal_identity(r: RightSimplexSpec) -> tuple[float, ...]:
     """Residuals |A_i + C * (n_C . n_i)| of the leg-facet area identity,
     one per leg facet (ascending facet index)."""
-    s = r.simplex
-    hyp = s.facets[r.hyp_index]
-    return tuple(
-        abs(s.facets[i].measure + hyp.measure * float(hyp.normal @ s.facets[i].normal))
-        for i in range(1, s.dim + 1)
-    )
+    facets = r.simplex.facets
+    hyp = r.hyp_index
+    # One (1, N) @ (N, 1) product per leg facet: the same dot as n_C . n_i.
+    dots = (facets.normals[1:, None, :] @ facets.normals[hyp, :, None])[:, 0, 0]
+    return tuple(np.abs(facets.measures[1:] + facets.measures[hyp] * dots).tolist())
 
 
 def _translate_into_box(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,8 @@ import numpy as np
 
 from shapecalc import AffineDensity, AffineField, DegenerateSimplexError, Simplex
 
+_EPS = float(np.finfo(float).eps)
+
 
 def cayley_menger_measure(points) -> float:
     """k-simplex measure from pairwise squared distances only."""
@@ -69,3 +71,23 @@ def moved_density(f: AffineDensity, rotation: np.ndarray, shift: np.ndarray) -> 
     """The pullback-compatible density f'(y) = f(R^T (y - u))."""
     gradient = rotation @ f.gradient
     return AffineDensity(gradient, f.constant - float(gradient @ shift))
+
+
+def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
+    """Reference boundary route, one ``Facet`` at a time: per facet the exact
+    moment rule measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)), with
+    u = f and v = xi . n at the facet's own vertices.
+
+    Returns (values, bounds): ``bounds[i]`` is 4 (N+1) eps times the sum of
+    the magnitudes of facet i's terms, a rounding budget for any other
+    evaluation order of the same products and sums."""
+    n = s.dim
+    values, bounds = [], []
+    for facet in s.facets:
+        u = f.at(facet.vertices)
+        v = xi.at(facet.vertices) @ facet.normal
+        weight = facet.measure / (n * (n + 1))
+        values.append(float(weight * (u.sum() * v.sum() + (u * v).sum())))
+        terms = weight * (np.abs(u).sum() * np.abs(v).sum() + np.abs(u * v).sum())
+        bounds.append(4 * (n + 1) * _EPS * float(terms))
+    return values, bounds

@@ -1,6 +1,7 @@
 """CLI contract tests: parsing, exit codes, determinism, output formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from shapecalc.cli import (
     ShapeDocument,
     ShapeParseError,
     ShapeValidationError,
+    build_parser,
     main,
     parse_shape,
     run_derive,
@@ -245,6 +247,27 @@ class TestExitCodes:
             ), spec
 
     @pytest.mark.parametrize(
+        "field, density",
+        [
+            # The repro: the field overflows at the vertices and its trace.
+            ('{"matrix": [[1e308, 0], [0, 1e308]], "offset": [0, 0]}', None),
+            # Every array entry is finite; only the facet sums overflow.
+            ('{"matrix": [[1, 0], [0, 1]], "offset": [0, 0]}',
+             '{"gradient": [0, 0], "constant": 1e307}'),
+        ],
+    )
+    def test_overflowing_derivative_is_two(self, shape_file, capsys, field, density):
+        argv = ["derive", "--input", shape_file(T345), "--field", field]
+        if density is not None:
+            argv += ["--density", density]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 2
+        assert "overflows the float range" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--tol-abs", "nan"), ("--tol-abs", "inf"), ("--tol-rel", "-1"),
          ("--tol-rel", "abc")],
@@ -254,6 +277,48 @@ class TestExitCodes:
             main(["verify", "pythagoras", "--input", shape_file(T345),
                   flag, value])
         assert exc.value.code == 2
+
+
+class TestCachedParser:
+    COMMANDS = [
+        ["verify", "nd-pythagoras", "--random", "--dim", "16", "--count", "2"],
+        ["verify", "thales"],  # argparse error, exit 2
+        ["derive", "--field", "sines:b", "--tol-abs", "0",
+         "--density", '{"gradient": [1, 2], "constant": 3}'],
+        ["verify", "sines", "--random", "--count", "3", "--seed", "4",
+         "--format", "csv"],
+        ["verify", "nd-pythagoras", "--random", "--dim", "16", "--count", "2"],
+    ]
+
+    @staticmethod
+    def _run(argv, shape, out):
+        if argv[0] == "derive":
+            argv = argv[:1] + ["--input", shape] + argv[1:]
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            return exc.code, None
+        text = out.read_text()
+        if text.startswith("{"):
+            data = json.loads(text)
+            del data["aggregate"]["wall_time_s"]
+            text = json.dumps(data)
+        return code, text
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_leaks_no_state(self, shape_file, tmp_path, capsys):
+        shape = shape_file(T345)
+        out = tmp_path / "report.txt"
+        fresh = []
+        for argv in self.COMMANDS:
+            build_parser.cache_clear()
+            fresh.append(self._run(argv, shape, out))
+        reused = [self._run(argv, shape, out) for argv in self.COMMANDS]
+        assert reused == fresh
+        assert [code for code, _ in fresh] == [0, 2, 0, 0, 0]
+        assert fresh[0] == fresh[4]
 
 
 class TestVerifyRuns:

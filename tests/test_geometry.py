@@ -101,6 +101,60 @@ class TestFacets:
                 assert facet_measure(f) == pytest.approx(f.measure, rel=1e-14)
 
 
+class TestFacetsArrays:
+    """``Simplex.facets`` as a sequence over three read-only arrays."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_sequence_contract(self, dim):
+        s = support.random_simplex(np.random.default_rng(dim), dim, min_rel_det=1e-6)
+        fs = s.facets
+        assert len(fs) == dim + 1
+        assert fs.vertices.shape == (dim + 1, dim, dim)
+        assert fs.normals.shape == (dim + 1, dim)
+        assert fs.measures.shape == (dim + 1,)
+        for i, f in enumerate(fs):
+            assert f.opposite_vertex_index == i
+            g = fs[i]
+            assert np.array_equal(f.vertices, g.vertices)
+            assert np.array_equal(f.normal, g.normal)
+            assert f.measure == g.measure
+        last = fs[-1]
+        assert last.opposite_vertex_index == dim
+        assert np.array_equal(last.vertices, fs[dim].vertices)
+        for bad in (dim + 1, -(dim + 2)):
+            with pytest.raises(IndexError):
+                fs[bad]
+        first, *_ = fs
+        assert first.opposite_vertex_index == 0
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_arrays_are_read_only(self, dim):
+        fs = support.random_simplex(
+            np.random.default_rng(dim), dim, min_rel_det=1e-6
+        ).facets
+        for array in (fs.vertices, fs.normals, fs.measures):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert not fs[0].vertices.flags.writeable
+        assert not fs[0].normal.flags.writeable
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_rows_match_the_vertex_array(self, dim):
+        s = support.random_simplex(np.random.default_rng(dim), dim, min_rel_det=1e-6)
+        fs = s.facets
+        for i in range(dim + 1):
+            f = fs[i]
+            assert np.array_equal(f.vertices, np.delete(s.vertices, i, axis=0))
+            assert np.array_equal(f.normal, fs.normals[i])
+            assert f.measure == fs.measures[i]
+            assert type(f.measure) is float
+
+    def test_cached_on_the_simplex(self):
+        s = unit_simplex(3)
+        assert s.facets is s.facets
+
+
 class TestNormals:
     def test_unit_triangle_normals(self):
         s = unit_simplex(2)

@@ -75,6 +75,23 @@ class TestBoundaryIntegral:
                 acc += v
             assert acc == total  # bit-identical: same summation order
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_matches_per_facet_reference(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(10):
+            s = support.random_simplex(rng, dim, min_rel_det=1e-6)
+            f = support.random_density(rng, dim)
+            xi = support.random_field(rng, dim)
+            total, per_facet = boundary_integral(s, f, xi)
+            values, bounds = support.boundary_integral_per_facet(s, f, xi)
+            assert [i for i, _ in per_facet] == list(range(dim + 1))
+            for (_, value), expected, bound in zip(per_facet, values, bounds):
+                assert abs(value - expected) <= bound
+            acc = 0.0
+            for _, value in per_facet:
+                acc += value
+            assert acc == total
+
     def test_linearity_in_field_and_density(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
