@@ -11,7 +11,7 @@ Subcommands
     density spec.
 
 Exit codes: 0 all instances pass, 1 at least one verification failure,
-2 input / parse / precondition error.
+2 input / parse / precondition error or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -52,9 +53,17 @@ from .theorems import (
 
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
 
-# Everything that counts as a class-2 (input) failure at the CLI boundary;
-# every ShapeCalcError is a ValueError. ROADMAP Open item 4 narrows this.
+# Everything that counts as a class-2 failure at the CLI boundary: bad input,
+# and (OSError) a file that cannot be read or a report that cannot be
+# written. Every ShapeCalcError is a ValueError. ROADMAP Open item 4 narrows
+# this.
 INPUT_ERRORS = (ValueError, OSError)
+
+# The encoder json.dumps(indent=2) builds, made once. Its pure-Python
+# iterencode yields the text in small pieces; render joins RENDER_BLOCK of
+# them per write.
+JSON_ENCODER = json.JSONEncoder(indent=2)
+RENDER_BLOCK = 4096
 
 
 @dataclass
@@ -188,21 +197,28 @@ class RunReport:
             "aggregate": self.aggregate,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+    def render(self, fmt: str, stream) -> None:
+        """Write the report to ``stream`` as JSON (``json.dumps(indent=2)``
+        plus a newline) or CSV, while encoding it: neither the whole text
+        nor the list of its pieces is ever held."""
+        if fmt == "csv":
+            stream.write("theorem,seed,residual,passed\n")
+            _write_blocks(map(_csv_row, self.entries), stream)
+        else:
+            _write_blocks(JSON_ENCODER.iterencode(self.to_dict()), stream)
+            stream.write("\n")
 
-    def to_csv(self) -> str:
-        lines = ["theorem,seed,residual,passed"]
-        for entry in self.entries:
-            seed = entry.get("seed")
-            lines.append(
-                f"{entry['theorem']},{'' if seed is None else seed},"
-                f"{entry['residual']!r},{str(entry['passed']).lower()}"
-            )
-        return "\n".join(lines) + "\n"
 
-    def render(self, fmt: str) -> str:
-        return self.to_csv() if fmt == "csv" else self.to_json()
+def _csv_row(entry: dict) -> str:
+    seed = entry.get("seed")
+    return (f"{entry['theorem']},{'' if seed is None else seed},"
+            f"{entry['residual']!r},{str(entry['passed']).lower()}\n")
+
+
+def _write_blocks(pieces, stream) -> None:
+    # No piece is empty, so an empty block means the pieces are used up.
+    while block := "".join(islice(pieces, RENDER_BLOCK)):
+        stream.write(block)
 
 
 def _finish_report(command, seeds, entries, started) -> tuple[RunReport, int]:
@@ -462,15 +478,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = _dispatch(args, argv)
+        # Opened only after a successful run: an input error leaves no file.
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                report.render(args.format, handle)
+        else:
+            report.render(args.format, sys.stdout)
     except INPUT_ERRORS as err:
         print(f"shapecalc: error: {err}", file=sys.stderr)
         return 2
-    text = report.render(args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

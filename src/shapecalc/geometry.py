@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, DimensionMismatchError
+from .errors import DegenerateSimplexError, DimensionMismatchError, FloatRangeError
 
 # Degeneracy gate: |det(edge matrix)| must exceed DEGENERACY_EPS * scale**N,
 # with scale the longest edge. Leaves conditioning headroom for
@@ -112,10 +113,33 @@ class Simplex:
             )
         if v.shape[1] < 2:
             raise DimensionMismatchError("simplex dimension must be at least 2")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("simplex vertices have non-finite entries")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
+        n = self.dim
+        # With every |coordinate| <= peak, the edges, |det| and scale**N are
+        # at most (2 sqrt(N) peak)**N (Hadamard's inequality), so below this
+        # bound the gate cannot overflow. nan and inf fail the comparison
+        # too, so one reduction also screens non-finite entries; only the
+        # rare rest pays for the checked path.
+        peak = np.abs(v).max()
+        if peak < sys.float_info.max ** (1.0 / n) / (2.0 * math.sqrt(n)):
+            det = self._gated_det()
+        elif not np.isfinite(peak):
+            raise ValueError("simplex vertices have non-finite entries")
+        else:
+            try:
+                with np.errstate(over="raise"):
+                    det = self._gated_det()
+            except (FloatingPointError, OverflowError) as err:
+                raise FloatRangeError(
+                    "vertex coordinates overflow the float range"
+                ) from err
+        object.__setattr__(self, "volume", float(det / math.factorial(n)))
+
+    def _gated_det(self) -> float:
+        """|det(v_1 - v_0, ..., v_N - v_0)|, or DegenerateSimplexError when
+        it is at most DEGENERACY_EPS * scale**N."""
+        v = self.vertices
         n = self.dim
         det = abs(np.linalg.det(v[1:] - v[0]))
         if det <= DEGENERACY_EPS * self.scale**n:
@@ -123,7 +147,7 @@ class Simplex:
                 f"degenerate simplex: |det| = {det:.3e} <= "
                 f"{DEGENERACY_EPS} * scale^{n}"
             )
-        object.__setattr__(self, "volume", float(det / math.factorial(n)))
+        return det
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,9 @@
 """CLI contract tests: parsing, exit codes, determinism, output formats."""
 
+import io
 import json
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +22,9 @@ from shapecalc import (
     verify_nd_pythagoras,
     verify_pythagoras,
 )
+import shapecalc.cli as cli
 from shapecalc.cli import (
+    RENDER_BLOCK,
     THEOREMS,
     ShapeDocument,
     ShapeParseError,
@@ -266,6 +271,55 @@ class TestExitCodes:
         assert code == 2
         assert "overflows the float range" in capsys.readouterr().err
         assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_coordinates_is_two(self, shape_file, capsys):
+        big = {"dim": 2, "vertices": [[0, 0], [3e200, 0], [0, 4e200]]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["derive", "--input", shape_file(big),
+                         "--field", "pythagoras"])
+        assert code == 2
+        assert ("vertex coordinates overflow the float range"
+                in capsys.readouterr().err)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_two(self, tmp_path, capsys, target):
+        out = tmp_path / "nope" / "r.json" if target == "missing-dir" else tmp_path
+        code = main(["verify", "sines", "--random", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapecalc: error: ")
+        assert str(out) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_report_write_is_two(self, capsys):
+        # Writes to /dev/full fail with ENOSPC once the buffer is flushed.
+        code = main(["verify", "sines", "--random", "--count", "30",
+                     "--out", "/dev/full"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapecalc: error: ")
+        assert "Traceback" not in err
+
+    def test_failed_stdout_write_is_two(self, monkeypatch, capsys):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", BrokenPipe())
+        assert main(["verify", "cosines", "--random"]) == 2
+        assert capsys.readouterr().err == "shapecalc: error: [Errno 32] Broken pipe\n"
+
+    def test_input_error_leaves_no_report_file(self, shape_file, tmp_path):
+        degenerate = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}
+        out = tmp_path / "report.json"
+        code = main(["derive", "--input", shape_file(degenerate),
+                     "--field", "cosines", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -540,3 +594,111 @@ class TestReportsArePlainData:
             shape_file(T345), "sines:b", '{"gradient": [1, 2], "constant": 3}'
         )
         assert_plain(report.to_dict())
+
+
+def reference_csv(report) -> str:
+    """The CSV text of the whole-string serializer that render replaced."""
+    lines = ["theorem,seed,residual,passed"]
+    for entry in report.entries:
+        seed = entry.get("seed")
+        lines.append(
+            f"{entry['theorem']},{'' if seed is None else seed},"
+            f"{entry['residual']!r},{str(entry['passed']).lower()}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def rendered(report, fmt: str) -> str:
+    stream = io.StringIO()
+    report.render(fmt, stream)
+    return stream.getvalue()
+
+
+def assert_renders_whole_text(report):
+    assert rendered(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert rendered(report, "csv") == reference_csv(report)
+
+
+# Quotes, a backslash and non-ASCII text, as a command line may hold them.
+AWKWARD = 'dir "q" \\ wörk ✓'
+
+
+class TestStreamedRender:
+    """``RunReport.render`` writes exactly the text of ``json.dumps(indent=2)``
+    plus a newline, or the old CSV text, while it encodes."""
+
+    @pytest.mark.parametrize("count", [1, 40])
+    @pytest.mark.parametrize(
+        "theorem, dim",
+        [("pythagoras", 3), ("sines", 3), ("cosines", 3),
+         ("nd-pythagoras", 3), ("nd-pythagoras", 16)],
+    )
+    def test_verify_reports(self, theorem, dim, count):
+        argv = ["verify", theorem, "--random", "--count", str(count), AWKWARD]
+        report, _ = run_verify(theorem, random_batch=True, count=count, seed=5,
+                               dim=dim, legs="scaled", command=argv)
+        if count > 1:  # more than one block of pieces
+            pieces = cli.JSON_ENCODER.iterencode(report.to_dict())
+            assert sum(1 for _ in pieces) > RENDER_BLOCK
+        assert_renders_whole_text(report)
+
+    @pytest.mark.parametrize(
+        "shape, field, density",
+        [
+            (T345, "pythagoras", None),
+            (T345, "sines:b", '{"gradient": [1, 2], "constant": 3}'),
+            (T345, "cosines", None),
+            (RIGHT_TETRA, "nd-pythagoras", None),
+            (UNIT_SIMPLEX_2, '{"matrix": [[1, 0], [0, 1]], "offset": [0, 0]}', None),
+            (RIGHT_TETRA,
+             '{"matrix": [[1, 2, 0], [0, 1, 0], [3, 0, 1]], "offset": [0.5, 0, -1]}',
+             '{"gradient": [1, 0, 2], "constant": -0.25}'),
+        ],
+    )
+    def test_derive_reports(self, shape_file, shape, field, density):
+        path = shape_file(shape)
+        argv = ["derive", "--input", path + AWKWARD, "--field", field]
+        report, _ = run_derive(path, field, density, command=argv)
+        assert_renders_whole_text(report)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_any_block_size(self, monkeypatch, block):
+        report, _ = run_verify("sines", random_batch=True, count=3, seed=2,
+                               command=["verify", AWKWARD])
+        monkeypatch.setattr(cli, "RENDER_BLOCK", block)
+        assert_renders_whole_text(report)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_main_writes_file_and_stdout_alike(self, tmp_path, capsys, fmt):
+        folder = tmp_path / AWKWARD
+        folder.mkdir()
+        shape = folder / "shape.json"
+        shape.write_text(json.dumps(T345))
+        out = folder / "report.out"
+        argv = ["derive", "--input", str(shape), "--field", "sines:a",
+                "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        written = out.read_text(encoding="utf-8")
+        printed = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(written)["command"] == argv + ["--out", str(out)]
+            data = json.loads(printed)
+            assert data["command"] == argv
+            assert printed == json.dumps(data, indent=2) + "\n"
+        else:
+            assert written == printed
+            assert printed.startswith("theorem,seed,residual,passed\nderive,,")
+
+    def test_memory_stays_flat_in_the_report_size(self, tmp_path):
+        # The whole-string serializer peaked at about 27 MB on this report:
+        # the list of its pieces plus the text.
+        report, _ = run_verify("sines", random_batch=True, count=2000, seed=0)
+        with open(tmp_path / "report.json", "w", encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                report.render("json", handle)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2_000_000

@@ -12,6 +12,7 @@ import support
 from shapecalc import (
     DegenerateSimplexError,
     DimensionMismatchError,
+    FloatRangeError,
     Simplex,
     Triangle,
     base_height_volume,
@@ -53,6 +54,41 @@ class TestVolume:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])
         with pytest.raises(ValueError):
             Simplex(verts)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_rejected(self, bad):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Simplex(verts)
+
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            # |det| = 1.2e401 and the squared edges overflow.
+            [[0.0, 0.0], [3e200, 0.0], [0.0, 4e200]],
+            # Every edge fits; det(E) = 1e320 and scale**16 overflow.
+            np.vstack([np.zeros(16), 1e20 * np.eye(16)]),
+            # Only the squared longest edge overflows.
+            [[0.0, 0.0], [2e154, 0.0], [0.0, 1.0]],
+            # Coordinates fit the square root of float max, the edge does not.
+            [[-1e154, 0.0], [1e154, 0.0], [0.0, 1.0]],
+            # Only the edge vectors overflow.
+            [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]],
+        ],
+    )
+    def test_coordinates_beyond_float_range(self, verts):
+        # The pytest configuration turns any numpy warning into an error.
+        with pytest.raises(FloatRangeError, match="overflow the float range"):
+            Simplex(np.array(verts))
+
+    @pytest.mark.parametrize("factor", [1e150, 2e153])
+    def test_large_coordinates_within_float_range(self, factor):
+        # 2e153 is above the bound under which the gate cannot overflow, so
+        # this shape takes the checked path and must still be built. numpy's
+        # det is exp(log|det|), whose rounding grows with log|det| (~707 here).
+        s = Simplex(factor * np.array([[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]))
+        assert s.volume == pytest.approx(6.0 * factor**2, rel=1e-12)
+        assert s.scale == pytest.approx(5.0 * factor, rel=1e-15)
 
 
 class TestFacets:
