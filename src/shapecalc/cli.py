@@ -29,29 +29,19 @@ import numpy as np
 
 from . import __version__
 from .errors import ShapeParseError, ShapeValidationError
-from .fields import (
-    AffineDensity,
-    AffineField,
-    cosines_field,
-    nd_pythagoras_field,
-    pythagoras_field,
-    sines_field,
-)
+from .fields import AffineDensity, AffineField
 from .geometry import Simplex, Triangle
 from .hadamard import hadamard_derivative
-from .theorems import (
-    DEFAULT_TOL_ABS,
-    DEFAULT_TOL_REL,
-    RightSimplexSpec,
-    random_right_simplex,
-    random_triangle,
-    verify_law_of_cosines,
-    verify_law_of_sines,
-    verify_nd_pythagoras,
-    verify_pythagoras,
-)
+from .theorems import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec
 
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
+
+# derive's named proof fields, from the theorem table: "pythagoras",
+# "sines:a", ... -> (row, field key), and the list that help and errors show.
+NAMED_FIELDS = {f"{name}:{key}" if key else name: (row, key)
+                for name, row in THEOREMS.items() for key in row.fields}
+FIELD_NAMES = ", ".join(f"{name}:{'|'.join(row.fields)}" if "" not in row.fields
+                        else name for name, row in THEOREMS.items())
 
 # Everything that counts as a class-2 failure at the CLI boundary: bad input,
 # and (OSError) a file that cannot be read or a report that cannot be
@@ -108,14 +98,18 @@ class ShapeDocument:
             self.vertices[labels["C"]],
         )
 
-    def right_simplex(self) -> RightSimplexSpec:
+    def hypotenuse(self) -> tuple[Simplex, int]:
+        """The simplex and ``hyp_index``, its hypotenuse facet."""
         if self.hyp_index is None:
             raise ShapeValidationError(
                 "nd-pythagoras needs 'hyp_index' in the shape document"
             )
-        verts = np.array(self.vertices)
-        apex = verts[self.hyp_index]  # hypotenuse facet is opposite the apex
-        legs = np.delete(verts, self.hyp_index, axis=0) - apex
+        return self.simplex(), self.hyp_index
+
+    def right_simplex(self) -> RightSimplexSpec:
+        s, hyp = self.hypotenuse()
+        apex = s.vertices[hyp]  # the hypotenuse facet is opposite the apex
+        legs = np.delete(s.vertices, hyp, axis=0) - apex
         return RightSimplexSpec(apex=apex, legs=legs)
 
 
@@ -239,27 +233,6 @@ def _finish_report(command, seeds, entries, started) -> tuple[RunReport, int]:
     return report, 0 if pass_count == len(entries) else 1
 
 
-# theorem -> (random instance from (seed, dim, legs), verifier taking
-# (instance, tol_abs, tol_rel), instance from a ShapeDocument). The lambdas
-# look the functions up by name when called, so a function rebound on this
-# module after import (by a tracer or a test) is the one that runs.
-THEOREM_TABLE = {
-    "pythagoras": (lambda seed, dim, legs: random_triangle(seed, "right"),
-                   lambda *args: verify_pythagoras(*args),
-                   ShapeDocument.triangle),
-    "sines": (lambda seed, dim, legs: random_triangle(seed, "general"),
-              lambda *args: verify_law_of_sines(*args),
-              ShapeDocument.triangle),
-    "cosines": (lambda seed, dim, legs: random_triangle(seed, "general"),
-                lambda *args: verify_law_of_cosines(*args),
-                ShapeDocument.triangle),
-    "nd-pythagoras": (lambda *args: random_right_simplex(*args),
-                      lambda *args: verify_nd_pythagoras(*args),
-                      ShapeDocument.right_simplex),
-}
-THEOREMS = tuple(THEOREM_TABLE)
-
-
 def run_verify(
     theorem: str,
     *,
@@ -277,26 +250,26 @@ def run_verify(
 
     Input errors raise (the caller maps them to exit code 2).
     """
-    if theorem not in THEOREM_TABLE:
+    if theorem not in THEOREMS:
         raise ShapeValidationError(f"unknown theorem {theorem!r}")
-    generate, verify, from_document = THEOREM_TABLE[theorem]
+    row = THEOREMS[theorem]
     started = time.perf_counter()
     seeds = None
     if input_path is not None:
         with open(input_path, "r", encoding="utf-8") as handle:
             doc = parse_shape(handle.read())
-        instances = [(None, from_document(doc))]
+        instances = [(None, getattr(doc, row.document)())]
     elif random_batch:
         if count < 1:
             raise ShapeValidationError(f"--count must be positive, got {count}")
         seeds = [seed + k for k in range(count)]
         # Lazy, so each instance is generated just before it is verified.
-        instances = ((s, generate(s, dim, legs)) for s in seeds)
+        instances = ((s, row.generate(s, dim, legs)) for s in seeds)
     else:
         raise ShapeValidationError("verify needs --input PATH or --random")
     entries = []
     for s, instance in instances:
-        entry = verify(instance, tol_abs, tol_rel).to_dict()
+        entry = row.verify(instance, tol_abs, tol_rel).to_dict()
         entry["seed"] = s
         entries.append(entry)
     return _finish_report(command, seeds, entries, started)
@@ -312,22 +285,12 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
                  "field spec needs 'matrix' and 'offset'", parse=True)
         return AffineField(_float_array(raw["matrix"], "field 'matrix'"),
                            _float_array(raw["offset"], "field 'offset'"))
-    if spec == "pythagoras":
-        return pythagoras_field(doc.triangle())
-    if spec.startswith("sines:"):
-        return sines_field(doc.triangle(), spec.split(":", 1)[1])
-    if spec == "cosines":
-        return cosines_field(doc.triangle())
-    if spec == "nd-pythagoras":
-        if doc.hyp_index is None:
-            raise ShapeValidationError(
-                "field 'nd-pythagoras' needs 'hyp_index' in the shape document"
-            )
-        return nd_pythagoras_field(doc.simplex(), doc.hyp_index)
-    raise ShapeValidationError(
-        f"unknown field spec {spec!r}; use inline JSON or one of "
-        "pythagoras, sines:a|b|c, cosines, nd-pythagoras"
-    )
+    if spec not in NAMED_FIELDS:
+        raise ShapeValidationError(
+            f"unknown field spec {spec!r}; use inline JSON or one of {FIELD_NAMES}"
+        )
+    row, key = NAMED_FIELDS[spec]
+    return row.fields[key](getattr(doc, row.field_document)())
 
 
 def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:
@@ -440,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--input", metavar="PATH", required=True,
                         help="shape document file")
     derive.add_argument("--field", required=True,
-                        help="named proof field (pythagoras, sines:a|b|c, "
-                        "cosines, nd-pythagoras) or inline JSON "
+                        help=f"named proof field ({FIELD_NAMES}) or inline JSON "
                         '{"matrix": ..., "offset": ...}')
     derive.add_argument("--density",
                         help='inline JSON {"gradient": ..., "constant": ...}; '

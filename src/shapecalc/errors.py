@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and ``float_range``, the
+one guard that turns an overflow into ``FloatRangeError``."""
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class ShapeCalcError(Exception):
@@ -31,3 +37,23 @@ class ShapeValidationError(ShapeCalcError, ValueError):
 
 class FloatRangeError(ShapeCalcError, ValueError):
     """A computed quantity overflows the double-precision float range."""
+
+
+@contextmanager
+def float_range(message: str):
+    """Raise ``FloatRangeError(message)`` when the block overflows: a numpy
+    overflow or invalid operation (raised under ``np.errstate``; the inputs
+    are finite, so an invalid operation can only follow an overflow), or
+    Python's ``OverflowError``. The block gets ``finite(*values)``, which
+    raises the same error for a value that plain float arithmetic took to
+    inf or nan without raising."""
+
+    def finite(*values: float) -> None:
+        if not all(map(math.isfinite, values)):
+            raise FloatRangeError(message)
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield finite
+    except (FloatingPointError, OverflowError) as err:
+        raise FloatRangeError(f"{message} ({err})") from err

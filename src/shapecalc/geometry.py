@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, DimensionMismatchError, FloatRangeError
+from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
 
 # Degeneracy gate: |det(edge matrix)| must exceed DEGENERACY_EPS * scale**N,
 # with scale the longest edge. Leaves conditioning headroom for
@@ -127,13 +127,8 @@ class Simplex:
         elif not np.isfinite(peak):
             raise ValueError("simplex vertices have non-finite entries")
         else:
-            try:
-                with np.errstate(over="raise"):
-                    det = self._gated_det()
-            except (FloatingPointError, OverflowError) as err:
-                raise FloatRangeError(
-                    "vertex coordinates overflow the float range"
-                ) from err
+            with float_range("vertex coordinates overflow the float range"):
+                det = self._gated_det()
         object.__setattr__(self, "volume", float(det / math.factorial(n)))
 
     def _gated_det(self) -> float:

@@ -18,12 +18,11 @@ per-facet values match a facet-by-facet loop bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, DimensionMismatchError, FloatRangeError
+from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
 from .fields import AffineDensity, AffineField, div_density_field
 from .geometry import Simplex
 
@@ -153,30 +152,22 @@ def hadamard_derivative(
 ) -> DerivativeReport:
     """Evaluate all three routes and report their residuals.
 
-    Raises ``FloatRangeError`` if any route overflows the float range (the
-    inputs are finite, so an invalid operation can only follow an overflow).
+    Raises ``FloatRangeError`` if any route overflows the float range.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            boundary_total, per_facet = boundary_integral(s, f, xi)
-            volume_total = volume_integral(s, f, xi)
-            step = default_fd_step(s, xi)
-            fd_estimate = fd_derivative(s, f, xi, step)
-    except FloatingPointError as err:
-        raise FloatRangeError(
-            f"the shape derivative overflows the float range ({err})"
-        ) from err
-    report = DerivativeReport(
+    with float_range("the shape derivative overflows the float range") as finite:
+        boundary_total, per_facet = boundary_integral(s, f, xi)
+        volume_total = volume_integral(s, f, xi)
+        step = default_fd_step(s, xi)
+        fd_estimate = fd_derivative(s, f, xi, step)
+        residual_bv = abs(boundary_total - volume_total)
+        residual_bf = abs(boundary_total - fd_estimate)
+        finite(boundary_total, volume_total, fd_estimate, residual_bv, residual_bf)
+    return DerivativeReport(
         per_facet=per_facet,
         boundary_total=boundary_total,
         volume_total=volume_total,
         fd_estimate=fd_estimate,
         fd_step=step,
-        residual_bv=abs(boundary_total - volume_total),
-        residual_bf=abs(boundary_total - fd_estimate),
+        residual_bv=residual_bv,
+        residual_bf=residual_bf,
     )
-    if not all(map(math.isfinite, (report.boundary_total, report.volume_total,
-                                   report.fd_estimate, report.residual_bv,
-                                   report.residual_bf))):
-        raise FloatRangeError("the shape derivative overflows the float range")
-    return report

@@ -1,16 +1,25 @@
-"""Executable reconstructions of four classical proofs: build the proof's
-translation field, decompose the boundary derivative facet by facet, and
-report the theorem residual.
+"""Executable reconstructions of four classical proofs.
 
-Tolerances here are implementation choices (the underlying mathematics is
-exact); a report passes iff |residual| <= tol_abs + tol_rel * scale**2,
-with scale the longest side (hypotenuse-facet measure in the N-dimensional
-case).
+Every proof translates the simplex along a constant field xi, splits the
+boundary derivative sum_i A_i (xi . n_i) = 0 into one term per facet, and
+reads the theorem off those terms. So each theorem is one ``Theorem`` row
+of ``THEOREMS``, keyed by its CLI name, and one routine, ``prove``, runs
+every row: it checks ``precondition``, builds each of ``fields`` ("" or a
+side -> builder) from ``shape(instance)`` and decomposes it, then reports
+``summary``, ``scale``, ``auxiliary`` (of the instance and the
+decompositions, key -> (total, per-facet terms)) and ``residual`` (of the
+decompositions and ``auxiliary``). The CLI reads a row's ``report`` name,
+``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
+methods ``document`` (an instance) and ``field_document`` (what derive's
+named fields take). Rows call this module's functions by name at run
+time, so a tracer can rebind them. Tolerances are implementation choices
+(the underlying mathematics is exact).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +30,7 @@ from .errors import (
     DimensionMismatchError,
     LegOrthogonalityError,
     NotRightTriangleError,
+    float_range,
 )
 from .fields import (
     AffineDensity,
@@ -55,21 +65,8 @@ class TheoremReport:
     auxiliary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "summary": self.summary,
-            "per_facet": [[i, v] for i, v in self.per_facet],
-            "residual": self.residual,
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
-            "scale": self.scale,
-            "passed": self.passed,
-            "auxiliary": self.auxiliary,
-        }
-
-
-def _passes(residual: float, tol_abs: float, tol_rel: float, scale: float) -> bool:
-    return abs(residual) <= tol_abs + tol_rel * scale**2
+        # The fields in declaration order, with the pairs as lists.
+        return {**vars(self), "per_facet": [[i, v] for i, v in self.per_facet]}
 
 
 def _triangle_summary(t: Triangle) -> dict:
@@ -87,7 +84,8 @@ def _triangle_summary(t: Triangle) -> dict:
 @dataclass(frozen=True, eq=False)
 class RightSimplexSpec:
     """Right N-simplex: an apex plus N mutually orthogonal leg vectors
-    (rows of ``legs``). The hypotenuse facet is the one opposite the apex."""
+    (rows of ``legs``). ``simplex`` lists the apex first, so its facet 0,
+    the one opposite the apex, is the hypotenuse."""
 
     apex: np.ndarray
     legs: np.ndarray
@@ -115,148 +113,201 @@ class RightSimplexSpec:
                 f"legs not mutually orthogonal (worst excess {worst:.3e})"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.legs.shape[0]
-
     @cached_property
     def leg_lengths(self) -> np.ndarray:
         lengths = np.linalg.norm(self.legs, axis=1)
         lengths.flags.writeable = False
         return lengths
 
-    @property
-    def hyp_index(self) -> int:
-        """Facet index of the hypotenuse (opposite the apex vertex)."""
-        return 0
-
     @cached_property
     def simplex(self) -> Simplex:
         return Simplex(np.vstack([self.apex, self.apex + self.legs]))
 
 
-def verify_pythagoras(
-    t: Triangle,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> TheoremReport:
-    """Check c^2 - a^2 - b^2 == 0 for a right triangle (right angle at C) via
-    the boundary decomposition of the translation along c * n_c.
-
-    Facet expectations: side c contributes c^2, sides a and b contribute
-    -a^2 and -b^2 (their normals satisfy c * n_c . n_a = -a and
-    c * n_c . n_b = -b).
-    """
+def _right_angle_at_c(t: Triangle) -> None:
     if abs(t.gamma - math.pi / 2.0) > RIGHT_ANGLE_TOL:
         raise NotRightTriangleError(
             f"gamma = {t.gamma!r} rad is not right within {RIGHT_ANGLE_TOL}"
         )
-    total, per_facet = boundary_integral(
-        t.simplex, AffineDensity.one(2), pythagoras_field(t)
-    )
+
+
+def _pythagoras_auxiliary(t: Triangle, decompositions: dict) -> dict:
     expected = (-t.a**2, -t.b**2, t.c**2)
-    scale = max(t.a, t.b, t.c)
-    return TheoremReport(
-        theorem="pythagoras",
-        summary=_triangle_summary(t),
-        per_facet=per_facet,
-        residual=total,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        scale=scale,
-        passed=_passes(total, tol_abs, tol_rel, scale),
-        auxiliary={
-            "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
-            "per_facet_deviation": max(
-                abs(value - expected[i]) for i, value in per_facet
-            ),
-            "c_nc_dot_na_plus_a": float(t.c * (t.n_c @ t.n_a) + t.a),
-            "c_nc_dot_nb_plus_b": float(t.c * (t.n_c @ t.n_b) + t.b),
+    return {
+        "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
+        "per_facet_deviation": max(
+            abs(value - expected[i]) for i, value in decompositions[""][1]
+        ),
+        "c_nc_dot_na_plus_a": float(t.c * (t.n_c @ t.n_a) + t.a),
+        "c_nc_dot_nb_plus_b": float(t.c * (t.n_c @ t.n_b) + t.b),
+    }
+
+
+def _sines_auxiliary(t: Triangle, decompositions: dict) -> dict:
+    return {
+        "ratios": {
+            "a": t.a / math.sin(t.alpha),
+            "b": t.b / math.sin(t.beta),
+            "c": t.c / math.sin(t.gamma),
         },
-    )
+        "directions": {
+            side: {"total": total, "per_facet": [[i, v] for i, v in per_facet]}
+            for side, (total, per_facet) in decompositions.items()
+        },
+        "expected_per_facet_a": [
+            [0, 0.0],
+            [1, -t.b * math.sin(t.gamma)],
+            [2, t.c * math.sin(t.beta)],
+        ],
+    }
+
+
+def _hyp_measure(r: RightSimplexSpec) -> float:
+    return float(r.simplex.facets.measures[0])
+
+
+def _nd_auxiliary(r: RightSimplexSpec, decompositions: dict) -> dict:
+    leg_measures = r.simplex.facets.measures[1:].tolist()
+    expected = [_hyp_measure(r) ** 2] + [-m**2 for m in leg_measures]
+    return {
+        "leg_face_measures": leg_measures,
+        "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
+        "face_normal_residuals": list(face_normal_identity(r)),
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class Theorem:
+    """One row of ``THEOREMS``; the module docstring says what it holds."""
+
+    report: str
+    generate: Callable
+    verify: Callable
+    document: str
+    field_document: str
+    fields: dict[str, Callable]
+    summary: Callable
+    scale: Callable
+    auxiliary: Callable
+    residual: Callable = lambda decompositions, auxiliary: decompositions[""][0]
+    precondition: Callable = lambda instance: None
+    shape: Callable = lambda instance: instance
+
+
+_TRIANGLE = dict(document="triangle", field_document="triangle",
+                 summary=_triangle_summary, scale=lambda t: max(t.a, t.b, t.c))
+
+THEOREMS = {
+    # Right angle at C, field c * n_c: side c contributes c^2, and sides a and
+    # b contribute -a^2 and -b^2 (c * n_c . n_a = -a, c * n_c . n_b = -b).
+    "pythagoras": Theorem(
+        report="pythagoras",
+        generate=lambda seed, dim, legs: random_triangle(seed, "right"),
+        verify=lambda *args: verify_pythagoras(*args),
+        fields={"": lambda t: pythagoras_field(t)},
+        precondition=_right_angle_at_c,
+        auxiliary=_pythagoras_auxiliary,
+        **_TRIANGLE,
+    ),
+    # A unit field along each side: along side a, facet a contributes ~0 and
+    # the others -b sin(gamma) and c sin(beta). The residual is the largest
+    # pairwise deviation of the three ratios side / sin(opposite angle).
+    "sines": Theorem(
+        report="sines",
+        generate=lambda seed, dim, legs: random_triangle(seed, "general"),
+        verify=lambda *args: verify_law_of_sines(*args),
+        fields={side: lambda t, side=side: sines_field(t, side) for side in "abc"},
+        residual=lambda _, auxiliary: (max(auxiliary["ratios"].values())
+                                       - min(auxiliary["ratios"].values())),
+        auxiliary=_sines_auxiliary,
+        **_TRIANGLE,
+    ),
+    # Field c n_c - a n_a - b n_b: the terms add up to
+    # c^2 - a^2 - b^2 + 2ab cos(gamma), the law's own residual.
+    "cosines": Theorem(
+        report="cosines",
+        generate=lambda seed, dim, legs: random_triangle(seed, "general"),
+        verify=lambda *args: verify_law_of_cosines(*args),
+        fields={"": lambda t: cosines_field(t)},
+        auxiliary=lambda t, _: {
+            "law_value": t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma),
+            "na_dot_nb_plus_cos_gamma": float(t.n_a @ t.n_b + math.cos(t.gamma)),
+        },
+        **_TRIANGLE,
+    ),
+    # Right N-simplex, field C * n_C with C the hypotenuse-facet measure: the
+    # hypotenuse contributes C^2, leg facet i -A_i^2 (A_i = -C n_C . n_i).
+    # The field takes a simplex and its hypotenuse facet: facet 0 here, the
+    # document's own simplex and hyp_index in derive.
+    "nd-pythagoras": Theorem(
+        report="nd_pythagoras",
+        generate=lambda *args: random_right_simplex(*args),
+        verify=lambda *args: verify_nd_pythagoras(*args),
+        document="right_simplex",
+        field_document="hypotenuse",
+        shape=lambda r: (r.simplex, 0),
+        fields={"": lambda shape: nd_pythagoras_field(*shape)},
+        summary=lambda r: {
+            "dim": r.simplex.dim,
+            "vertices": r.simplex.vertices.tolist(),
+            "leg_lengths": r.leg_lengths.tolist(),
+            "hyp_measure": _hyp_measure(r),
+        },
+        scale=_hyp_measure,
+        auxiliary=_nd_auxiliary,
+    ),
+}
+
+
+def prove(theorem: str, instance, tol_abs: float, tol_rel: float) -> TheoremReport:
+    """Run the proof of ``THEOREMS[theorem]`` on ``instance``. Raises the
+    row's precondition error, or ``FloatRangeError`` when the proof
+    overflows the float range."""
+    row = THEOREMS[theorem]
+    row.precondition(instance)
+    s, shape = instance.simplex, row.shape(instance)
+    one = AffineDensity.one(s.dim)
+    with float_range(f"the {theorem} proof overflows the float range") as finite:
+        decompositions = {
+            key: boundary_integral(s, one, build(shape))
+            for key, build in row.fields.items()
+        }
+        auxiliary = row.auxiliary(instance, decompositions)
+        residual = row.residual(decompositions, auxiliary)
+        finite(residual, *(total for total, _ in decompositions.values()))
+        scale = row.scale(instance)
+        return TheoremReport(
+            theorem=row.report,
+            summary=row.summary(instance),
+            per_facet=next(iter(decompositions.values()))[1],
+            residual=residual,
+            tol_abs=tol_abs,
+            tol_rel=tol_rel,
+            scale=scale,
+            passed=abs(residual) <= tol_abs + tol_rel * scale**2,
+            auxiliary=auxiliary,
+        )
+
+
+def verify_pythagoras(
+    t: Triangle, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL
+) -> TheoremReport:
+    """c^2 == a^2 + b^2 for a right triangle (right angle at C)."""
+    return prove("pythagoras", t, tol_abs, tol_rel)
 
 
 def verify_law_of_sines(
-    t: Triangle,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
+    t: Triangle, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL
 ) -> TheoremReport:
-    """Check a/sin(alpha) == b/sin(beta) == c/sin(gamma) for any triangle.
-
-    Runs the boundary decomposition for the unit field parallel to each side;
-    for the side-a direction the side-a facet contributes ~0 and the others
-    c * sin(beta) and -b * sin(gamma). The residual is the maximum pairwise
-    deviation of the three ratios.
-    """
-    ratios = {
-        "a": t.a / math.sin(t.alpha),
-        "b": t.b / math.sin(t.beta),
-        "c": t.c / math.sin(t.gamma),
-    }
-    values = list(ratios.values())
-    residual = max(values) - min(values)
-    per_direction = {}
-    for side in ("a", "b", "c"):
-        total, per_facet = boundary_integral(
-            t.simplex, AffineDensity.one(2), sines_field(t, side)
-        )
-        per_direction[side] = {
-            "total": total,
-            "per_facet": [[i, v] for i, v in per_facet],
-        }
-    scale = max(t.a, t.b, t.c)
-    side_a_decomposition = tuple(
-        (i, v) for i, v in per_direction["a"]["per_facet"]
-    )
-    return TheoremReport(
-        theorem="sines",
-        summary=_triangle_summary(t),
-        per_facet=side_a_decomposition,
-        residual=residual,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        scale=scale,
-        passed=_passes(residual, tol_abs, tol_rel, scale),
-        auxiliary={
-            "ratios": ratios,
-            "directions": per_direction,
-            "expected_per_facet_a": [
-                [0, 0.0],
-                [1, -t.b * math.sin(t.gamma)],
-                [2, t.c * math.sin(t.beta)],
-            ],
-        },
-    )
+    """a / sin(alpha) == b / sin(beta) == c / sin(gamma) for any triangle."""
+    return prove("sines", t, tol_abs, tol_rel)
 
 
 def verify_law_of_cosines(
-    t: Triangle,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
+    t: Triangle, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL
 ) -> TheoremReport:
-    """Check c^2 - a^2 - b^2 + 2ab cos(gamma) == 0 for any triangle via the
-    boundary decomposition of the translation along c n_c - a n_a - b n_b."""
-    total, per_facet = boundary_integral(
-        t.simplex, AffineDensity.one(2), cosines_field(t)
-    )
-    law_value = (
-        t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma)
-    )
-    scale = max(t.a, t.b, t.c)
-    return TheoremReport(
-        theorem="cosines",
-        summary=_triangle_summary(t),
-        per_facet=per_facet,
-        residual=total,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        scale=scale,
-        passed=_passes(total, tol_abs, tol_rel, scale),
-        auxiliary={
-            "law_value": law_value,
-            "na_dot_nb_plus_cos_gamma": float(t.n_a @ t.n_b + math.cos(t.gamma)),
-        },
-    )
+    """c^2 == a^2 + b^2 - 2ab cos(gamma) for any triangle."""
+    return prove("cosines", t, tol_abs, tol_rel)
 
 
 def verify_nd_pythagoras(
@@ -264,47 +315,18 @@ def verify_nd_pythagoras(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> TheoremReport:
-    """Check C^2 - sum_i A_i^2 == 0 for a right N-simplex, where C is the
-    hypotenuse-facet measure and A_i the leg-facet measures, via the boundary
-    decomposition of the translation along C * n_C."""
-    s = r.simplex
-    total, per_facet = boundary_integral(
-        s, AffineDensity.one(s.dim), nd_pythagoras_field(s, r.hyp_index)
-    )
-    measures = s.facets.measures
-    hyp_measure = float(measures[r.hyp_index])
-    leg_measures = measures[1:].tolist()
-    expected = [hyp_measure**2] + [-m**2 for m in leg_measures]
-    return TheoremReport(
-        theorem="nd_pythagoras",
-        summary={
-            "dim": s.dim,
-            "vertices": s.vertices.tolist(),
-            "leg_lengths": r.leg_lengths.tolist(),
-            "hyp_measure": hyp_measure,
-        },
-        per_facet=per_facet,
-        residual=total,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        scale=hyp_measure,
-        passed=_passes(total, tol_abs, tol_rel, hyp_measure),
-        auxiliary={
-            "leg_face_measures": leg_measures,
-            "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
-            "face_normal_residuals": list(face_normal_identity(r)),
-        },
-    )
+    """C^2 == sum_i A_i^2 for a right N-simplex (C the hypotenuse-facet
+    measure, A_i the leg-facet measures)."""
+    return prove("nd-pythagoras", r, tol_abs, tol_rel)
 
 
 def face_normal_identity(r: RightSimplexSpec) -> tuple[float, ...]:
     """Residuals |A_i + C * (n_C . n_i)| of the leg-facet area identity,
     one per leg facet (ascending facet index)."""
     facets = r.simplex.facets
-    hyp = r.hyp_index
     # One (1, N) @ (N, 1) product per leg facet: the same dot as n_C . n_i.
-    dots = (facets.normals[1:, None, :] @ facets.normals[hyp, :, None])[:, 0, 0]
-    return tuple(np.abs(facets.measures[1:] + facets.measures[hyp] * dots).tolist())
+    dots = (facets.normals[1:, None, :] @ facets.normals[0, :, None])[:, 0, 0]
+    return tuple(np.abs(facets.measures[1:] + facets.measures[0] * dots).tolist())
 
 
 def _translate_into_box(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:

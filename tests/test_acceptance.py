@@ -126,7 +126,7 @@ def test_criterion_5_face_normal_identity():
         for k in range(100):
             for mode in ("orthonormal", "scaled"):
                 spec = random_right_simplex(2000 * dim + k, dim, mode)
-                c = spec.simplex.facets[spec.hyp_index].measure
+                c = spec.simplex.facets[0].measure
                 for i, residual in enumerate(face_normal_identity(spec)):
                     if residual > 1e-12 * c:
                         failures.append((dim, k, mode, i, residual))

@@ -63,6 +63,10 @@ RIGHT_TETRA = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture
 def shape_file(tmp_path):
     def write(document: dict, name: str = "shape.json") -> str:
@@ -220,17 +224,32 @@ class TestExitCodes:
             main(["verify", "thales"])
         assert exc.value.code == 2
 
-    def test_bad_field_spec_is_two(self, shape_file):
+    def test_bad_field_spec_is_two(self, shape_file, capsys):
         for spec in (
             "bogus",
             '{"matrix": {}, "offset": [0, 0]}',
             f'{{"matrix": [[1, 0], [0, {HUGE_INT}]], "offset": [0, 0]}}',
             f'{{"matrix": [[1, 0], [0, 1]], "offset": [{HUGE_INT}, 0]}}',
+            "sines:d",
+            "sines:",
+            "sines",
+            "cosines:a",
+            "pythagoras:",
         ):
             assert (
                 main(["derive", "--input", shape_file(T345), "--field", spec])
                 == 2
             ), spec
+            err = capsys.readouterr().err
+            if not spec.startswith("{"):
+                assert (f"unknown field spec {spec!r}; use inline JSON or one of "
+                        "pythagoras, sines:a|b|c, cosines, nd-pythagoras") in err, err
+
+    def test_field_help_lists_the_named_fields(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["derive", "--help"])
+        assert ("named proof field (pythagoras, sines:a|b|c, cosines, "
+                "nd-pythagoras)") in " ".join(capsys.readouterr().out.split())
 
     def test_bad_density_spec_is_two(self, shape_file):
         for spec in (
@@ -282,6 +301,48 @@ class TestExitCodes:
         assert ("vertex coordinates overflow the float range"
                 in capsys.readouterr().err)
         assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_proof_is_two(self, shape_file, tmp_path, capsys):
+        # 3-4-5 scaled by 2e153: c^2 = 1e308 fits, but an intermediate of the
+        # cosines decomposition overflows. Sines and Pythagoras stay in range.
+        big = {"dim": 2, "vertices": [[6e153, 0], [0, 8e153], [0, 0]]}
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "cosines", "--input", shape_file(big),
+                         "--out", str(out)]) == 2
+            assert not out.exists()
+            for theorem in ("sines", "pythagoras"):
+                assert main(["verify", theorem, "--input", shape_file(big),
+                             "--out", str(out)]) == 0
+        assert ("shapecalc: error: the cosines proof overflows the float range"
+                in capsys.readouterr().err)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1.0, 1e100, 1e150, 1e153, 2e153])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", theorem] for theorem in THEOREMS]
+        + [["derive", "--field", name] for name in
+           ("pythagoras", "sines:a", "sines:b", "sines:c", "cosines", "nd-pythagoras")],
+        ids=" ".join,
+    )
+    def test_scaled_shapes_exit_cleanly(self, shape_file, tmp_path, argv, scale):
+        # Exit 0 or 1 with a strictly valid JSON report, or 2 and no report;
+        # never a warning, a traceback, or a bare NaN or Infinity.
+        shape = RIGHT_TETRA if "nd-pythagoras" in argv else T345
+        vertices = [[x * scale for x in v] for v in shape["vertices"]]
+        scaled = dict(shape, vertices=vertices)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--input", shape_file(scaled), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            json.loads(out.read_text(), parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_out_is_two(self, tmp_path, capsys, target):

@@ -13,6 +13,7 @@ from shapecalc import (
     AffineField,
     DegenerateSimplexError,
     DimensionMismatchError,
+    FloatRangeError,
     Simplex,
     boundary_integral,
     default_fd_step,
@@ -21,6 +22,7 @@ from shapecalc import (
     perturbed_integral,
     volume_integral,
 )
+from shapecalc.errors import float_range
 
 
 def unit_simplex(dim: int) -> Simplex:
@@ -234,3 +236,29 @@ class TestHadamardDerivative:
         data = report.to_dict()
         assert data["boundary_total"] == report.boundary_total
         assert data["per_facet"] == [[i, v] for i, v in report.per_facet]
+
+
+class TestFloatRange:
+    """The one guard that turns an overflow into FloatRangeError."""
+
+    def test_numpy_overflow(self):
+        with pytest.raises(FloatRangeError, match=r"^too big \(overflow encountered"):
+            with float_range("too big"):
+                np.float64(1e308) * 10.0
+
+    def test_python_overflow(self):
+        with pytest.raises(FloatRangeError, match=r"^too big \("):
+            with float_range("too big"):
+                1e200**2
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value(self, value):
+        with pytest.raises(FloatRangeError, match="^too big$"):
+            with float_range("too big") as finite:
+                finite(1.0, value)
+
+    def test_in_range_passes_through(self):
+        with float_range("too big") as finite:
+            finite(1e308, -1e308, 0.0)
+            total = np.float64(1e154) * 1e154
+        assert total == 1e308

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import support
 from shapecalc import (
+    FloatRangeError,
     LegOrthogonalityError,
     NotRightTriangleError,
     RightSimplexSpec,
@@ -144,6 +145,23 @@ class TestLawOfCosines:
     def test_residual_property(self, seed):
         report = verify_law_of_cosines(random_triangle(seed, "general"))
         assert abs(report.residual) <= 1e-12 * report.scale**2
+
+
+class TestOverflow:
+    def test_overflowing_decomposition_raises(self):
+        # 3-4-5 scaled by 2e153: c^2 = 1e308 fits, but an intermediate of
+        # the cosines decomposition overflows.
+        t = Triangle([6e153, 0.0], [0.0, 8e153], [0.0, 0.0])
+        with pytest.raises(FloatRangeError, match="cosines proof overflows"):
+            verify_law_of_cosines(t)
+        assert verify_law_of_sines(t).passed
+        assert verify_pythagoras(t).passed
+
+    def test_overflowing_tolerance_raises(self):
+        # A right tetrahedron scaled by 1e100: the volume fits, C^2 does not.
+        r = RightSimplexSpec(apex=np.zeros(3), legs=np.eye(3) * 1e100)
+        with pytest.raises(FloatRangeError, match="nd-pythagoras proof overflows"):
+            verify_nd_pythagoras(r)
 
 
 class TestNdPythagoras:

@@ -1,0 +1,82 @@
+"""The benchmark tracer's contract with the CLI, for every theorem and every
+named field: no traced call is missing, a verify batch counts one instance
+per generated shape with one verifier span each, and every proof field is
+built through its public constructor. The benchmark's own tests run only a
+few of these calls, so a table row that stored a function object, and so
+bypassed the tracer, would slip past them.
+
+The tracer is loaded from ``bench/tracer.py``; nothing under ``bench/`` is
+written.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import shapecalc.cli as cli
+from shapecalc.theorems import THEOREMS
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+)
+tracer_module = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracer_module)
+
+T345 = {"dim": 2, "vertices": [[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]}
+# A right tetrahedron whose apex is vertex 2, so hyp_index is not 0.
+RIGHT_TETRA = {
+    "dim": 3,
+    "vertices": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]],
+    "hyp_index": 2,
+}
+NAMED_FIELDS = ("pythagoras", "sines:a", "sines:b", "sines:c", "cosines",
+                "nd-pythagoras")
+
+
+def traced_main(argv):
+    """Run ``cli.main(argv)`` under a fresh tracer; (exit code, tracer)."""
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = tracer.root(cli.main, argv)
+    finally:
+        tracer.uninstall()
+    return code, tracer
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_verify_batch_is_traced(theorem, tmp_path):
+    code, tracer = traced_main(["verify", theorem, "--random", "--count", "3",
+                                "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert tracer.missing == []
+    assert tracer.instances == 3
+    spans = tracer.summary()
+    assert spans["theorems.generate"][1] == 3
+    assert spans["theorems.verify"][1] == 3
+    assert spans["fields.proof_field"][1] == 3 * len(THEOREMS[theorem].fields)
+    assert spans["hadamard.boundary_integral"][1] == 3 * len(THEOREMS[theorem].fields)
+    # One verifier span per instance, each under that instance.
+    verify = tracer.name_ids["theorems.verify"]
+    instances = [i for n, i in zip(tracer.name, tracer.instance) if n == verify]
+    assert instances == [0, 1, 2]
+
+
+def test_every_named_field_is_tested():
+    assert sorted(cli.NAMED_FIELDS) == sorted(NAMED_FIELDS)
+
+
+@pytest.mark.parametrize("field", NAMED_FIELDS)
+def test_named_field_is_traced(field, tmp_path):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps(RIGHT_TETRA if field == "nd-pythagoras" else T345))
+    code, tracer = traced_main(["derive", "--input", str(shape), "--field", field,
+                                "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert tracer.missing == []
+    assert tracer.instances == 1
+    spans = tracer.summary()
+    assert spans["fields.proof_field"][1] == 1
+    assert spans["hadamard.derivative"][1] == 1
