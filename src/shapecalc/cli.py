@@ -137,16 +137,14 @@ def parse_shape(text: str) -> ShapeDocument:
              "'vertices' must be a list of coordinate lists", parse=True)
     _require(len(vertices) == dim + 1,
              f"expected {dim + 1} vertices for dim {dim}, got {len(vertices)}")
-    coords = []
     for v in vertices:
         _require(len(v) == dim,
                  f"every vertex needs {dim} coordinates, got {len(v)}")
-        _require(all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                     for x in v),
-                 "vertex coordinates must be numbers", parse=True)
-        row = _float_array(v, "vertex coordinates")
-        _require(np.isfinite(row).all(), "vertex coordinates must be finite")
-        coords.append(row.tolist())
+    # json.loads gives exact types, so this excludes bool as well.
+    _require({type(x) for v in vertices for x in v} <= {int, float},
+             "vertex coordinates must be numbers", parse=True)
+    coords = _float_array(vertices, "vertex coordinates")
+    _require(np.isfinite(coords).all(), "vertex coordinates must be finite")
 
     labels = raw.get("labels")
     if labels is not None:
@@ -166,9 +164,9 @@ def parse_shape(text: str) -> ShapeDocument:
                  and 0 <= hyp_index <= dim,
                  f"'hyp_index' must be a facet index in 0..{dim}")
 
-    doc = ShapeDocument(dim=dim, vertices=coords, labels=labels,
+    doc = ShapeDocument(dim=dim, vertices=coords.tolist(), labels=labels,
                         hyp_index=hyp_index)
-    doc.simplex()  # degeneracy check
+    doc._simplex = Simplex(coords)  # degeneracy check
     return doc
 
 

@@ -16,7 +16,11 @@ class DimensionMismatchError(ShapeCalcError, ValueError):
 
 
 class DegenerateSimplexError(ShapeCalcError, ValueError):
-    """Vertex set is (numerically) affinely dependent."""
+    """Vertex set is (numerically) affinely dependent; ``index``: stack position."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class NotRightTriangleError(ShapeCalcError, ValueError):

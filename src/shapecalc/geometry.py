@@ -1,14 +1,15 @@
-"""Simplex geometry in R^N: volumes, facet enumeration, outward normals,
-facet measures, and triangle-specific derived quantities.
+"""Simplex geometry in R^N: the degeneracy gate, volumes, facet enumeration,
+outward normals, facet measures, and triangle-specific derived quantities.
 
 The facets of a simplex are held as arrays, one row per facet
 (struct of arrays): ``Simplex.facets`` is a ``Facets`` sequence whose
 ``vertices``, ``normals`` and ``measures`` cover all N+1 facets at once, and
 it builds a single ``Facet`` only when one is indexed.
 
-Vertex, normal and measure arrays are read-only; ``Simplex``, ``Facets`` and
-``Facet`` are frozen dataclasses. ``Triangle`` is a plain class whose
-attributes can be reassigned; only its arrays are read-only.
+``gated_volumes`` gates a stack of vertex arrays; ``Simplex`` gates a stack
+of one. Vertex, normal and measure arrays are read-only; ``Simplex``,
+``Facets`` and ``Facet`` are frozen dataclasses. ``Triangle`` is a plain class
+whose attributes can be reassigned; only its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import operator
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -94,16 +96,48 @@ class Facets(Sequence):
         return Facet(i, self.vertices[i], self.normals[i], float(self.measures[i]))
 
 
+def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
+    """Volume |det(v_1 - v_0, ..., v_N - v_0)| / N! and longest edge (scale)
+    of each vertex array of a (M, N+1, N) stack, as if gated alone. Raises
+    DegenerateSimplexError, ``index`` its position, for the first array with
+    |det| <= DEGENERACY_EPS * scale**N; ValueError for non-finite and
+    FloatRangeError for overflowing vertices."""
+    n = stack.shape[-1]
+    # With every |coordinate| <= peak, the edges, |det| and scale**N are at
+    # most (2 sqrt(N) peak)**N (Hadamard's inequality), so below this bound
+    # the gate cannot overflow. nan and inf fail the comparison too; only
+    # the rare rest pays for the checked path.
+    peak = np.abs(stack).max()
+    if peak < sys.float_info.max ** (1.0 / n) / (2.0 * math.sqrt(n)):
+        screen = nullcontext()
+    elif not np.isfinite(peak):
+        raise ValueError("simplex vertices have non-finite entries")
+    else:
+        screen = float_range("vertex coordinates overflow the float range")
+    with screen:
+        dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
+        diffs = stack[:, :, None, :] - stack[:, None, :, :]
+        # sqrt is monotone, so the root of the largest square is the largest edge.
+        scales = np.sqrt((diffs**2).sum(axis=-1).max(axis=(1, 2))).tolist()
+        for i, (det, scale) in enumerate(zip(dets, scales)):
+            if abs(det) <= DEGENERACY_EPS * scale**n:
+                raise DegenerateSimplexError(
+                    f"degenerate simplex: |det| = {abs(det):.3e} <= "
+                    f"{DEGENERACY_EPS} * scale^{n}", index=i)
+    return [abs(det) / math.factorial(n) for det in dets], scales
+
+
 @dataclass(frozen=True, eq=False)
 class Simplex:
     """Non-degenerate N-simplex given by N+1 vertices (rows) in R^N, N >= 2.
 
-    ``volume`` is |det(v_1 - v_0, ..., v_N - v_0)| / N!, from the determinant
-    that the degeneracy gate computes.
+    ``volume`` and ``scale`` (the longest edge length) come from
+    ``gated_volumes`` on a stack of one.
     """
 
     vertices: np.ndarray
     volume: float = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -115,44 +149,13 @@ class Simplex:
             raise DimensionMismatchError("simplex dimension must be at least 2")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        n = self.dim
-        # With every |coordinate| <= peak, the edges, |det| and scale**N are
-        # at most (2 sqrt(N) peak)**N (Hadamard's inequality), so below this
-        # bound the gate cannot overflow. nan and inf fail the comparison
-        # too, so one reduction also screens non-finite entries; only the
-        # rare rest pays for the checked path.
-        peak = np.abs(v).max()
-        if peak < sys.float_info.max ** (1.0 / n) / (2.0 * math.sqrt(n)):
-            det = self._gated_det()
-        elif not np.isfinite(peak):
-            raise ValueError("simplex vertices have non-finite entries")
-        else:
-            with float_range("vertex coordinates overflow the float range"):
-                det = self._gated_det()
-        object.__setattr__(self, "volume", float(det / math.factorial(n)))
-
-    def _gated_det(self) -> float:
-        """|det(v_1 - v_0, ..., v_N - v_0)|, or DegenerateSimplexError when
-        it is at most DEGENERACY_EPS * scale**N."""
-        v = self.vertices
-        n = self.dim
-        det = abs(np.linalg.det(v[1:] - v[0]))
-        if det <= DEGENERACY_EPS * self.scale**n:
-            raise DegenerateSimplexError(
-                f"degenerate simplex: |det| = {det:.3e} <= "
-                f"{DEGENERACY_EPS} * scale^{n}"
-            )
-        return det
+        (volume,), (scale,) = gated_volumes(v[None])
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    @cached_property
-    def scale(self) -> float:
-        """Longest edge length."""
-        diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((diffs**2).sum(axis=-1)).max())
 
     @cached_property
     def centroid(self) -> np.ndarray:

@@ -91,3 +91,31 @@ def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
         terms = weight * (np.abs(u).sum() * np.abs(v).sum() + np.abs(u * v).sum())
         bounds.append(4 * (n + 1) * _EPS * float(terms))
     return values, bounds
+
+
+def perturbed_integral_per_image(
+    s: Simplex, f: AffineDensity, xi: AffineField, t: float
+) -> float:
+    """Reference fd image integral, one ``Simplex`` per step: the moved
+    vertices are built, gated and integrated as a lone simplex, with the
+    centroid rule volume * f(centroid)."""
+    image = Simplex(s.vertices + t * xi.at(s.vertices))
+    return float(image.volume * f(image.centroid))
+
+
+def fd_derivative_per_image(
+    s: Simplex, f: AffineDensity, xi: AffineField, h: float
+) -> float:
+    """Reference Richardson-extrapolated central difference, composed from
+    four ``perturbed_integral_per_image`` calls in the order h, -h, h/2,
+    -h/2."""
+
+    def central(hh: float) -> float:
+        return (
+            perturbed_integral_per_image(s, f, xi, hh)
+            - perturbed_integral_per_image(s, f, xi, -hh)
+        ) / (2.0 * hh)
+
+    coarse = central(h)
+    fine = central(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0

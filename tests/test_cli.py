@@ -63,6 +63,27 @@ RIGHT_TETRA = {
 }
 
 
+# derive on the 3-4-5 triangle scaled by 1e-200 ... 2e153: exit code and
+# message. At 1e-200 det and scale**2 underflow, so the gate, which is not
+# yet scale-free, rejects the shape; from 1e150 up a route of the derivative
+# overflows.
+IDENTITY = '{"matrix": [[1, 0], [0, 1]], "offset": [0, 0]}'
+DENSITY = '{"gradient": [1, 2], "constant": 3}'
+_UNDERFLOW = "degenerate simplex: |det| = 0.000e+00 <= 1e-12 * scale^2"
+_OVERFLOW = "the shape derivative overflows the float range"
+SCALED_DERIVE = [
+    (field, density, scale, *outcome)
+    for field, density, outcomes in [
+        (IDENTITY, None, [(2, _UNDERFLOW)] + [(0, None)] * 5 + [(2, _OVERFLOW)]),
+        (IDENTITY, DENSITY, [(2, _UNDERFLOW)] + [(0, None)] * 3
+         + [(2, f"{_OVERFLOW} (overflow encountered in multiply)")] * 3),
+        ("sines:a", DENSITY, [(2, _UNDERFLOW)] + [(0, None)] * 3 + [(2, _OVERFLOW)] * 3),
+    ]
+    for scale, outcome in zip([1e-200, 1e-150, 1.0, 1e100, 1e150, 1e153, 2e153],
+                              outcomes)
+]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -343,6 +364,19 @@ class TestExitCodes:
             assert not out.exists()
         else:
             json.loads(out.read_text(), parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("field, density, scale, code, message",
+                             SCALED_DERIVE, ids=str)
+    def test_scaled_derive_outcome(self, shape_file, capsys, field, density,
+                                   scale, code, message):
+        vertices = [[x * scale for x in v] for v in T345["vertices"]]
+        argv = ["derive", "--input", shape_file(dict(T345, vertices=vertices)),
+                "--field", field, "--out", os.devnull]
+        if density is not None:
+            argv += ["--density", density]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == ("" if message is None else f"shapecalc: error: {message}\n")
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_out_is_two(self, tmp_path, capsys, target):

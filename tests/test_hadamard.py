@@ -1,6 +1,8 @@
 """Shape-derivative tests: the three evaluation routes and their agreement."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,76 @@ class TestPerturbedIntegral:
         collapse = AffineField(-np.eye(2), np.zeros(2))  # x -> x - t x
         with pytest.raises(DegenerateSimplexError, match="t = 1.0"):
             perturbed_integral(s, AffineDensity.one(2), collapse, 1.0)
+
+    def test_degenerate_image_in_a_stack_reports_its_step(self):
+        s = unit_simplex(2)
+        collapse = AffineField(-np.eye(2), np.zeros(2))  # collapses at t = 1
+        with pytest.raises(DegenerateSimplexError, match=r"t = 1\.0$") as err:
+            perturbed_integral(s, AffineDensity.one(2), collapse, [0.5, 1.0, 0.25])
+        assert str(err.value.__cause__).startswith("degenerate simplex: |det| = ")
+
+    def test_overflowing_image_is_screened(self):
+        # Outside hadamard_derivative no errstate is active, so only the
+        # gate's own overflow screen turns this into FloatRangeError.
+        s = Simplex(1e150 * np.array([[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for t in (1e5, [1.0, 1e5]):
+                with pytest.raises(
+                    FloatRangeError,
+                    match=r"^vertex coordinates overflow the float range "
+                    r"\(overflow encountered in det\)$",
+                ):
+                    perturbed_integral(s, AffineDensity.one(2), identity_field(2), t)
+        assert [str(w.message) for w in caught] == []
+
+    def test_scalar_step_gives_float_and_sequence_gives_array(self):
+        s = unit_simplex(3)
+        f, xi = AffineDensity.one(3), identity_field(3)
+        assert type(perturbed_integral(s, f, xi, 0.5)) is float
+        values = perturbed_integral(s, f, xi, (0.5, -0.5))
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+
+
+def placed_simplex(rng, dim: int) -> Simplex:
+    """A perturbed unit simplex, rotated, scaled and shifted: well
+    conditioned at every dimension up to 16."""
+    base = np.vstack([np.zeros(dim), np.eye(dim)])
+    base = base + rng.uniform(-0.25, 0.25, (dim + 1, dim))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    rotation = support.random_rotation(rng, dim)
+    return Simplex(scale * base @ rotation.T + rng.uniform(-1.0, 1.0, dim))
+
+
+class TestStackedImages:
+    """The images of all steps are one stack; each value must equal, bit
+    for bit, the lone-``Simplex`` reference in tests/support.py."""
+
+    @given(
+        st.sampled_from([2, 3, 5, 8, 16]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_image_reference(self, dim, seed, steps):
+        rng = np.random.default_rng(seed)
+        s = placed_simplex(rng, dim)
+        f, xi = support.random_density(rng, dim), support.random_field(rng, dim)
+        expected = []
+        for t in steps:
+            try:
+                expected.append(support.perturbed_integral_per_image(s, f, xi, t))
+            except DegenerateSimplexError:
+                # The stack names the first step whose image collapses.
+                with pytest.raises(DegenerateSimplexError,
+                                   match=f"t = {re.escape(repr(t))}$"):
+                    perturbed_integral(s, f, xi, steps)
+                return
+        assert perturbed_integral(s, f, xi, steps).tolist() == expected
+        assert [perturbed_integral(s, f, xi, t) for t in steps] == expected
+        assert fd_derivative(s, f, xi) == support.fd_derivative_per_image(
+            s, f, xi, default_fd_step(s, xi)
+        )
 
 
 class TestFiniteDifferences:

@@ -1,7 +1,9 @@
 """The benchmark tracer's contract with the CLI, for every theorem and every
 named field: no traced call is missing, a verify batch counts one instance
-per generated shape with one verifier span each, and every proof field is
-built through its public constructor. The benchmark's own tests run only a
+per generated shape with one verifier span each, every proof field is
+built through its public constructor, and a derive evaluates its four
+finite-difference images in one ``perturbed_integral`` call, building no
+``Simplex`` beyond the input's. The benchmark's own tests run only a
 few of these calls, so a table row that stored a function object, and so
 bypassed the tracer, would slip past them.
 
@@ -80,3 +82,25 @@ def test_named_field_is_traced(field, tmp_path):
     spans = tracer.summary()
     assert spans["fields.proof_field"][1] == 1
     assert spans["hadamard.derivative"][1] == 1
+    # The four fd images are one stack, gated without a Simplex each.
+    assert spans["hadamard.perturbed_integral"][1] == 1
+    if field == "nd-pythagoras":
+        assert spans["geometry.Simplex"][1] == 1
+
+
+@pytest.mark.parametrize("density", [None, '{"gradient": [1, 2], "constant": 3}'])
+def test_inline_field_builds_one_simplex(density, tmp_path):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps(T345))
+    argv = ["derive", "--input", str(shape), "--field",
+            '{"matrix": [[1, 2], [0, 1]], "offset": [1, 0]}',
+            "--out", str(tmp_path / "report.json")]
+    if density is not None:
+        argv += ["--density", density]
+    code, tracer = traced_main(argv)
+    assert code == 0
+    assert tracer.missing == []
+    spans = tracer.summary()
+    assert spans["hadamard.fd_derivative"][1] == 1
+    assert spans["hadamard.perturbed_integral"][1] == 1
+    assert spans["geometry.Simplex"][1] == 1
