@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,11 +49,30 @@ FIELD_NAMES = ", ".join(f"{name}:{'|'.join(row.fields)}" if "" not in row.fields
 # this.
 INPUT_ERRORS = (ValueError, OSError)
 
-# The encoder json.dumps(indent=2) builds, made once. Its pure-Python
-# iterencode yields the text in small pieces; render joins RENDER_BLOCK of
-# them per write.
-JSON_ENCODER = json.JSONEncoder(indent=2)
-RENDER_BLOCK = 4096
+# json.dumps's spelling of each plain leaf type: a float's repr but NaN, ±Infinity.
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           float: lambda x: _FLOAT_NAMES.get(r := float.__repr__(x), r),
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for plain data (str-keyed dicts, lists,
+    str, int, float, bool, None; any other type raises TypeError), with
+    ``indent`` the newline and indentation of ``value``'s own line."""
+    kind = type(value)
+    if kind in _LEAVES:
+        return _LEAVES[kind](value)
+    inner = indent + "  "
+    if kind is list:
+        items = [json_text(item, inner) for item in value]
+    elif kind is dict:  # encode_basestring_ascii raises TypeError for non-str keys
+        items = [f"{encode_basestring_ascii(key)}: {json_text(item, inner)}"
+                 for key, item in value.items()]
+    else:
+        raise TypeError(f"{kind.__name__} is not plain report data")
+    start, end = "[]" if kind is list else "{}"
+    return f"{start}{inner}{f',{inner}'.join(items)}{indent}{end}" if items else start + end
 
 
 @dataclass
@@ -191,26 +210,27 @@ class RunReport:
 
     def render(self, fmt: str, stream) -> None:
         """Write the report to ``stream`` as JSON (``json.dumps(indent=2)``
-        plus a newline) or CSV, while encoding it: neither the whole text
-        nor the list of its pieces is ever held."""
+        plus a newline) or CSV, one entry at a time, never the whole text."""
         if fmt == "csv":
             stream.write("theorem,seed,residual,passed\n")
-            _write_blocks(map(_csv_row, self.entries), stream)
-        else:
-            _write_blocks(JSON_ENCODER.iterencode(self.to_dict()), stream)
-            stream.write("\n")
+            stream.writelines(map(_csv_row, self.entries))
+            return
+        for i, (key, value) in enumerate(self.to_dict().items()):
+            stream.write(f"{',' if i else '{'}\n  {encode_basestring_ascii(key)}: ")
+            if key == "entries" and value:
+                indent = "\n    "
+                stream.writelines(("," if j else "[") + indent + json_text(entry, indent)
+                                  for j, entry in enumerate(value))
+                stream.write("\n  ]")
+            else:
+                stream.write(json_text(value, "\n  "))
+        stream.write("\n}\n")
 
 
 def _csv_row(entry: dict) -> str:
     seed = entry.get("seed")
     return (f"{entry['theorem']},{'' if seed is None else seed},"
             f"{entry['residual']!r},{str(entry['passed']).lower()}\n")
-
-
-def _write_blocks(pieces, stream) -> None:
-    # No piece is empty, so an empty block means the pieces are used up.
-    while block := "".join(islice(pieces, RENDER_BLOCK)):
-        stream.write(block)
 
 
 def _finish_report(command, seeds, entries, started) -> tuple[RunReport, int]:

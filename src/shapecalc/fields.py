@@ -6,6 +6,7 @@ verifiers. Constant fields are the A = 0 case; f == 1 is g = 0, c0 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class AffineField:
             raise DimensionMismatchError(
                 f"field matrix must be square, got shape {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("field matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -72,7 +73,9 @@ class AffineDensity:
         object.__setattr__(self, "constant", c)
 
     @classmethod
+    @cache
     def one(cls, dim: int) -> "AffineDensity":
+        """f == 1 in ``dim`` dimensions, one shared object per ``dim``."""
         return cls(np.zeros(dim), 1.0)
 
     @property

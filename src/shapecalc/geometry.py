@@ -20,7 +20,7 @@ import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must have dimension {dim}, got {v.shape[0]}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     v.flags.writeable = False
     return v
@@ -115,7 +115,8 @@ def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
     else:
         screen = float_range("vertex coordinates overflow the float range")
     with screen:
-        dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
+        with np.errstate(divide="ignore"):  # a zero pivot: |det| = 0 fails below
+            dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
         diffs = stack[:, :, None, :] - stack[:, None, :, :]
         # sqrt is monotone, so the root of the largest square is the largest edge.
         scales = np.sqrt((diffs**2).sum(axis=-1).max(axis=(1, 2))).tolist()
@@ -173,7 +174,7 @@ class Simplex:
         -grad lambda_i / |grad lambda_i|; its distance to vertex i is
         1 / |grad lambda_i|, so base-times-height gives the measure
         N * volume * |grad lambda_i|. The facet vertex arrays come from one
-        gather: entry j of row i is vertex j + (j >= i).
+        gather through ``_facet_index(N)``.
         """
         v = self.vertices
         n = self.dim
@@ -182,11 +183,18 @@ class Simplex:
         lengths = np.linalg.norm(grads, axis=1)
         normals = -grads / lengths[:, None]
         measures = n * self.volume * lengths
-        j = np.arange(n)
-        vertices = v[j + (j >= np.arange(n + 1)[:, None])]
+        vertices = v[_facet_index(n)]
         for a in (vertices, normals, measures):
             a.flags.writeable = False
         return Facets(vertices, normals, measures)
+
+
+@cache
+def _facet_index(n: int) -> np.ndarray:
+    """Read-only facet gather index of an N-simplex: row i, entry j is j + (j >= i)."""
+    index = np.arange(n) + (np.arange(n) >= np.arange(n + 1)[:, None])
+    index.flags.writeable = False
+    return index
 
 
 def facet_measure(f: Facet) -> float:
@@ -228,9 +236,9 @@ class Triangle:
         c_pt = as_vector(vertex_c, 2, "vertex C")
         self.simplex = Simplex(np.array([a_pt, b_pt, c_pt]))
         self.A, self.B, self.C = self.simplex.vertices
-        self.a = float(np.linalg.norm(self.B - self.C))
-        self.b = float(np.linalg.norm(self.A - self.C))
-        self.c = float(np.linalg.norm(self.A - self.B))
+        # np.linalg.norm's own formula for 1-D floats; .dot, unlike @, never warns.
+        self.a, self.b, self.c = (math.sqrt(d.dot(d)) for d in
+                                  (self.B - self.C, self.A - self.C, self.A - self.B))
         self.alpha = _interior_angle(self.B - self.A, self.C - self.A)
         self.beta = _interior_angle(self.A - self.B, self.C - self.B)
         self.gamma = _interior_angle(self.A - self.C, self.B - self.C)

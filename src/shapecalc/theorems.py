@@ -96,7 +96,7 @@ class RightSimplexSpec:
             raise DimensionMismatchError(
                 f"expected (N, N) leg matrix, got shape {legs.shape}"
             )
-        if not np.all(np.isfinite(legs)):
+        if not np.isfinite(legs).all():
             raise ValueError("leg vectors have non-finite entries")
         legs.flags.writeable = False
         object.__setattr__(self, "legs", legs)
@@ -107,7 +107,7 @@ class RightSimplexSpec:
         dots = np.abs(legs @ legs.T)
         np.fill_diagonal(dots, 0.0)
         bound = LEG_ORTHOGONALITY_TOL * np.outer(lengths, lengths)
-        if np.any(dots > bound):
+        if (dots > bound).any():
             worst = float((dots - bound).max())
             raise LegOrthogonalityError(
                 f"legs not mutually orthogonal (worst excess {worst:.3e})"

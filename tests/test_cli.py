@@ -2,13 +2,19 @@
 
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shapecalc
 from shapecalc import (
     AffineDensity,
     AffineField,
@@ -24,12 +30,12 @@ from shapecalc import (
 )
 import shapecalc.cli as cli
 from shapecalc.cli import (
-    RENDER_BLOCK,
     THEOREMS,
     ShapeDocument,
     ShapeParseError,
     ShapeValidationError,
     build_parser,
+    json_text,
     main,
     parse_shape,
     run_derive,
@@ -378,6 +384,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("" if message is None else f"shapecalc: error: {message}\n")
 
+    def test_zero_pivot_prints_only_the_error(self, shape_file):
+        # The edge matrix underflows to an exactly-zero pivot, so det
+        # divides by zero. Run as a program, numpy's warning would show.
+        underflow = {"dim": 2, "vertices": [[0, 0], [-0.0, 1e-300], [5e-324, 1]]}
+        src = os.path.dirname(os.path.dirname(shapecalc.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "shapecalc.cli", "derive",
+             "--input", shape_file(underflow), "--field", "pythagoras"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "shapecalc: error: degenerate simplex: |det| = 0.000e+00 "
+            "<= 1e-12 * scale^2"]
+
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_out_is_two(self, tmp_path, capsys, target):
         out = tmp_path / "nope" / "r.json" if target == "missing-dir" else tmp_path
@@ -718,6 +740,52 @@ def assert_renders_whole_text(report):
 AWKWARD = 'dir "q" \\ wörk ✓'
 
 
+# Plain report data as TestReportsArePlainData defines it, with the values
+# json.dumps spells in its own way.
+PLAIN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                       2**64 + 1, -(2**100)])
+    | st.text() | st.sampled_from(["\x00\x1f\x7f", AWKWARD, "\ud800", "😀 \u2028"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``json_text`` writes exactly what ``json.dumps(indent=2)`` writes, for
+    plain data only."""
+
+    @given(PLAIN_VALUES)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+        nested = {"a": [value]}
+        assert json_text(nested) == json.dumps(nested, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, [[]], [{}], {"": {}}, {"a": [[], {}]}, "", "\x00", 0, -0.0,
+         math.nan, math.inf, -math.inf, 5e-324, 1e308, 2**64 + 1, -(2**100),
+         True, False, None, [True, 1, 1.0, "1", None]],
+        ids=repr,
+    )
+    def test_edge_values(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(1.0), np.int64(1), np.bool_(True), np.array([1.0]), (1, 2),
+         {1}, {1: 2}, {None: 1}, {1.5: 2}, {True: 1}, {(1,): 2}, b"x",
+         [1, (2,)], {"a": {"b": np.float64(0.5)}}],
+        ids=repr,
+    )
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
 class TestStreamedRender:
     """``RunReport.render`` writes exactly the text of ``json.dumps(indent=2)``
     plus a newline, or the old CSV text, while it encodes."""
@@ -732,9 +800,6 @@ class TestStreamedRender:
         argv = ["verify", theorem, "--random", "--count", str(count), AWKWARD]
         report, _ = run_verify(theorem, random_batch=True, count=count, seed=5,
                                dim=dim, legs="scaled", command=argv)
-        if count > 1:  # more than one block of pieces
-            pieces = cli.JSON_ENCODER.iterencode(report.to_dict())
-            assert sum(1 for _ in pieces) > RENDER_BLOCK
         assert_renders_whole_text(report)
 
     @pytest.mark.parametrize(
@@ -756,12 +821,27 @@ class TestStreamedRender:
         report, _ = run_derive(path, field, density, command=argv)
         assert_renders_whole_text(report)
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_any_block_size(self, monkeypatch, block):
-        report, _ = run_verify("sines", random_batch=True, count=3, seed=2,
-                               command=["verify", AWKWARD])
-        monkeypatch.setattr(cli, "RENDER_BLOCK", block)
-        assert_renders_whole_text(report)
+    @given(entries=st.lists(st.dictionaries(st.text(), PLAIN_VALUES), max_size=3),
+           command=st.lists(st.text(), max_size=3),
+           seeds=st.none() | st.lists(st.integers(), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_plain_report(self, entries, command, seeds):
+        report = cli.RunReport("0.1.0", command, seeds, entries, {"count": 1})
+        assert rendered(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [1, 3, 10])
+    def test_no_write_holds_two_entries(self, count):
+        class Writes(list):
+            write = list.append
+            writelines = list.extend
+
+        report, _ = run_verify("sines", random_batch=True, count=count, seed=2)
+        writes = Writes()
+        report.render("json", writes)
+        assert "".join(writes) == json.dumps(report.to_dict(), indent=2) + "\n"
+        longest = max(len(json_text(e, "\n    ")) for e in report.entries)
+        assert len(writes) > count
+        assert max(map(len, writes)) <= longest + len(",\n    ")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_main_writes_file_and_stdout_alike(self, tmp_path, capsys, fmt):

@@ -55,6 +55,16 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             AffineDensity(np.zeros(2), math.nan)
 
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_unit_density_is_shared_and_read_only(self, dim):
+        one = AffineDensity.one(dim)
+        assert AffineDensity.one(dim) is one
+        assert one.constant == 1.0
+        assert np.array_equal(one.gradient, np.zeros(dim))
+        assert not one.gradient.flags.writeable
+        with pytest.raises(AttributeError):
+            one.constant = 2.0
+
     def test_is_constant_predicate(self):
         assert AffineField.constant([1.0, 2.0]).is_constant
         assert not AffineField(np.eye(2), np.zeros(2)).is_constant

@@ -17,6 +17,7 @@ from shapecalc import (
     Triangle,
     base_height_volume,
     facet_measure,
+    geometry,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -190,6 +191,16 @@ class TestFacetsArrays:
         s = unit_simplex(3)
         assert s.facets is s.facets
 
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_gather_index_is_cached_and_read_only(self, dim):
+        index = geometry._facet_index(dim)
+        j = np.arange(dim)
+        assert np.array_equal(index, j + (j >= np.arange(dim + 1)[:, None]))
+        assert geometry._facet_index(dim) is index
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
 
 class TestNormals:
     def test_unit_triangle_normals(self):
@@ -271,6 +282,18 @@ class TestTriangle:
             t.c / math.sin(t.gamma),
         ]
         assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
+
+    @pytest.mark.parametrize("exponent", [-150, -20, 0, 20, 150])
+    def test_side_lengths_are_norms(self, exponent):
+        # math.sqrt(d.dot(d)) is what np.linalg.norm computes for 1-D floats.
+        rng = np.random.default_rng(exponent + 150)
+        for _ in range(200):
+            d = rng.standard_normal(2) * 10.0**exponent
+            assert math.sqrt(d.dot(d)) == float(np.linalg.norm(d))
+        pts = rng.uniform(-1.0, 1.0, (3, 2)) * 10.0**exponent
+        t = Triangle(*pts)
+        assert (t.a, t.b, t.c) == tuple(float(np.linalg.norm(d)) for d in
+                                        (t.B - t.C, t.A - t.C, t.A - t.B))
 
     def test_side_normals_are_unit_and_outward(self):
         t = Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
