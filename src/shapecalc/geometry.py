@@ -179,8 +179,10 @@ class Simplex:
         v = self.vertices
         n = self.dim
         grads = np.linalg.inv(v[1:] - v[0]).T
-        grads = np.vstack([-grads.sum(axis=0), grads])
-        lengths = np.linalg.norm(grads, axis=1)
+        # Column-major, as the transposed inverse is: the layout fixes how
+        # the per-facet dots with the normals round.
+        grads = np.concatenate([-grads.sum(axis=0)[None], grads])
+        lengths = np.sqrt((grads * grads).sum(axis=1))
         normals = -grads / lengths[:, None]
         measures = n * self.volume * lengths
         vertices = v[_facet_index(n)]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
 from .fields import AffineDensity, AffineField, div_density_field
-from .geometry import Simplex, gated_volumes
+from .geometry import Simplex, _facet_index, gated_volumes
 
 _EPS = float(np.finfo(float).eps)
 
@@ -68,7 +68,9 @@ def boundary_integral(
     d = N - 1, integrates it exactly:
     int_F u v dS = measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)),
     with u = f and v = xi . n at the facet's N vertices. All N+1 facets are
-    evaluated at once, as stacked products over ``s.facets.vertices``.
+    evaluated at once, as stacked products over ``s.facets.vertices``; xi
+    is evaluated once per simplex vertex and gathered, which gives the same
+    bits as evaluating it on the stack.
 
     Returns (total, per-facet contributions); the total is accumulated in
     ascending facet-index order.
@@ -77,7 +79,10 @@ def boundary_integral(
     n = s.dim
     facets = s.facets
     u = f.at(facets.vertices)
-    x = xi.at(facets.vertices)
+    # The density stays on the facet stack: evaluated once per vertex and
+    # gathered, its dot products take another BLAS kernel and round
+    # differently. The field's matrix products keep their bits.
+    x = xi.at(s.vertices)[_facet_index(n)]
     v = np.matmul(x, facets.normals[:, :, None])[:, :, 0]
     values = (facets.measures / (n * (n + 1)) * (
         u.sum(axis=1) * v.sum(axis=1) + (u * v).sum(axis=1)

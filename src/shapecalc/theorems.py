@@ -106,7 +106,7 @@ class RightSimplexSpec:
         lengths = self.leg_lengths
         dots = np.abs(legs @ legs.T)
         np.fill_diagonal(dots, 0.0)
-        bound = LEG_ORTHOGONALITY_TOL * np.outer(lengths, lengths)
+        bound = LEG_ORTHOGONALITY_TOL * (lengths[:, None] * lengths)
         if (dots > bound).any():
             worst = float((dots - bound).max())
             raise LegOrthogonalityError(
@@ -115,13 +115,13 @@ class RightSimplexSpec:
 
     @cached_property
     def leg_lengths(self) -> np.ndarray:
-        lengths = np.linalg.norm(self.legs, axis=1)
+        lengths = np.sqrt((self.legs * self.legs).sum(axis=1))
         lengths.flags.writeable = False
         return lengths
 
     @cached_property
     def simplex(self) -> Simplex:
-        return Simplex(np.vstack([self.apex, self.apex + self.legs]))
+        return Simplex(np.concatenate([self.apex[None], self.apex + self.legs]))
 
 
 def _right_angle_at_c(t: Triangle) -> None:
@@ -380,12 +380,33 @@ def random_triangle(seed: int, kind: str = "general") -> Triangle:
     )
 
 
-def _qr_frame(matrix: np.ndarray) -> np.ndarray:
-    """Q factor of ``matrix`` with column signs fixed so that diag(R) >= 0,
-    which makes the factorization unique (Haar-distributed for Gaussian
-    input)."""
-    q, r = np.linalg.qr(matrix)
-    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+def _well_conditioned(raw: np.ndarray) -> bool:
+    """cond_2(raw) <= 1e6, decided without an SVD on almost every draw.
+
+    cond_2(A) <= |A|_F |inv(A)|_F (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 6), so a Frobenius product of at most
+    5e5 certifies the bound with a factor 2 to spare for rounding. A draw
+    the certificate does not accept (a larger product, an overflow, or a
+    singular ``raw``) is decided by ``np.linalg.cond``, the SVD.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            inverse = np.linalg.inv(raw)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if math.sqrt((raw * raw).sum() * (inverse * inverse).sum()) <= 5e5:
+                return True
+    return np.linalg.cond(raw) <= 1e6
+
+
+def _qr_frames(matrices: np.ndarray) -> np.ndarray:
+    """Q factors of a stack of square matrices, one stacked QR, with column
+    signs fixed so that diag(R) >= 0, which makes each factorization unique
+    (Haar-distributed for Gaussian input)."""
+    q, r = np.linalg.qr(matrices)
+    signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)
+    return q * signs[:, None]
 
 
 def random_right_simplex(
@@ -393,9 +414,18 @@ def random_right_simplex(
 ) -> RightSimplexSpec:
     """Deterministic random right simplex, 2 <= dim <= 16.
 
-    Legs come from orthonormalizing a random matrix (resampled if poorly
-    conditioned); "scaled" mode multiplies each leg by a length in
-    [0.5, 2]. A random rigid motion is applied.
+    Determinism contract: ``default_rng(seed)`` is drawn in the order
+    ``raw`` (a (dim, dim) standard normal matrix), then the leg lengths
+    (uniform in [0.5, 2], "scaled" mode only), then ``rotation`` (a
+    (dim, dim) standard normal matrix), then the apex (uniform in
+    [-1, 1]^dim). A ``raw`` with cond_2 > 1e6 is redrawn before anything
+    else; ``_well_conditioned`` decides this with a Frobenius-norm
+    certificate and falls back to the SVD only where the certificate does
+    not accept. The legs are the rows of the Haar-random Q factor of
+    ``raw`` (columns sign-fixed so diag(R) >= 0), each scaled by its
+    length; they are rotated by the sign-fixed Q factor of ``rotation``,
+    with its first column negated where its determinant is -1, and the
+    simplex is placed at the apex.
     """
     if not 2 <= dim <= 16:
         raise ValueError(f"dim must be in 2..16, got {dim}")
@@ -404,12 +434,11 @@ def random_right_simplex(
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REJECTIONS):
         raw = rng.standard_normal((dim, dim))
-        if np.linalg.cond(raw) > 1e6:
+        if not _well_conditioned(raw):
             continue
-        legs = _qr_frame(raw).T
-        if leg_mode == "scaled":
-            legs = legs * rng.uniform(0.5, 2.0, size=dim)[:, None]
-        rotation = _qr_frame(rng.standard_normal((dim, dim)))
+        scales = rng.uniform(0.5, 2.0, size=(dim, 1)) if leg_mode == "scaled" else 1.0
+        frames = _qr_frames(np.array([raw, rng.standard_normal((dim, dim))]))
+        legs, rotation = frames[0].T * scales, frames[1]
         if np.linalg.det(rotation) < 0.0:
             rotation[:, 0] = -rotation[:, 0]
         apex = rng.uniform(-1.0, 1.0, size=dim)

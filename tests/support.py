@@ -8,7 +8,13 @@ import math
 
 import numpy as np
 
-from shapecalc import AffineDensity, AffineField, DegenerateSimplexError, Simplex
+from shapecalc import (
+    AffineDensity,
+    AffineField,
+    DegenerateSimplexError,
+    RightSimplexSpec,
+    Simplex,
+)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -29,9 +35,14 @@ def cayley_menger_measure(points) -> float:
     return math.sqrt(max(vol2, 0.0))
 
 
+def _qr_frame(matrix: np.ndarray) -> np.ndarray:
+    """Q factor of ``matrix``, column signs fixed so that diag(R) >= 0."""
+    q, r = np.linalg.qr(matrix)
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    q = _qr_frame(rng.standard_normal((dim, dim)))
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
@@ -91,6 +102,46 @@ def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
         terms = weight * (np.abs(u).sum() * np.abs(v).sum() + np.abs(u * v).sum())
         bounds.append(4 * (n + 1) * _EPS * float(terms))
     return values, bounds
+
+
+def boundary_integral_per_facet_vertex(s: Simplex, f: AffineDensity, xi: AffineField):
+    """Reference stacked boundary route that evaluates the field at every
+    facet's own vertices, ``xi.at(s.facets.vertices)``, instead of once per
+    simplex vertex; otherwise the same products and sums in the same order.
+    Returns (total, per-facet pairs) like ``boundary_integral``."""
+    n = s.dim
+    facets = s.facets
+    u = f.at(facets.vertices)
+    x = xi.at(facets.vertices)
+    v = np.matmul(x, facets.normals[:, :, None])[:, :, 0]
+    values = (facets.measures / (n * (n + 1)) * (
+        u.sum(axis=1) * v.sum(axis=1) + (u * v).sum(axis=1)
+    )).tolist()
+    total = 0.0
+    for value in values:
+        total += value
+    return total, tuple(enumerate(values))
+
+
+def random_right_simplex_reference(
+    seed: int, dim: int, leg_mode: str = "orthonormal"
+) -> RightSimplexSpec:
+    """Reference right-simplex generator: one QR per matrix, and the SVD
+    condition number ``np.linalg.cond`` on every draw. The package's
+    generator must give the same legs and apex bit for bit."""
+    rng = np.random.default_rng(seed)
+    while True:
+        raw = rng.standard_normal((dim, dim))
+        if np.linalg.cond(raw) > 1e6:
+            continue
+        legs = _qr_frame(raw).T
+        if leg_mode == "scaled":
+            legs = legs * rng.uniform(0.5, 2.0, size=dim)[:, None]
+        rotation = _qr_frame(rng.standard_normal((dim, dim)))
+        if np.linalg.det(rotation) < 0.0:
+            rotation[:, 0] = -rotation[:, 0]
+        apex = rng.uniform(-1.0, 1.0, size=dim)
+        return RightSimplexSpec(apex=apex, legs=legs @ rotation.T)
 
 
 def perturbed_integral_per_image(

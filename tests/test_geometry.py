@@ -187,6 +187,24 @@ class TestFacetsArrays:
             assert f.measure == fs.measures[i]
             assert type(f.measure) is float
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_closed_form_matches_norm_and_vstack(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(20):
+            s = support.random_simplex(rng, dim, min_rel_det=1e-6)
+            grads = np.linalg.inv(s.vertices[1:] - s.vertices[0]).T
+            grads = np.vstack([-grads.sum(axis=0), grads])
+            lengths = np.linalg.norm(grads, axis=1)
+            normals = -grads / lengths[:, None]
+            fs = s.facets
+            assert np.array_equal(fs.normals, normals)
+            assert np.array_equal(fs.measures, dim * s.volume * lengths)
+            # Column-major: the layout decides how the per-facet dots with
+            # the normals round, so reports pin it.
+            assert fs.normals.strides == normals.strides
+            assert fs.normals.flags.f_contiguous
+            assert not fs.normals.flags.c_contiguous
+
     def test_cached_on_the_simplex(self):
         s = unit_simplex(3)
         assert s.facets is s.facets

@@ -96,6 +96,18 @@ class TestBoundaryIntegral:
                 acc += value
             assert acc == total
 
+    @given(dim=st.sampled_from([2, 3, 5, 8, 16]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_field_gathered_from_vertices_is_bit_identical(self, dim, seed):
+        # The field is evaluated once per simplex vertex and gathered to the
+        # facets; evaluating it at each facet's own vertices gives the same bits.
+        rng = np.random.default_rng(seed)
+        s = support.random_simplex(rng, dim, min_rel_det=1e-6)
+        f = support.random_density(rng, dim)
+        xi = support.random_field(rng, dim)
+        expected = support.boundary_integral_per_facet_vertex(s, f, xi)
+        assert boundary_integral(s, f, xi) == expected
+
     def test_linearity_in_field_and_density(self):
         rng = np.random.default_rng(14)
         for _ in range(20):

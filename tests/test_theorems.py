@@ -1,6 +1,7 @@
 """Theorem verifier and generator tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from shapecalc import theorems
 from shapecalc import (
     FloatRangeError,
     LegOrthogonalityError,
@@ -319,6 +321,98 @@ class TestRandomRightSimplex:
         report = verify_nd_pythagoras(random_right_simplex(2, 8, "scaled"))
         c = report.summary["hyp_measure"]
         assert abs(report.residual) <= 1e-10 * c**2
+
+    @staticmethod
+    def assert_matches_reference(seed, dim, leg_mode):
+        r = random_right_simplex(seed, dim, leg_mode)
+        expected = support.random_right_simplex_reference(seed, dim, leg_mode)
+        assert np.array_equal(r.legs, expected.legs)
+        assert np.array_equal(r.apex, expected.apex)
+        assert (verify_nd_pythagoras(r).to_dict()
+                == verify_nd_pythagoras(expected).to_dict())
+
+    @pytest.mark.parametrize("leg_mode", ["orthonormal", "scaled"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_matches_reference_generator(self, dim, leg_mode):
+        for seed in range(200):
+            self.assert_matches_reference(seed, dim, leg_mode)
+
+    @pytest.mark.parametrize("leg_mode", ["orthonormal", "scaled"])
+    @pytest.mark.parametrize("dim, seed", [
+        (2, 209979), (3, 233134), (5, 9320), (5, 92417),
+        (16, 27569), (16, 65337), (16, 89371), (16, 110469),
+    ])
+    def test_rejected_first_draw_matches_reference(self, dim, seed, leg_mode):
+        first = np.random.default_rng(seed).standard_normal((dim, dim))
+        assert np.linalg.cond(first) > 1e6
+        self.assert_matches_reference(seed, dim, leg_mode)
+
+    def test_svd_runs_only_where_the_certificate_does_not_accept(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda a, *args: calls.append(a) or cond(a, *args))
+        for seed in range(50):
+            random_right_simplex(seed, 16, "scaled")
+        assert calls == []
+        random_right_simplex(27569, 16, "scaled")  # its first draw is rejected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_lengths_and_vertices_match_norm_and_vstack(self, dim):
+        for seed in range(20):
+            r = random_right_simplex(seed, dim, "scaled")
+            assert np.array_equal(r.leg_lengths, np.linalg.norm(r.legs, axis=1))
+            assert np.array_equal(r.simplex.vertices,
+                                  np.vstack([r.apex, r.apex + r.legs]))
+
+
+def svd_matrix(seed: int, dim: int, log_cond: float, exponent: int, kind: str):
+    """U diag(sigma) V^T * 2^exponent with Haar U, V and singular values
+    from 1 down to 10^-log_cond; "rank-deficient" zeroes the smallest
+    singular values, "singular" also zeroes a column (an exact zero pivot)."""
+    rng = np.random.default_rng(seed)
+    u = support.random_rotation(rng, dim)
+    v = support.random_rotation(rng, dim)
+    sigma = np.logspace(0.0, -log_cond, dim)
+    if kind != "full":
+        sigma[dim - 1 - int(rng.integers(0, dim - 1)):] = 0.0
+    a = (u * sigma) @ v.T
+    if kind == "singular":
+        a[:, int(rng.integers(0, dim))] = 0.0
+    return np.ldexp(a, exponent)
+
+
+class TestConditionCertificate:
+    """The generator's gate: the Frobenius certificate, with the SVD as
+    fallback, accepts exactly the draws with ``np.linalg.cond(a) <= 1e6``."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 5, 8, 16]),
+        log_cond=st.floats(4.0, 8.0),
+        exponent=st.sampled_from([-500, 0, 500]) | st.integers(-500, 500),
+        kind=st.sampled_from(["full", "rank-deficient", "singular"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_decision_equals_the_svd_rule(self, seed, dim, log_cond, exponent, kind):
+        a = svd_matrix(seed, dim, log_cond, exponent, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accepted = theorems._well_conditioned(a)
+        assert accepted == (not np.linalg.cond(a) > 1e6)
+
+    @pytest.mark.parametrize("exponent", [-500, 0, 500])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_accepts_without_svd_far_below_the_bound(self, dim, exponent, monkeypatch):
+        a = svd_matrix(dim, dim, 3.0, exponent, "full")
+        monkeypatch.setattr(np.linalg, "cond", None)
+        assert theorems._well_conditioned(a)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_exactly_singular_is_rejected(self, dim):
+        assert not theorems._well_conditioned(np.zeros((dim, dim)))
+        assert not theorems._well_conditioned(svd_matrix(dim, dim, 4.0, 0, "singular"))
 
 
 class TestConsistencyAndInvariance:

@@ -48,22 +48,38 @@ def traced_main(argv):
     return code, tracer
 
 
-@pytest.mark.parametrize("theorem", list(THEOREMS))
-def test_verify_batch_is_traced(theorem, tmp_path):
-    code, tracer = traced_main(["verify", theorem, "--random", "--count", "3",
-                                "--out", str(tmp_path / "report.json")])
+# Every theorem at --count 3, plus the exact job shape of the benchmark's
+# nd16-csv workload.
+VERIFY_CASES = [pytest.param(theorem, ["--count", "3"], id=theorem)
+                for theorem in THEOREMS] + [
+    pytest.param("nd-pythagoras", ["--dim", "16", "--legs", "scaled", "--count", "5",
+                                   "--format", "csv"], id="nd16-csv"),
+]
+
+
+@pytest.mark.parametrize("theorem, options", VERIFY_CASES)
+def test_verify_batch_is_traced(theorem, options, tmp_path):
+    count = int(options[options.index("--count") + 1])
+    code, tracer = traced_main(["verify", theorem, "--random", *options,
+                                "--out", str(tmp_path / "report")])
     assert code == 0
     assert tracer.missing == []
-    assert tracer.instances == 3
+    assert tracer.instances == count
     spans = tracer.summary()
-    assert spans["theorems.generate"][1] == 3
-    assert spans["theorems.verify"][1] == 3
-    assert spans["fields.proof_field"][1] == 3 * len(THEOREMS[theorem].fields)
-    assert spans["hadamard.boundary_integral"][1] == 3 * len(THEOREMS[theorem].fields)
+    assert spans["theorems.generate"][1] == count
+    assert spans["theorems.verify"][1] == count
+    fields = len(THEOREMS[theorem].fields)
+    assert spans["fields.proof_field"][1] == count * fields
+    assert spans["hadamard.boundary_integral"][1] == count * fields
+    # Every generator span sits directly under the root span, so each one
+    # starts an instance.
+    generate, root = tracer.name_ids["theorems.generate"], tracer.name_ids["cli.main"]
+    parents = [p for n, p in zip(tracer.name, tracer.parent) if n == generate]
+    assert [tracer.name[p] for p in parents] == [root] * count
     # One verifier span per instance, each under that instance.
     verify = tracer.name_ids["theorems.verify"]
     instances = [i for n, i in zip(tracer.name, tracer.instance) if n == verify]
-    assert instances == [0, 1, 2]
+    assert instances == list(range(count))
 
 
 def test_every_named_field_is_tested():
