@@ -31,7 +31,6 @@ from .fields import (
 )
 from .geometry import (
     DEGENERACY_EPS,
-    Facet,
     Facets,
     Simplex,
     Triangle,
@@ -67,7 +66,6 @@ __all__ = [
     "DegenerateSimplexError",
     "DerivativeReport",
     "DimensionMismatchError",
-    "Facet",
     "Facets",
     "FloatRangeError",
     "LegOrthogonalityError",

@@ -200,13 +200,7 @@ class RunReport:
     aggregate: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "seeds": self.seeds,
-            "entries": self.entries,
-            "aggregate": self.aggregate,
-        }
+        return dict(vars(self))  # the fields in declaration order
 
     def render(self, fmt: str, stream) -> None:
         """Write the report to ``stream`` as JSON (``json.dumps(indent=2)``
@@ -403,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common],
                             help="verify a theorem on one shape or a batch")
     verify.add_argument("theorem", choices=THEOREMS)
-    verify.add_argument("--input", metavar="PATH", help="shape document file")
-    verify.add_argument("--random", action="store_true",
+    source = verify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="PATH", help="shape document file")
+    source.add_argument("--random", action="store_true",
                         help="generate seeded random instances instead")
     verify.add_argument("--count", type=int, default=1,
                         help="number of random instances (default 1)")

@@ -2,23 +2,18 @@
 outward normals, facet measures, and triangle-specific derived quantities.
 
 The facets of a simplex are held as arrays, one row per facet
-(struct of arrays): ``Simplex.facets`` is a ``Facets`` sequence whose
-``vertices``, ``normals`` and ``measures`` cover all N+1 facets at once, and
-it builds a single ``Facet`` only when one is indexed.
+(struct of arrays): ``Simplex.facets`` is a ``Facets`` record whose
+``vertices``, ``normals`` and ``measures`` cover all N+1 facets at once.
 
-``gated_volumes`` gates a stack of vertex arrays; ``Simplex`` gates a stack
-of one. Vertex, normal and measure arrays are read-only; ``Simplex``,
-``Facets`` and ``Facet`` are frozen dataclasses. ``Triangle`` is a plain class
-whose attributes can be reassigned; only its arrays are read-only.
+``gated_volumes`` gates a stack of vertex arrays, on one path for every
+input; ``Simplex`` gates a stack of one. Vertex, normal and measure arrays
+are read-only; ``Simplex``, ``Facets`` and ``Triangle`` are frozen
+dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import sys
-from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -48,52 +43,17 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Facet:
-    """One (N-1)-face of an N-simplex.
-
-    ``vertices`` holds the N facet vertices (rows); ``normal`` is the outward
-    unit normal; ``measure`` the (N-1)-dimensional area.
-    """
-
-    opposite_vertex_index: int
-    vertices: np.ndarray
-    normal: np.ndarray
-    measure: float
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class Facets(Sequence):
-    """All N+1 facets of an N-simplex, ordered by opposite-vertex index.
+class Facets:
+    """All N+1 facets of an N-simplex, row i for the facet opposite vertex i.
 
     ``vertices`` has shape (N+1, N, N): row i is the simplex's vertex array
     without vertex i. ``normals`` (N+1, N) holds the outward unit normals and
-    ``measures`` (N+1,) the (N-1)-dimensional areas. ``facets[i]`` (negative
-    ``i`` too) builds the ``Facet`` of row i on demand.
+    ``measures`` (N+1,) the (N-1)-dimensional areas.
     """
 
     vertices: np.ndarray
     normals: np.ndarray
     measures: np.ndarray
-
-    def __len__(self) -> int:
-        return self.measures.shape[0]
-
-    def __getitem__(self, index) -> Facet:
-        n = len(self)
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"facet index {index} out of range for {n} facets")
-        return Facet(i, self.vertices[i], self.normals[i], float(self.measures[i]))
 
 
 def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
@@ -102,19 +62,10 @@ def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
     DegenerateSimplexError, ``index`` its position, for the first array with
     |det| <= DEGENERACY_EPS * scale**N; ValueError for non-finite and
     FloatRangeError for overflowing vertices."""
-    n = stack.shape[-1]
-    # With every |coordinate| <= peak, the edges, |det| and scale**N are at
-    # most (2 sqrt(N) peak)**N (Hadamard's inequality), so below this bound
-    # the gate cannot overflow. nan and inf fail the comparison too; only
-    # the rare rest pays for the checked path.
-    peak = np.abs(stack).max()
-    if peak < sys.float_info.max ** (1.0 / n) / (2.0 * math.sqrt(n)):
-        screen = nullcontext()
-    elif not np.isfinite(peak):
+    if not np.isfinite(stack).all():
         raise ValueError("simplex vertices have non-finite entries")
-    else:
-        screen = float_range("vertex coordinates overflow the float range")
-    with screen:
+    n = stack.shape[-1]
+    with float_range("vertex coordinates overflow the float range"):
         with np.errstate(divide="ignore"):  # a zero pivot: |det| = 0 fails below
             dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
         diffs = stack[:, :, None, :] - stack[:, None, :, :]
@@ -199,11 +150,12 @@ def _facet_index(n: int) -> np.ndarray:
     return index
 
 
-def facet_measure(f: Facet) -> float:
-    """(N-1)-dimensional measure of a facet, recomputed from its vertices as
-    sqrt(det(E E^T)) / (N-1)! for the edge matrix E rooted at the first
-    vertex: a check independent of the closed form behind ``f.measure``."""
-    edges = f.vertices[1:] - f.vertices[0]
+def facet_measure(vertices: np.ndarray) -> float:
+    """(N-1)-dimensional measure of one facet, given its (N, N) vertex array,
+    recomputed as sqrt(det(E E^T)) / (N-1)! for the edge matrix E rooted at
+    the first vertex: a check independent of the closed form behind
+    ``Facets.measures``."""
+    edges = vertices[1:] - vertices[0]
     det = float(np.linalg.det(edges @ edges.T))
     return math.sqrt(det) / math.factorial(edges.shape[0])
 
@@ -211,9 +163,10 @@ def facet_measure(f: Facet) -> float:
 def base_height_volume(s: Simplex, base_index: int) -> float:
     """Volume of ``s`` via the base-times-height rule (h / N) * measure(base),
     where h is the distance from the opposite vertex to the base's hull."""
-    base = s.facets[base_index]
-    h = float(base.normal @ (base.centroid - s.vertices[base_index]))
-    return h / s.dim * base.measure
+    facets = s.facets
+    centroid = facets.vertices[base_index].mean(axis=0)
+    h = float(facets.normals[base_index] @ (centroid - s.vertices[base_index]))
+    return h / s.dim * float(facets.measures[base_index])
 
 
 def _interior_angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -222,29 +175,39 @@ def _interior_angle(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(abs(cross), float(u @ v))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Triangle:
-    """Plane triangle with labeled vertices A, B, C.
+    """Plane triangle with labeled vertices A, B, C: ``Triangle(A, B, C)``.
 
     Derived data follows the classical naming: side lengths ``a`` = |BC|,
     ``b`` = |AC|, ``c`` = |AB|; interior angles ``alpha``, ``beta``, ``gamma``
-    at A, B, C; outward unit side normals ``n_a``, ``n_b``, ``n_c``.
-    Side x corresponds to the facet opposite the like-named vertex, so the
-    facet order of :attr:`simplex` is (a, b, c).
+    at A, B, C; outward unit side normals ``n_a``, ``n_b``, ``n_c``; and
+    ``simplex``, whose facet order is (a, b, c): side x is the facet
+    opposite the like-named vertex. ``__post_init__`` sets them all once,
+    with A, B, C replaced by the rows of ``simplex.vertices``.
     """
 
-    def __init__(self, vertex_a, vertex_b, vertex_c):
-        a_pt = as_vector(vertex_a, 2, "vertex A")
-        b_pt = as_vector(vertex_b, 2, "vertex B")
-        c_pt = as_vector(vertex_c, 2, "vertex C")
-        self.simplex = Simplex(np.array([a_pt, b_pt, c_pt]))
-        self.A, self.B, self.C = self.simplex.vertices
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+
+    def __post_init__(self):
+        simplex = Simplex(np.array([as_vector(self.A, 2, "vertex A"),
+                                    as_vector(self.B, 2, "vertex B"),
+                                    as_vector(self.C, 2, "vertex C")]))
+        A, B, C = simplex.vertices
+        n_a, n_b, n_c = simplex.facets.normals
         # np.linalg.norm's own formula for 1-D floats; .dot, unlike @, never warns.
-        self.a, self.b, self.c = (math.sqrt(d.dot(d)) for d in
-                                  (self.B - self.C, self.A - self.C, self.A - self.B))
-        self.alpha = _interior_angle(self.B - self.A, self.C - self.A)
-        self.beta = _interior_angle(self.A - self.B, self.C - self.B)
-        self.gamma = _interior_angle(self.A - self.C, self.B - self.C)
-        self.n_a, self.n_b, self.n_c = self.simplex.facets.normals
+        a, b, c = (math.sqrt(d.dot(d)) for d in (B - C, A - C, A - B))
+        derived = {
+            "simplex": simplex, "A": A, "B": B, "C": C, "a": a, "b": b, "c": c,
+            "alpha": _interior_angle(B - A, C - A),
+            "beta": _interior_angle(A - B, C - B),
+            "gamma": _interior_angle(A - C, B - C),
+            "n_a": n_a, "n_b": n_b, "n_c": n_c,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return (

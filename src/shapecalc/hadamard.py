@@ -6,7 +6,9 @@ affine field xi:
                   product over all facets of ``Simplex.facets``,
 * volume route:   centroid rule on the (affine) divergence density,
 * fd route:       Richardson-extrapolated central differences of exact
-                  integrals over the four perturbed images, as one stack.
+                  integrals over the four perturbed images: one
+                  ``perturbed_integral`` call, which gates the images as
+                  one stack and returns one float per step.
 
 All quadrature is exact for the affine f and xi handled here, so the
 boundary/volume residual reflects geometry and rounding only. The boundary
@@ -18,6 +20,7 @@ per-facet values match a facet-by-facet loop bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,25 +105,24 @@ def volume_integral(s: Simplex, f: AffineDensity, xi: AffineField) -> float:
 
 
 def perturbed_integral(
-    s: Simplex, f: AffineDensity, xi: AffineField, t: float | list[float]
-) -> float | np.ndarray:
-    """Integral of f over the image of ``s`` under x -> x + t * xi(x): a
-    float for a scalar step ``t``, an array for a 1-D sequence of steps.
+    s: Simplex, f: AffineDensity, xi: AffineField, steps: Sequence[float]
+) -> list[float]:
+    """Integral of f over the image of ``s`` under x -> x + t * xi(x), for
+    each step t of ``steps``, as a list of floats.
 
     Exact: an affine map sends the simplex to a simplex, and the centroid
     rule integrates the affine f exactly on each image of the one stack.
     """
     _check_dims(s, f, xi)
-    steps = np.asarray(t, dtype=float)
-    moved = s.vertices + steps.reshape(-1, 1, 1) * xi.at(s.vertices)
+    steps = np.asarray(steps, dtype=float)
+    moved = s.vertices + steps[:, None, None] * xi.at(s.vertices)
     try:
         volumes, _ = gated_volumes(moved)
     except DegenerateSimplexError as err:
         raise DegenerateSimplexError("perturbed simplex is degenerate at t = "
-                                     f"{steps.flat[err.index].item()!r}") from err
+                                     f"{steps[err.index].item()!r}") from err
     # Python floats, so an overflow gives inf; f(c) rounds as on a lone image.
-    values = [v * f(c) for v, c in zip(volumes, moved.mean(axis=1))]
-    return values[0] if steps.ndim == 0 else np.array(values)
+    return [v * f(c) for v, c in zip(volumes, moved.mean(axis=1))]
 
 
 def default_fd_step(s: Simplex, xi: AffineField) -> float:
@@ -138,7 +140,7 @@ def fd_derivative(
     h = default_fd_step(s, xi) if step is None else float(step)
     half = h / 2.0
     plus, minus, half_plus, half_minus = perturbed_integral(
-        s, f, xi, [h, -h, half, -half]).tolist()
+        s, f, xi, [h, -h, half, -half])
     coarse = (plus - minus) / (2.0 * h)
     fine = (half_plus - half_minus) / (2.0 * half)
     return (4.0 * fine - coarse) / 3.0

@@ -5,16 +5,20 @@ route used inside the package.
 """
 
 import math
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from shapecalc import (
+    DEGENERACY_EPS,
     AffineDensity,
     AffineField,
     DegenerateSimplexError,
     RightSimplexSpec,
     Simplex,
 )
+from shapecalc.errors import float_range
 
 _EPS = float(np.finfo(float).eps)
 
@@ -85,7 +89,7 @@ def moved_density(f: AffineDensity, rotation: np.ndarray, shift: np.ndarray) -> 
 
 
 def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
-    """Reference boundary route, one ``Facet`` at a time: per facet the exact
+    """Reference boundary route, one facet row at a time: per facet the exact
     moment rule measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)), with
     u = f and v = xi . n at the facet's own vertices.
 
@@ -94,10 +98,13 @@ def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
     evaluation order of the same products and sums."""
     n = s.dim
     values, bounds = [], []
-    for facet in s.facets:
-        u = f.at(facet.vertices)
-        v = xi.at(facet.vertices) @ facet.normal
-        weight = facet.measure / (n * (n + 1))
+    facets = s.facets
+    for vertices, normal, measure in zip(
+        facets.vertices, facets.normals, facets.measures.tolist()
+    ):
+        u = f.at(vertices)
+        v = xi.at(vertices) @ normal
+        weight = measure / (n * (n + 1))
         values.append(float(weight * (u.sum() * v.sum() + (u * v).sum())))
         terms = weight * (np.abs(u).sum() * np.abs(v).sum() + np.abs(u * v).sum())
         bounds.append(4 * (n + 1) * _EPS * float(terms))
@@ -170,3 +177,30 @@ def fd_derivative_per_image(
     coarse = central(h)
     fine = central(h / 2.0)
     return (4.0 * fine - coarse) / 3.0
+
+
+def gated_volumes_two_path(stack: np.ndarray) -> tuple[list[float], list[float]]:
+    """Reference degeneracy gate with two paths: stacks whose coordinates
+    all lie below (float max)**(1/N) / (2 sqrt(N)) skip the overflow screen,
+    since Hadamard's inequality rules overflow out there; the rest run
+    under ``float_range``. The package's one-path ``gated_volumes`` must
+    give the same volumes and scales bit for bit, or the same error."""
+    n = stack.shape[-1]
+    peak = np.abs(stack).max()
+    if peak < sys.float_info.max ** (1.0 / n) / (2.0 * math.sqrt(n)):
+        screen = nullcontext()
+    elif not np.isfinite(peak):
+        raise ValueError("simplex vertices have non-finite entries")
+    else:
+        screen = float_range("vertex coordinates overflow the float range")
+    with screen:
+        with np.errstate(divide="ignore"):
+            dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
+        diffs = stack[:, :, None, :] - stack[:, None, :, :]
+        scales = np.sqrt((diffs**2).sum(axis=-1).max(axis=(1, 2))).tolist()
+        for i, (det, scale) in enumerate(zip(dets, scales)):
+            if abs(det) <= DEGENERACY_EPS * scale**n:
+                raise DegenerateSimplexError(
+                    f"degenerate simplex: |det| = {abs(det):.3e} <= "
+                    f"{DEGENERACY_EPS} * scale^{n}", index=i)
+    return [abs(det) / math.factorial(n) for det in dets], scales

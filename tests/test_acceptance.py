@@ -126,7 +126,7 @@ def test_criterion_5_face_normal_identity():
         for k in range(100):
             for mode in ("orthonormal", "scaled"):
                 spec = random_right_simplex(2000 * dim + k, dim, mode)
-                c = spec.simplex.facets[0].measure
+                c = spec.simplex.facets.measures[0]
                 for i, residual in enumerate(face_normal_identity(spec)):
                     if residual > 1e-12 * c:
                         failures.append((dim, k, mode, i, residual))
@@ -140,8 +140,8 @@ def test_criterion_6_geometry_invariants():
         dim = 2 + k % 5
         s = support.random_simplex(rng, dim)
         fs = s.facets
-        total_measure = sum(f.measure for f in fs)
-        resultant = np.linalg.norm(sum(f.measure * f.normal for f in fs))
+        total_measure = fs.measures.sum()
+        resultant = np.linalg.norm((fs.measures[:, None] * fs.normals).sum(axis=0))
         if resultant > 1e-13 * total_measure:
             failures.append(("minkowski", k, resultant))
         volume = s.volume
@@ -151,10 +151,11 @@ def test_criterion_6_geometry_invariants():
     for k in range(100):
         dim = 2 + k % 5
         s = support.random_simplex(rng, dim)
-        f = s.facets[int(rng.integers(0, dim + 1))]
-        oracle = support.cayley_menger_measure(f.vertices)
-        if abs(f.measure - oracle) > 1e-12 * oracle:
-            failures.append(("cayley-menger", k, f.measure, oracle))
+        i = int(rng.integers(0, dim + 1))
+        measure = float(s.facets.measures[i])
+        oracle = support.cayley_menger_measure(s.facets.vertices[i])
+        if abs(measure - oracle) > 1e-12 * oracle:
+            failures.append(("cayley-menger", k, measure, oracle))
     _conclude("6 geometry-invariants", failures)
 
 

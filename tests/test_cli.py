@@ -227,7 +227,24 @@ class TestExitCodes:
         assert main(["verify", "sines", "--input", str(path)]) == 2
 
     def test_no_source_is_two(self, capsys):
-        assert main(["verify", "sines"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sines"])
+        assert exc.value.code == 2
+        assert "one of the arguments --input --random is required" in (
+            capsys.readouterr().err)
+        # Library callers get run_verify's own check.
+        with pytest.raises(ShapeValidationError, match="needs --input PATH or --random"):
+            run_verify("sines")
+
+    def test_input_and_random_together_is_two(self, shape_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "pythagoras", "--input", shape_file(T345),
+                  "--random", "--count", "3", "--seed", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: shapecalc verify")
+        assert "argument --random: not allowed with argument --input" in err
 
     def test_degenerate_shape_is_two(self, shape_file):
         degenerate = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}

@@ -193,7 +193,7 @@ class TestProofFields:
             for i in range(dim + 1):
                 field = nd_pythagoras_field(s, i)
                 assert np.linalg.norm(field.offset) == pytest.approx(
-                    s.facets[i].measure, rel=1e-14
+                    s.facets.measures[i], rel=1e-14
                 )
 
     def test_nd_field_bad_index(self):

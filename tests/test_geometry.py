@@ -1,6 +1,8 @@
 """Geometry tests: worked examples, oracle equivalence, and invariants."""
 
+import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -84,85 +86,140 @@ class TestVolume:
 
     @pytest.mark.parametrize("factor", [1e150, 2e153])
     def test_large_coordinates_within_float_range(self, factor):
-        # 2e153 is above the bound under which the gate cannot overflow, so
-        # this shape takes the checked path and must still be built. numpy's
-        # det is exp(log|det|), whose rounding grows with log|det| (~707 here).
+        # numpy's det is exp(log|det|), whose rounding grows with log|det|
+        # (~707 here).
         s = Simplex(factor * np.array([[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]))
         assert s.volume == pytest.approx(6.0 * factor**2, rel=1e-12)
         assert s.scale == pytest.approx(5.0 * factor, rel=1e-15)
 
 
+def gate_outcome(gate, stack):
+    """What ``gate`` gives for ``stack``: its volumes and scales as float
+    hex strings, or the type, message and ``index`` of its error. Any
+    warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            volumes, scales = gate(stack)
+        except ValueError as err:  # every gate error is a ValueError
+            return type(err), str(err), getattr(err, "index", None)
+    return [v.hex() for v in volumes], [v.hex() for v in scales]
+
+
+# Per image of a stack: uniform vertices, or one of the shapes that reach
+# the gate's edge cases.
+SPECIAL_IMAGES = ("zero-pivot", "all-equal", "non-finite", "subnormal")
+
+
+class TestOnePathGate:
+    """``gated_volumes`` runs one path; the two-path gate it replaced, kept
+    in tests/support.py, must give the same outcome on every stack."""
+
+    @given(
+        st.sampled_from([2, 3, 8, 16]),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-8, 8), st.integers(-1100, 1100)),
+                st.one_of(st.just("plain"), st.sampled_from(SPECIAL_IMAGES)),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_two_path_reference(self, dim, seed, images):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(-1.0, 1.0, (len(images), dim + 1, dim))
+        for image, (k, kind) in zip(stack, images):
+            if kind == "zero-pivot":
+                image[:, 0] = image[0, 0]  # a zero first column of edges
+            elif kind == "all-equal":
+                image[:] = image[0]
+            elif kind == "non-finite":
+                image[rng.integers(dim + 1), rng.integers(dim)] = rng.choice(
+                    [np.nan, np.inf, -np.inf])
+            elif kind == "subnormal":
+                k = int(rng.integers(-1074, -1022))
+            with np.errstate(over="ignore"):  # 2^k beyond float max gives inf
+                image[:] = np.ldexp(image, k)
+        assert gate_outcome(geometry.gated_volumes, stack) == gate_outcome(
+            support.gated_volumes_two_path, stack)
+
+    @pytest.mark.parametrize("dim", [3, 8, 16])
+    def test_first_degenerate_image_is_named_before_a_later_overflow(self, dim):
+        # Image 1 has a finite determinant and squared edges, but scale**N
+        # overflows (at N = 2 it cannot without the squared edge too).
+        long_edge = np.vstack([np.zeros(dim), np.eye(dim)])
+        long_edge[1, 0] = 2.0 ** (1100 // dim)
+        stack = np.stack([np.zeros((dim + 1, dim)), long_edge])
+        outcome = gate_outcome(geometry.gated_volumes, stack)
+        assert outcome == gate_outcome(support.gated_volumes_two_path, stack)
+        assert outcome[0] is DegenerateSimplexError and outcome[2] == 0
+        with pytest.raises(FloatRangeError, match="overflow the float range"):
+            geometry.gated_volumes(stack[1:])
+
+
 class TestFacets:
     def test_unit_2_simplex_measures(self):
-        measures = sorted(f.measure for f in unit_simplex(2).facets)
+        measures = sorted(unit_simplex(2).facets.measures)
         assert measures == pytest.approx([1.0, 1.0, SQRT2], abs=1e-14)
 
     def test_unit_3_simplex_measures(self):
         # Oblique face spans e1, e2, e3; Gram matrix [[2,1],[1,2]] has
         # determinant 3, so its area is sqrt(3)/2.
-        measures = sorted(f.measure for f in unit_simplex(3).facets)
+        measures = sorted(unit_simplex(3).facets.measures)
         assert measures == pytest.approx([0.5, 0.5, 0.5, SQRT3 / 2.0], abs=1e-14)
 
     def test_facet_count(self):
         rng = np.random.default_rng(11)
         for dim in (2, 3, 4, 6):
             s = support.random_simplex(rng, dim)
-            assert len(s.facets) == dim + 1
+            assert s.facets.measures.shape == (dim + 1,)
 
     def test_segment_length(self):
         s = Simplex(np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0]]))
-        segment = s.facets[2]  # spans (0,0)-(3,4)
-        assert segment.measure == pytest.approx(5.0, abs=1e-14)
-        assert facet_measure(segment) == pytest.approx(5.0, abs=1e-14)
+        fs = s.facets  # facet 2 spans (0,0)-(3,4)
+        assert fs.measures[2] == pytest.approx(5.0, abs=1e-14)
+        assert facet_measure(fs.vertices[2]) == pytest.approx(5.0, abs=1e-14)
 
     def test_oblique_face_cross_product_oracle(self):
         s = unit_simplex(3)
-        oblique = s.facets[0]
+        oblique = s.facets.measures[0]
         e1, e2, e3 = np.eye(3)
         oracle = np.linalg.norm(np.cross(e2 - e1, e3 - e1)) / 2.0
-        assert oblique.measure == pytest.approx(oracle, rel=1e-15)
-        assert oblique.measure == pytest.approx(SQRT3 / 2.0, rel=1e-15)
+        assert oblique == pytest.approx(oracle, rel=1e-15)
+        assert oblique == pytest.approx(SQRT3 / 2.0, rel=1e-15)
 
     def test_standard_4_simplex_face_cayley_menger_oracle(self):
         s = unit_simplex(4)
-        face = s.facets[0]  # spans e1..e4
-        oracle = support.cayley_menger_measure(face.vertices)
-        assert face.measure == pytest.approx(oracle, rel=1e-12)
-        assert face.measure == pytest.approx(1.0 / 3.0, rel=1e-13)
+        fs = s.facets  # facet 0 spans e1..e4
+        oracle = support.cayley_menger_measure(fs.vertices[0])
+        assert fs.measures[0] == pytest.approx(oracle, rel=1e-12)
+        assert fs.measures[0] == pytest.approx(1.0 / 3.0, rel=1e-13)
 
     def test_facet_measure_matches_stored_measure(self):
         rng = np.random.default_rng(5)
         for dim in (2, 3, 5):
             s = support.random_simplex(rng, dim)
-            for f in s.facets:
-                assert facet_measure(f) == pytest.approx(f.measure, rel=1e-14)
+            fs = s.facets
+            for vertices, measure in zip(fs.vertices, fs.measures):
+                assert facet_measure(vertices) == pytest.approx(measure, rel=1e-14)
 
 
 class TestFacetsArrays:
-    """``Simplex.facets`` as a sequence over three read-only arrays."""
+    """``Simplex.facets`` as a frozen record of three read-only arrays."""
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
-    def test_sequence_contract(self, dim):
+    def test_record_of_three_arrays(self, dim):
         s = support.random_simplex(np.random.default_rng(dim), dim, min_rel_det=1e-6)
         fs = s.facets
-        assert len(fs) == dim + 1
+        assert [f.name for f in dataclasses.fields(fs)] == [
+            "vertices", "normals", "measures"]
         assert fs.vertices.shape == (dim + 1, dim, dim)
         assert fs.normals.shape == (dim + 1, dim)
         assert fs.measures.shape == (dim + 1,)
-        for i, f in enumerate(fs):
-            assert f.opposite_vertex_index == i
-            g = fs[i]
-            assert np.array_equal(f.vertices, g.vertices)
-            assert np.array_equal(f.normal, g.normal)
-            assert f.measure == g.measure
-        last = fs[-1]
-        assert last.opposite_vertex_index == dim
-        assert np.array_equal(last.vertices, fs[dim].vertices)
-        for bad in (dim + 1, -(dim + 2)):
-            with pytest.raises(IndexError):
-                fs[bad]
-        first, *_ = fs
-        assert first.opposite_vertex_index == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fs.measures = fs.measures
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_arrays_are_read_only(self, dim):
@@ -173,19 +230,15 @@ class TestFacetsArrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        assert not fs[0].vertices.flags.writeable
-        assert not fs[0].normal.flags.writeable
+        assert not fs.vertices[0].flags.writeable
+        assert not fs.normals[0].flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_rows_match_the_vertex_array(self, dim):
         s = support.random_simplex(np.random.default_rng(dim), dim, min_rel_det=1e-6)
         fs = s.facets
         for i in range(dim + 1):
-            f = fs[i]
-            assert np.array_equal(f.vertices, np.delete(s.vertices, i, axis=0))
-            assert np.array_equal(f.normal, fs.normals[i])
-            assert f.measure == fs.measures[i]
-            assert type(f.measure) is float
+            assert np.array_equal(fs.vertices[i], np.delete(s.vertices, i, axis=0))
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_closed_form_matches_norm_and_vstack(self, dim):
@@ -223,13 +276,13 @@ class TestFacetsArrays:
 class TestNormals:
     def test_unit_triangle_normals(self):
         s = unit_simplex(2)
-        hyp, left, bottom = s.facets
-        assert hyp.normal == pytest.approx([1.0 / SQRT2, 1.0 / SQRT2], abs=1e-14)
-        assert left.normal == pytest.approx([-1.0, 0.0], abs=1e-14)
-        assert bottom.normal == pytest.approx([0.0, -1.0], abs=1e-14)
+        hyp, left, bottom = s.facets.normals
+        assert hyp == pytest.approx([1.0 / SQRT2, 1.0 / SQRT2], abs=1e-14)
+        assert left == pytest.approx([-1.0, 0.0], abs=1e-14)
+        assert bottom == pytest.approx([0.0, -1.0], abs=1e-14)
 
     def test_unit_tetrahedron_oblique_normal(self):
-        n = unit_simplex(3).facets[0].normal
+        n = unit_simplex(3).facets.normals[0]
         assert n == pytest.approx(np.ones(3) / SQRT3, abs=1e-14)
 
     @given(st.integers(0, 10_000))
@@ -238,11 +291,12 @@ class TestNormals:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        for f in s.facets:
-            assert abs(np.linalg.norm(f.normal) - 1.0) <= 1e-14
-            edges = f.vertices[1:] - f.vertices[0]
+        fs = s.facets
+        for vertices, normal in zip(fs.vertices, fs.normals):
+            assert abs(np.linalg.norm(normal) - 1.0) <= 1e-14
+            edges = vertices[1:] - vertices[0]
             for edge in edges:
-                assert abs(f.normal @ edge) <= 1e-12 * np.linalg.norm(edge)
+                assert abs(normal @ edge) <= 1e-12 * np.linalg.norm(edge)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -250,9 +304,10 @@ class TestNormals:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        for f in s.facets:
-            opposite = s.vertices[f.opposite_vertex_index]
-            assert float(f.normal @ (f.centroid - opposite)) > 0.0
+        fs = s.facets
+        for i, opposite in enumerate(s.vertices):
+            centroid = fs.vertices[i].mean(axis=0)
+            assert float(fs.normals[i] @ (centroid - opposite)) > 0.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -261,8 +316,8 @@ class TestNormals:
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
         fs = s.facets
-        total = sum(f.measure for f in fs)
-        resultant = np.linalg.norm(sum(f.measure * f.normal for f in fs))
+        total = fs.measures.sum()
+        resultant = np.linalg.norm((fs.measures[:, None] * fs.normals).sum(axis=0))
         assert resultant <= 1e-13 * total
 
 
@@ -313,6 +368,23 @@ class TestTriangle:
         assert (t.a, t.b, t.c) == tuple(float(np.linalg.norm(d)) for d in
                                         (t.B - t.C, t.A - t.C, t.A - t.B))
 
+    def test_frozen_dataclass(self):
+        t = Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
+        assert repr(t) == "Triangle(A=[0.0, 3.0], B=[4.0, 0.0], C=[0.0, 0.0])"
+        assert [f.name for f in dataclasses.fields(t)] == ["A", "B", "C"]
+        for name in ("A", "B", "C", "simplex", "a", "b", "c", "alpha", "beta",
+                     "gamma", "n_a", "n_b", "n_c"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, name)
+        assert Triangle(A=t.A, B=t.B, C=t.C).c == t.c
+        # The vertices and side normals are rows of the simplex's arrays.
+        assert np.array_equal(np.array([t.A, t.B, t.C]), t.simplex.vertices)
+        assert np.array_equal(np.array([t.n_a, t.n_b, t.n_c]), t.simplex.facets.normals)
+        for array in (t.A, t.B, t.C, t.n_a, t.n_b, t.n_c):
+            assert not array.flags.writeable
+
     def test_side_normals_are_unit_and_outward(self):
         t = Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
         for n, opposite in ((t.n_a, t.A), (t.n_b, t.B), (t.n_c, t.C)):
@@ -354,9 +426,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
-        f = s.facets[int(rng.integers(0, dim + 1))]
-        assert f.measure == pytest.approx(
-            support.cayley_menger_measure(f.vertices), rel=1e-12
+        i = int(rng.integers(0, dim + 1))
+        assert s.facets.measures[i] == pytest.approx(
+            support.cayley_menger_measure(s.facets.vertices[i]), rel=1e-12
         )
 
 
@@ -398,11 +470,12 @@ class TestExactOracle:
                     s = Simplex(verts)
                 except DegenerateSimplexError:
                     continue
-                for f in s.facets:
-                    exact = exact_gram_det(f.vertices.tolist()) / math.factorial(
+                fs = s.facets
+                for vertices, measure in zip(fs.vertices, fs.measures.tolist()):
+                    exact = exact_gram_det(vertices.tolist()) / math.factorial(
                         dim - 1
                     ) ** 2
-                    rel = abs(Fraction(f.measure) ** 2 - exact) / exact
+                    rel = abs(Fraction(measure) ** 2 - exact) / exact
                     assert rel <= Fraction(1, 10**12), (seed, factor, float(rel))
                 checked += 1
         assert checked > 0
@@ -419,8 +492,8 @@ class TestRigidMotionInvariance:
         shift = rng.uniform(-2.0, 2.0, dim)
         moved = Simplex(s.vertices @ rotation.T + shift)
         assert moved.volume == pytest.approx(s.volume, rel=1e-12)
-        for f, g in zip(s.facets, moved.facets):
-            assert g.measure == pytest.approx(f.measure, rel=1e-12)
+        for before, after in zip(s.facets.measures, moved.facets.measures):
+            assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)

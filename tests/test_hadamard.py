@@ -154,11 +154,12 @@ class TestPerturbedIntegral:
         rng = np.random.default_rng(6)
         s, f, xi = random_instance(rng)
         expected = s.volume * f(s.centroid)
-        assert perturbed_integral(s, f, xi, 0.0) == pytest.approx(expected, rel=1e-15)
+        (value,) = perturbed_integral(s, f, xi, [0.0])
+        assert value == pytest.approx(expected, rel=1e-15)
 
     def test_dilation_by_one(self):
-        value = perturbed_integral(
-            unit_simplex(2), AffineDensity.one(2), identity_field(2), 1.0
+        (value,) = perturbed_integral(
+            unit_simplex(2), AffineDensity.one(2), identity_field(2), [1.0]
         )
         assert value == pytest.approx(2.0, rel=1e-14)
 
@@ -168,14 +169,14 @@ class TestPerturbedIntegral:
             s, _, _ = random_instance(rng)
             xi = AffineField.constant(rng.uniform(-1.0, 1.0, s.dim))
             t = float(rng.uniform(-2.0, 2.0))
-            value = perturbed_integral(s, AffineDensity.one(s.dim), xi, t)
+            (value,) = perturbed_integral(s, AffineDensity.one(s.dim), xi, [t])
             assert value == pytest.approx(s.volume, rel=1e-13)
 
     def test_degenerate_perturbation_reports_step(self):
         s = unit_simplex(2)
         collapse = AffineField(-np.eye(2), np.zeros(2))  # x -> x - t x
         with pytest.raises(DegenerateSimplexError, match="t = 1.0"):
-            perturbed_integral(s, AffineDensity.one(2), collapse, 1.0)
+            perturbed_integral(s, AffineDensity.one(2), collapse, [1.0])
 
     def test_degenerate_image_in_a_stack_reports_its_step(self):
         s = unit_simplex(2)
@@ -190,21 +191,22 @@ class TestPerturbedIntegral:
         s = Simplex(1e150 * np.array([[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for t in (1e5, [1.0, 1e5]):
+            for steps in ([1e5], [1.0, 1e5]):
                 with pytest.raises(
                     FloatRangeError,
                     match=r"^vertex coordinates overflow the float range "
                     r"\(overflow encountered in det\)$",
                 ):
-                    perturbed_integral(s, AffineDensity.one(2), identity_field(2), t)
+                    perturbed_integral(s, AffineDensity.one(2), identity_field(2), steps)
         assert [str(w.message) for w in caught] == []
 
-    def test_scalar_step_gives_float_and_sequence_gives_array(self):
+    def test_one_python_float_per_step(self):
         s = unit_simplex(3)
         f, xi = AffineDensity.one(3), identity_field(3)
-        assert type(perturbed_integral(s, f, xi, 0.5)) is float
-        values = perturbed_integral(s, f, xi, (0.5, -0.5))
-        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        for steps in ([0.5], (0.5, -0.5), np.array([0.5, -0.5, 0.25])):
+            values = perturbed_integral(s, f, xi, steps)
+            assert type(values) is list and len(values) == len(steps)
+            assert all(type(v) is float for v in values)
 
 
 def placed_simplex(rng, dim: int) -> Simplex:
@@ -241,8 +243,8 @@ class TestStackedImages:
                                    match=f"t = {re.escape(repr(t))}$"):
                     perturbed_integral(s, f, xi, steps)
                 return
-        assert perturbed_integral(s, f, xi, steps).tolist() == expected
-        assert [perturbed_integral(s, f, xi, t) for t in steps] == expected
+        assert perturbed_integral(s, f, xi, steps) == expected
+        assert [v for t in steps for v in perturbed_integral(s, f, xi, [t])] == expected
         assert fd_derivative(s, f, xi) == support.fd_derivative_per_image(
             s, f, xi, default_fd_step(s, xi)
         )
@@ -293,7 +295,7 @@ class TestHadamardDerivative:
             dim = int(rng.integers(2, 5))
             s = support.random_simplex(rng, dim)
             xi = AffineField.constant(rng.uniform(-1.0, 1.0, dim))
-            budget = sum(f.measure for f in s.facets) * float(
+            budget = s.facets.measures.sum() * float(
                 np.linalg.norm(xi.offset)
             )
             report = hadamard_derivative(s, AffineDensity.one(dim), xi)

@@ -229,9 +229,10 @@ class TestFaceNormalIdentity:
         r = RightSimplexSpec(apex=np.zeros(3), legs=np.eye(3))
         s = r.simplex
         # A_1 = 1/2, C = sqrt(3)/2, n_C . n_1 = -1/sqrt(3).
-        assert s.facets[1].measure == pytest.approx(0.5, rel=1e-14)
-        assert s.facets[0].measure == pytest.approx(SQRT3 / 2.0, rel=1e-14)
-        assert float(s.facets[0].normal @ s.facets[1].normal) == pytest.approx(
+        measures, normals = s.facets.measures, s.facets.normals
+        assert measures[1] == pytest.approx(0.5, rel=1e-14)
+        assert measures[0] == pytest.approx(SQRT3 / 2.0, rel=1e-14)
+        assert float(normals[0] @ normals[1]) == pytest.approx(
             -1.0 / SQRT3, rel=1e-13
         )
         for residual in face_normal_identity(r):
@@ -244,7 +245,7 @@ class TestFaceNormalIdentity:
 
     def test_seeded_frame_dimension_5(self):
         r = random_right_simplex(123, 5, "orthonormal")
-        c = r.simplex.facets[0].measure
+        c = r.simplex.facets.measures[0]
         for residual in face_normal_identity(r):
             assert residual <= 1e-12 * c
 
@@ -255,7 +256,7 @@ class TestFaceNormalIdentity:
         dim = int(rng.integers(2, 9))
         mode = "scaled" if seed % 2 else "orthonormal"
         r = random_right_simplex(seed, dim, mode)
-        c = r.simplex.facets[0].measure
+        c = r.simplex.facets.measures[0]
         for residual in face_normal_identity(r):
             assert residual <= 1e-12 * c
 
