@@ -32,7 +32,8 @@ from .errors import ShapeParseError, ShapeValidationError
 from .fields import AffineDensity, AffineField
 from .geometry import Simplex, Triangle
 from .hadamard import hadamard_derivative
-from .theorems import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec
+from .theorems import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec,
+                       prove)
 
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
 
@@ -266,22 +267,22 @@ def run_verify(
         raise ShapeValidationError(f"unknown theorem {theorem!r}")
     row = THEOREMS[theorem]
     started = time.perf_counter()
-    seeds = None
+    if input_path is not None and random_batch:
+        raise ShapeValidationError("verify takes --input PATH or --random, not both")
     if input_path is not None:
         with open(input_path, "r", encoding="utf-8") as handle:
             doc = parse_shape(handle.read())
-        instances = [(None, getattr(doc, row.document)())]
+        seeds, instances = None, [getattr(doc, row.document)()]
     elif random_batch:
         if count < 1:
             raise ShapeValidationError(f"--count must be positive, got {count}")
         seeds = [seed + k for k in range(count)]
-        # Lazy, so each instance is generated just before it is verified.
-        instances = ((s, row.generate(s, dim, legs)) for s in seeds)
+        instances = [row.generate(s, dim, legs) for s in seeds]
     else:
         raise ShapeValidationError("verify needs --input PATH or --random")
     entries = []
-    for s, instance in instances:
-        entry = row.verify(instance, tol_abs, tol_rel).to_dict()
+    for s, report in zip(seeds or [None], prove(theorem, instances, tol_abs, tol_rel)):
+        entry = report.to_dict()
         entry["seed"] = s
         entries.append(entry)
     return _finish_report(command, seeds, entries, started)
@@ -335,6 +336,17 @@ def tolerance(text: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0.0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def base_seed(text: str) -> int:
+    """argparse type of ``--seed``: an integer >= 0, as numpy's seeds are."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own message for a plain int type
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -403,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generate seeded random instances instead")
     verify.add_argument("--count", type=int, default=1,
                         help="number of random instances (default 1)")
-    verify.add_argument("--seed", type=int, default=0,
+    verify.add_argument("--seed", type=base_seed, default=0,
                         help="base seed; instance k uses seed + k")
     verify.add_argument("--dim", type=int, default=3,
                         help="simplex dimension for nd-pythagoras (default 3)")

@@ -2,13 +2,16 @@
 outward normals, facet measures, and triangle-specific derived quantities.
 
 The facets of a simplex are held as arrays, one row per facet
-(struct of arrays): ``Simplex.facets`` is a ``Facets`` record whose
-``vertices``, ``normals`` and ``measures`` cover all N+1 facets at once.
+(struct of arrays): a ``Facets`` record whose ``vertices``, ``normals`` and
+``measures`` cover all N+1 facets at once.
 
-``gated_volumes`` gates a stack of vertex arrays, on one path for every
-input; ``Simplex`` gates a stack of one. Vertex, normal and measure arrays
-are read-only; ``Simplex``, ``Facets`` and ``Triangle`` are frozen
-dataclasses.
+``gated_volumes`` gates a (M, N+1, N) stack of vertex arrays on one path,
+and ``stacked_facets`` builds the stack's facets from one stacked inverse;
+``Simplex`` runs each on a stack of one. Each item gets the bits it gets
+alone: stacked ``det`` and ``inv`` round each matrix as a lone call does,
+and each item's normals keep the lone column-major layout. Vertex, normal
+and measure arrays are read-only; ``Simplex``, ``Facets`` and ``Triangle``
+are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class Facets:
 
     ``vertices`` has shape (N+1, N, N): row i is the simplex's vertex array
     without vertex i. ``normals`` (N+1, N) holds the outward unit normals and
-    ``measures`` (N+1,) the (N-1)-dimensional areas.
+    ``measures`` (N+1,) the (N-1)-dimensional areas. The facets of a stack
+    of M simplices carry a leading (M,) axis on each array.
     """
 
     vertices: np.ndarray
@@ -61,16 +65,20 @@ def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
     of each vertex array of a (M, N+1, N) stack, as if gated alone. Raises
     DegenerateSimplexError, ``index`` its position, for the first array with
     |det| <= DEGENERACY_EPS * scale**N; ValueError for non-finite and
-    FloatRangeError for overflowing vertices."""
+    FloatRangeError for overflowing vertices, and DimensionMismatchError
+    for N < 2."""
+    n = stack.shape[-1]
+    if n < 2:
+        raise DimensionMismatchError("simplex dimension must be at least 2")
     if not np.isfinite(stack).all():
         raise ValueError("simplex vertices have non-finite entries")
-    n = stack.shape[-1]
     with float_range("vertex coordinates overflow the float range"):
         with np.errstate(divide="ignore"):  # a zero pivot: |det| = 0 fails below
             dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
-        diffs = stack[:, :, None, :] - stack[:, None, :, :]
+        ends = np.take(stack, _edge_index(n), axis=1)  # (M, 2, edges, N)
+        diffs = ends[:, 0] - ends[:, 1]
         # sqrt is monotone, so the root of the largest square is the largest edge.
-        scales = np.sqrt((diffs**2).sum(axis=-1).max(axis=(1, 2))).tolist()
+        scales = np.sqrt((diffs**2).sum(axis=-1).max(axis=-1)).tolist()
         for i, (det, scale) in enumerate(zip(dets, scales)):
             if abs(det) <= DEGENERACY_EPS * scale**n:
                 raise DegenerateSimplexError(
@@ -97,8 +105,6 @@ class Simplex:
             raise DimensionMismatchError(
                 f"expected (N+1, N) vertex array, got shape {v.shape}"
             )
-        if v.shape[1] < 2:
-            raise DimensionMismatchError("simplex dimension must be at least 2")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         (volume,), (scale,) = gated_volumes(v[None])
@@ -117,35 +123,51 @@ class Simplex:
 
     @cached_property
     def facets(self) -> Facets:
-        """All N+1 facets, ordered by ascending opposite-vertex index.
+        """All N+1 facets, ordered by ascending opposite-vertex index:
+        ``stacked_facets`` on a stack of one."""
+        facets = stacked_facets(self.vertices[None], [self.volume])
+        return Facets(facets.vertices[0], facets.normals[0], facets.measures[0])
 
-        Closed form from the barycentric gradients: the rows of inv(E)^T,
-        E = V[1:] - V[0], are grad lambda_1..N, and grad lambda_0 is minus
-        their sum. Facet i lies on lambda_i = 0, so its outward normal is
-        -grad lambda_i / |grad lambda_i|; its distance to vertex i is
-        1 / |grad lambda_i|, so base-times-height gives the measure
-        N * volume * |grad lambda_i|. The facet vertex arrays come from one
-        gather through ``_facet_index(N)``.
-        """
-        v = self.vertices
-        n = self.dim
-        grads = np.linalg.inv(v[1:] - v[0]).T
-        # Column-major, as the transposed inverse is: the layout fixes how
-        # the per-facet dots with the normals round.
-        grads = np.concatenate([-grads.sum(axis=0)[None], grads])
-        lengths = np.sqrt((grads * grads).sum(axis=1))
-        normals = -grads / lengths[:, None]
-        measures = n * self.volume * lengths
-        vertices = v[_facet_index(n)]
-        for a in (vertices, normals, measures):
-            a.flags.writeable = False
-        return Facets(vertices, normals, measures)
+
+def stacked_facets(stack: np.ndarray, volumes: list[float]) -> Facets:
+    """The facets of each simplex of a (M, N+1, N) vertex stack that
+    ``gated_volumes`` accepted, given the volumes it returned.
+
+    Closed form from the barycentric gradients: the rows of inv(E)^T,
+    E = V[1:] - V[0], are grad lambda_1..N, and grad lambda_0 is minus
+    their sum. Facet i lies on lambda_i = 0, so its outward normal is
+    -grad lambda_i / |grad lambda_i|; its distance to vertex i is
+    1 / |grad lambda_i|, so base-times-height gives the measure
+    N * volume * |grad lambda_i|. The facet vertex arrays come from one
+    gather through ``_facet_index(N)``.
+    """
+    n = stack.shape[-1]
+    grads = np.linalg.inv(stack[:, 1:] - stack[:, :1]).swapaxes(-1, -2)
+    # Column-major per item, as a lone transposed inverse is: the layout
+    # fixes how the per-facet dots with the normals round.
+    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    lengths = np.sqrt((grads * grads).sum(axis=-1))
+    normals = -grads / lengths[..., None]
+    measures = (n * np.array(volumes))[:, None] * lengths
+    vertices = np.take(stack, _facet_index(n), axis=1)
+    for a in (vertices, normals, measures):
+        a.flags.writeable = False
+    return Facets(vertices, normals, measures)
 
 
 @cache
 def _facet_index(n: int) -> np.ndarray:
     """Read-only facet gather index of an N-simplex: row i, entry j is j + (j >= i)."""
     index = np.arange(n) + (np.arange(n) >= np.arange(n + 1)[:, None])
+    index.flags.writeable = False
+    return index
+
+
+@cache
+def _edge_index(n: int) -> np.ndarray:
+    """Read-only (2, (N+1)N/2) array of an N-simplex's edges: column k holds
+    the vertex indices i < j of edge k."""
+    index = np.array(np.triu_indices(n + 1, 1))
     index.flags.writeable = False
     return index
 

@@ -3,7 +3,9 @@ d/dt integral_{Omega_t} f at t = 0, for a simplex Omega perturbed along an
 affine field xi:
 
 * boundary route: exact facet-wise quadrature of f * (xi . n), one stacked
-                  product over all facets of ``Simplex.facets``,
+                  product over all facets: ``boundary_moments`` on a
+                  stack of simplices and fields, and ``boundary_integral``
+                  on one simplex and one field,
 * volume route:   centroid rule on the (affine) divergence density,
 * fd route:       Richardson-extrapolated central differences of exact
                   integrals over the four perturbed images: one
@@ -14,7 +16,8 @@ All quadrature is exact for the affine f and xi handled here, so the
 boundary/volume residual reflects geometry and rounding only. The boundary
 route evaluates all facets with stacked ``matmul`` products; unlike
 ``einsum``, these round each facet as a lone per-facet product does, so the
-per-facet values match a facet-by-facet loop bit for bit.
+per-facet values match a facet-by-facet loop bit for bit, and each item of
+a stack gets the bits it gets alone.
 ``hadamard_derivative`` raises ``FloatRangeError`` when a route overflows.
 """
 
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
 from .fields import AffineDensity, AffineField, div_density_field
-from .geometry import Simplex, _facet_index, gated_volumes
+from .geometry import Facets, Simplex, _facet_index, gated_volumes
 
 _EPS = float(np.finfo(float).eps)
 
@@ -60,40 +63,48 @@ def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):
         )
 
 
-def boundary_integral(
-    s: Simplex, f: AffineDensity, xi: AffineField
-) -> tuple[float, tuple[tuple[int, float], ...]]:
-    """Integral of f * (xi . n) over the boundary of ``s``.
+def boundary_moments(f: AffineDensity, x: np.ndarray, facets: Facets) -> np.ndarray:
+    """Per-facet integrals of f * (xi . n) over the boundary of a stack of
+    simplices, as a (..., N+1) array, from ``x`` (..., N+1, N), the field
+    values at the simplex vertices, and the simplices' ``facets``, whose
+    arrays broadcast against it.
 
     On each facet the integrand is a product of two affine functions, so the
     degree-2 barycentric moment rule
     int_F lam_i lam_j dS = measure(F) * (1 + delta_ij) / ((d+1)(d+2)),
     d = N - 1, integrates it exactly:
     int_F u v dS = measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)),
-    with u = f and v = xi . n at the facet's N vertices. All N+1 facets are
-    evaluated at once, as stacked products over ``s.facets.vertices``; xi
-    is evaluated once per simplex vertex and gathered, which gives the same
-    bits as evaluating it on the stack.
-
-    Returns (total, per-facet contributions); the total is accumulated in
-    ascending facet-index order.
+    with u = f and v = xi . n at the facet's N vertices. The field values
+    are gathered to the facets, which gives the same bits as evaluating
+    the field on the facet stack.
     """
-    _check_dims(s, f, xi)
-    n = s.dim
-    facets = s.facets
+    n = x.shape[-1]
     u = f.at(facets.vertices)
     # The density stays on the facet stack: evaluated once per vertex and
     # gathered, its dot products take another BLAS kernel and round
     # differently. The field's matrix products keep their bits.
-    x = xi.at(s.vertices)[_facet_index(n)]
-    v = np.matmul(x, facets.normals[:, :, None])[:, :, 0]
-    values = (facets.measures / (n * (n + 1)) * (
-        u.sum(axis=1) * v.sum(axis=1) + (u * v).sum(axis=1)
-    )).tolist()
+    v = np.matmul(np.take(x, _facet_index(n), axis=-2), facets.normals[..., None])[..., 0]
+    return facets.measures / (n * (n + 1)) * (
+        u.sum(axis=-1) * v.sum(axis=-1) + (u * v).sum(axis=-1))
+
+
+def decomposition(values: list[float]) -> tuple[float, tuple[tuple[int, float], ...]]:
+    """(total, per-facet pairs) of one simplex's facet values; the total is
+    accumulated in ascending facet-index order."""
     total = 0.0
     for value in values:  # not sum(): it compensates from Python 3.12 on
         total += value
     return total, tuple(enumerate(values))
+
+
+def boundary_integral(
+    s: Simplex, f: AffineDensity, xi: AffineField
+) -> tuple[float, tuple[tuple[int, float], ...]]:
+    """Integral of f * (xi . n) over the boundary of ``s``:
+    ``boundary_moments`` on a stack of one, with xi evaluated once per
+    simplex vertex. Returns (total, per-facet contributions)."""
+    _check_dims(s, f, xi)
+    return decomposition(boundary_moments(f, xi.at(s.vertices), s.facets).tolist())
 
 
 def volume_integral(s: Simplex, f: AffineDensity, xi: AffineField) -> float:

@@ -7,6 +7,7 @@ route used inside the package.
 import math
 import sys
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,10 +16,14 @@ from shapecalc import (
     AffineDensity,
     AffineField,
     DegenerateSimplexError,
+    NotRightTriangleError,
     RightSimplexSpec,
     Simplex,
+    TheoremReport,
 )
 from shapecalc.errors import float_range
+from shapecalc.geometry import _facet_index
+from shapecalc.theorems import RIGHT_ANGLE_TOL
 
 _EPS = float(np.finfo(float).eps)
 
@@ -204,3 +209,163 @@ def gated_volumes_two_path(stack: np.ndarray) -> tuple[list[float], list[float]]
                     f"degenerate simplex: |det| = {abs(det):.3e} <= "
                     f"{DEGENERACY_EPS} * scale^{n}", index=i)
     return [abs(det) / math.factorial(n) for det in dets], scales
+
+
+def _boundary_integral_alone(s: Simplex, f: AffineDensity, xi: AffineField):
+    # The boundary route on one simplex and one field, as before stacks.
+    n = s.dim
+    facets = s.facets
+    u = f.at(facets.vertices)
+    x = xi.at(s.vertices)[_facet_index(n)]
+    v = np.matmul(x, facets.normals[:, :, None])[:, :, 0]
+    values = (facets.measures / (n * (n + 1)) * (
+        u.sum(axis=1) * v.sum(axis=1) + (u * v).sum(axis=1)
+    )).tolist()
+    total = 0.0
+    for value in values:
+        total += value
+    return total, tuple(enumerate(values))
+
+
+def _sines_direction(t, side):
+    return {"a": (t.B - t.C) / t.a, "b": (t.C - t.A) / t.b, "c": (t.A - t.B) / t.c}[side]
+
+
+def _pythagoras_auxiliary(t, decompositions):
+    expected = (-t.a**2, -t.b**2, t.c**2)
+    return {
+        "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
+        "per_facet_deviation": max(
+            abs(value - expected[i]) for i, value in decompositions[""][1]
+        ),
+        "c_nc_dot_na_plus_a": float(t.c * (t.n_c @ t.n_a) + t.a),
+        "c_nc_dot_nb_plus_b": float(t.c * (t.n_c @ t.n_b) + t.b),
+    }
+
+
+def _sines_auxiliary(t, decompositions):
+    return {
+        "ratios": {
+            "a": t.a / math.sin(t.alpha),
+            "b": t.b / math.sin(t.beta),
+            "c": t.c / math.sin(t.gamma),
+        },
+        "directions": {
+            side: {"total": total, "per_facet": [[i, v] for i, v in per_facet]}
+            for side, (total, per_facet) in decompositions.items()
+        },
+        "expected_per_facet_a": [
+            [0, 0.0],
+            [1, -t.b * math.sin(t.gamma)],
+            [2, t.c * math.sin(t.beta)],
+        ],
+    }
+
+
+def _right_angle_at_c(t):
+    if abs(t.gamma - math.pi / 2.0) > RIGHT_ANGLE_TOL:
+        raise NotRightTriangleError(
+            f"gamma = {t.gamma!r} rad is not right within {RIGHT_ANGLE_TOL}"
+        )
+
+
+def _hyp_measure(r):
+    return float(r.simplex.facets.measures[0])
+
+
+def face_normal_identity_alone(r: RightSimplexSpec) -> tuple[float, ...]:
+    """Reference leg-facet residuals |A_i + C (n_C . n_i)| of one simplex."""
+    facets = r.simplex.facets
+    dots = (facets.normals[1:, None, :] @ facets.normals[0, :, None])[:, 0, 0]
+    return tuple(np.abs(facets.measures[1:] + facets.measures[0] * dots).tolist())
+
+
+def _nd_auxiliary(r, decompositions):
+    leg_measures = r.simplex.facets.measures[1:].tolist()
+    expected = [_hyp_measure(r) ** 2] + [-m**2 for m in leg_measures]
+    return {
+        "leg_face_measures": leg_measures,
+        "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
+        "face_normal_residuals": list(face_normal_identity_alone(r)),
+    }
+
+
+def _triangle_summary(t):
+    return {"vertices": t.simplex.vertices.tolist(), "a": t.a, "b": t.b, "c": t.c,
+            "alpha": t.alpha, "beta": t.beta, "gamma": t.gamma}
+
+
+def _ratio_spread(_, auxiliary):
+    return max(auxiliary["ratios"].values()) - min(auxiliary["ratios"].values())
+
+
+_TRIANGLE = dict(shape=lambda t: t, summary=_triangle_summary,
+                 scale=lambda t: max(t.a, t.b, t.c), precondition=lambda t: None,
+                 residual=lambda decompositions, _: decompositions[""][0])
+
+# The theorem table as it was when every instance was proved alone.
+REFERENCE_ROWS = {
+    "pythagoras": SimpleNamespace(**{
+        **_TRIANGLE, "report": "pythagoras", "precondition": _right_angle_at_c,
+        "fields": {"": lambda t: AffineField.constant(t.c * t.n_c)},
+        "auxiliary": _pythagoras_auxiliary}),
+    "sines": SimpleNamespace(**{
+        **_TRIANGLE, "report": "sines", "residual": _ratio_spread,
+        "fields": {side: lambda t, side=side: AffineField.constant(
+            _sines_direction(t, side)) for side in "abc"},
+        "auxiliary": _sines_auxiliary}),
+    "cosines": SimpleNamespace(**{
+        **_TRIANGLE, "report": "cosines",
+        "fields": {"": lambda t: AffineField.constant(
+            t.c * t.n_c - t.a * t.n_a - t.b * t.n_b)},
+        "auxiliary": lambda t, _: {
+            "law_value": t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma),
+            "na_dot_nb_plus_cos_gamma": float(t.n_a @ t.n_b + math.cos(t.gamma)),
+        }}),
+    "nd-pythagoras": SimpleNamespace(
+        report="nd_pythagoras", precondition=lambda r: None,
+        shape=lambda r: (r.simplex, 0),
+        fields={"": lambda shape: AffineField.constant(
+            shape[0].facets.measures[shape[1]] * shape[0].facets.normals[shape[1]])},
+        summary=lambda r: {
+            "dim": r.simplex.dim,
+            "vertices": r.simplex.vertices.tolist(),
+            "leg_lengths": r.leg_lengths.tolist(),
+            "hyp_measure": _hyp_measure(r),
+        },
+        scale=_hyp_measure, auxiliary=_nd_auxiliary,
+        residual=lambda decompositions, _: decompositions[""][0]),
+}
+
+
+def prove_alone(theorem: str, instance, tol_abs: float, tol_rel: float) -> TheoremReport:
+    """Reference proof of one instance, as ``theorems.prove`` ran before it
+    took stacks: the row's fields built one ``AffineField`` each, one
+    boundary integral per field, and the report assembled for this
+    instance alone. ``prove`` on a list must give each instance this
+    report bit for bit, or raise the error that the first failing instance
+    raises here."""
+    row = REFERENCE_ROWS[theorem]
+    row.precondition(instance)
+    s, shape = instance.simplex, row.shape(instance)
+    one = AffineDensity.one(s.dim)
+    with float_range(f"the {theorem} proof overflows the float range") as finite:
+        decompositions = {
+            key: _boundary_integral_alone(s, one, build(shape))
+            for key, build in row.fields.items()
+        }
+        auxiliary = row.auxiliary(instance, decompositions)
+        residual = row.residual(decompositions, auxiliary)
+        finite(residual, *(total for total, _ in decompositions.values()))
+        scale = row.scale(instance)
+        return TheoremReport(
+            theorem=row.report,
+            summary=row.summary(instance),
+            per_facet=next(iter(decompositions.values()))[1],
+            residual=residual,
+            tol_abs=tol_abs,
+            tol_rel=tol_rel,
+            scale=scale,
+            passed=abs(residual) <= tol_abs + tol_rel * scale**2,
+            auxiliary=auxiliary,
+        )

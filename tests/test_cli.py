@@ -245,6 +245,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage: shapecalc verify")
         assert "argument --random: not allowed with argument --input" in err
+        # Library callers get run_verify's own check, not just the file.
+        with pytest.raises(ShapeValidationError, match="--input PATH or --random, not both"):
+            run_verify("pythagoras", input_path=shape_file(T345), random_batch=True,
+                       count=3, seed=5)
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "argument --seed: must be >= 0, got '-1'"),
+        ("abc", "argument --seed: invalid int value: 'abc'"),
+    ])
+    def test_bad_seed_is_two(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sines", "--random", "--seed", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: shapecalc verify")
+        assert err.endswith(f"shapecalc verify: error: {message}\n")
 
     def test_degenerate_shape_is_two(self, shape_file):
         degenerate = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}

@@ -1,6 +1,7 @@
 """Field and density tests, including the four proof-field constructors."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ from shapecalc import (
     nd_pythagoras_field,
     pythagoras_field,
     sines_field,
+)
+from shapecalc.fields import (
+    constant_values,
+    cosines_translation,
+    nd_pythagoras_translation,
+    pythagoras_translation,
+    sines_translation,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -118,6 +126,45 @@ class TestDivergenceDensity:
         for x in rng.uniform(-1.0, 1.0, (10, dim)):
             direct = float(f.gradient @ xi(x)) + f(x) * float(np.trace(xi.matrix))
             assert div(x) == pytest.approx(direct, rel=1e-13, abs=1e-14)
+
+
+class TestConstantValues:
+    def test_bits_of_the_constant_field(self):
+        # Signed zeros included: the field's zero matrix product adds +0.0.
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 8, 16):
+            for _ in range(50):
+                b = rng.choice([0.0, -0.0, 1.5, -2.0, 1e-300], dim)
+                points = rng.choice([0.0, -0.0, -1.0, 3.0], (dim + 1, dim))
+                expected = AffineField.constant(b).at(points)
+                values = constant_values(b[None], dim + 1)[0]
+                assert values.tobytes() == expected.tobytes()
+
+    def test_stacked_translations_match_the_named_fields(self):
+        # One formula per translation: evaluated on a stack, each row is
+        # the offset of the named field of that triangle or simplex.
+        triangles = [triangle_345(), equilateral(),
+                     Triangle([0.3, -0.2], [-0.9, 0.4], [0.6, 0.8])]
+        stack = SimpleNamespace(**{
+            name: np.array([getattr(t, name) for t in triangles])
+            for name in ("A", "B", "C", "n_a", "n_b", "n_c")},
+            **{name: np.array([[getattr(t, name)] for t in triangles])
+               for name in ("a", "b", "c")})
+        cases = [(pythagoras_translation(stack), pythagoras_field),
+                 (cosines_translation(stack), cosines_field)] + [
+            (sines_translation(stack, side), lambda t, side=side: sines_field(t, side))
+            for side in "abc"]
+        for offsets, build in cases:
+            for t, row in zip(triangles, offsets):
+                assert row.tobytes() == build(t).offset.tobytes()
+        simplices = [support.random_simplex(np.random.default_rng(k), 4) for k in range(3)]
+        facets = SimpleNamespace(
+            measures=np.array([s.facets.measures for s in simplices]),
+            normals=np.array([s.facets.normals for s in simplices]))
+        for hyp in range(5):
+            offsets = nd_pythagoras_translation(facets, hyp)
+            for s, row in zip(simplices, offsets):
+                assert row.tobytes() == nd_pythagoras_field(s, hyp).offset.tobytes()
 
 
 class TestProofFields:

@@ -159,6 +159,56 @@ class TestOnePathGate:
             geometry.gated_volumes(stack[1:])
 
 
+# Stack shapes (M, N) of single simplices, triangle batches and the
+# right-simplex batches that verify proves as one stack.
+STACK_SHAPES = [(1, 2), (25, 2), (1, 3), (4, 2), (4, 16), (5, 16), (1, 16), (4, 8)]
+
+
+def scaled_stack(m: int, dim: int) -> np.ndarray:
+    """M well-shaped simplices, each scaled by its own power of two."""
+    rng = np.random.default_rng(100 * m + dim)
+    stack = np.array([support.random_simplex(rng, dim, min_rel_det=1e-6).vertices
+                      for _ in range(m)])
+    return np.ldexp(stack, rng.integers(-60, 61, (m, 1, 1)))
+
+
+class TestStackedGeometry:
+    """A stack gets from ``gated_volumes`` and ``stacked_facets`` what each
+    of its simplices gets alone, bit for bit and, for the normals, in the
+    same memory layout."""
+
+    @pytest.mark.parametrize("m, dim", STACK_SHAPES)
+    def test_gate_matches_two_path_reference(self, m, dim):
+        stack = scaled_stack(m, dim)
+        assert gate_outcome(geometry.gated_volumes, stack) == gate_outcome(
+            support.gated_volumes_two_path, stack)
+
+    @pytest.mark.parametrize("m, dim", STACK_SHAPES)
+    def test_items_match_lone_simplices(self, m, dim):
+        stack = scaled_stack(m, dim)
+        volumes, scales = geometry.gated_volumes(stack)
+        facets = geometry.stacked_facets(stack, volumes)
+        for k, vertices in enumerate(stack):
+            s = Simplex(vertices)
+            assert (volumes[k], scales[k]) == (s.volume, s.scale)
+            for name in ("vertices", "normals", "measures"):
+                stacked, alone = getattr(facets, name)[k], getattr(s.facets, name)
+                assert stacked.tobytes() == alone.tobytes(), name
+                assert stacked.strides == alone.strides, name
+                assert not stacked.flags.writeable
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_edge_index_is_cached_and_read_only(self, dim):
+        index = geometry._edge_index(dim)
+        assert index.shape == (2, (dim + 1) * dim // 2)
+        assert sorted(map(tuple, index.T.tolist())) == [
+            (i, j) for i in range(dim + 1) for j in range(i + 1, dim + 1)]
+        assert geometry._edge_index(dim) is index
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
+
 class TestFacets:
     def test_unit_2_simplex_measures(self):
         measures = sorted(unit_simplex(2).facets.measures)

@@ -1,5 +1,6 @@
 """Theorem verifier and generator tests."""
 
+import json
 import math
 import warnings
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 import support
 from shapecalc import theorems
 from shapecalc import (
+    DegenerateSimplexError,
+    DimensionMismatchError,
     FloatRangeError,
     LegOrthogonalityError,
     NotRightTriangleError,
@@ -460,3 +463,110 @@ class TestConsistencyAndInvariance:
         before = verify_nd_pythagoras(r)
         after = verify_nd_pythagoras(moved)
         assert abs(after.residual - before.residual) <= 1e-12 * before.scale**2
+
+
+def outcome(prove_all):
+    """The reports of ``prove_all()`` as JSON text, exact to the bit for
+    every float, or the type and message of the error it raises."""
+    try:
+        return [json.dumps(report.to_dict()) for report in prove_all()]
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def stacked_and_alone(theorem, instances, tol_abs=1e-12, tol_rel=1e-12):
+    return (outcome(lambda: theorems.prove(theorem, instances, tol_abs, tol_rel)),
+            outcome(lambda: [support.prove_alone(theorem, instance, tol_abs, tol_rel)
+                             for instance in instances]))
+
+
+def scaled_345(k: float) -> Triangle:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # k = 1e-160 overflows |grad|^2
+        return Triangle([3.0 * k, 0.0], [0.0, 4.0 * k], [0.0, 0.0])
+
+
+def right_tetrahedron(legs) -> RightSimplexSpec:
+    return RightSimplexSpec(apex=np.zeros(3), legs=np.diag(legs))
+
+
+class TestStackedProof:
+    """``prove`` proves a list as one stack; each instance must get, bit for
+    bit, the report of ``support.prove_alone``, the per-instance proof it
+    replaced, or the error that the first failing instance raises there."""
+
+    @given(
+        theorem=st.sampled_from(list(theorems.THEOREMS)),
+        count=st.integers(1, 30),
+        seed=st.integers(0, 2**31 - 31),
+        dim=st.sampled_from([2, 3, 5, 8, 16]),
+        legs=st.sampled_from(["orthonormal", "scaled"]),
+        kind=st.sampled_from(["general", "obtuse", "right"]),
+        tolerances=st.sampled_from([(1e-12, 1e-12), (0.0, 0.0), (0.0, 1e-14)]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reports_match_the_reference(self, theorem, count, seed, dim, legs, kind,
+                                         tolerances):
+        if theorem == "nd-pythagoras":
+            instances = [random_right_simplex(seed + k, dim, legs) for k in range(count)]
+        else:
+            kind = "right" if theorem == "pythagoras" else kind
+            instances = [random_triangle(seed + k, kind) for k in range(count)]
+        stacked, alone = stacked_and_alone(theorem, instances, *tolerances)
+        assert stacked == alone
+        assert len(stacked) == count
+
+    @pytest.mark.parametrize("legs", ["orthonormal", "scaled"])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_nd_batch_of_thirty(self, dim, legs):
+        instances = [random_right_simplex(700 + k, dim, legs) for k in range(30)]
+        stacked, alone = stacked_and_alone("nd-pythagoras", instances)
+        assert stacked == alone
+
+    @pytest.mark.parametrize("theorem", ["pythagoras", "sines", "cosines"])
+    def test_axis_aligned_triangles(self, theorem):
+        # Exact zeros in the normals and translations, so signed zeros in
+        # the per-facet terms, at several placements and scales.
+        instances = [Triangle(np.add([3.0 * k, 0.0], shift), np.add([0.0, 4.0 * k], shift),
+                              shift)
+                     for k in (1.0, 0.5, 3.0, 1e-3, 1e100)
+                     for shift in ([0.0, 0.0], [-2.0, 5.0], [1.0, -0.0])]
+        stacked, alone = stacked_and_alone(theorem, instances)
+        assert stacked == alone
+
+    def test_axis_aligned_right_simplices(self):
+        instances = [right_tetrahedron(legs)
+                     for legs in ([1.0, 1.0, 1.0], [2.0, 3.0, 6.0], [1e-3, 1.0, 1e3])]
+        stacked, alone = stacked_and_alone("nd-pythagoras", instances)
+        assert stacked == alone
+
+    @pytest.mark.parametrize("theorem, instances, error", [
+        ("pythagoras", lambda: [random_triangle(1, "right"), random_triangle(2, "right"),
+                                Triangle([0.0, 0.0], [1.0, 0.0], [0.5, 0.8]),
+                                random_triangle(3, "right")], NotRightTriangleError),
+        # The overflow comes first, so it is named, not the later non-right
+        # triangle that a precondition pass over the stack would meet first.
+        ("pythagoras", lambda: [random_triangle(1, "right"), scaled_345(1e-160),
+                                Triangle([0.0, 0.0], [1.0, 0.0], [0.5, 0.8])],
+         FloatRangeError),
+        ("cosines", lambda: [random_triangle(1, "general"), scaled_345(2e153),
+                             random_triangle(2, "general")], FloatRangeError),
+        ("nd-pythagoras", lambda: [right_tetrahedron([1.0, 2.0, 3.0]),
+                                   right_tetrahedron([1e100] * 3),
+                                   right_tetrahedron([1.0, 1.0, 1e-13])], FloatRangeError),
+        ("nd-pythagoras", lambda: [right_tetrahedron([1.0, 2.0, 3.0]),
+                                   right_tetrahedron([1.0, 1.0, 1e-13]),
+                                   right_tetrahedron([1e100] * 3)], DegenerateSimplexError),
+    ])
+    def test_first_failing_instance_raises_its_own_error(self, theorem, instances, error):
+        stacked, alone = stacked_and_alone(theorem, instances())
+        assert stacked == alone
+        assert stacked[0] is error
+
+    def test_empty_list(self):
+        assert theorems.prove("sines", [], 1e-12, 1e-12) == []
+
+    def test_one_dimension_per_stack(self):
+        mixed = [random_right_simplex(0, 3), random_right_simplex(0, 4)]
+        with pytest.raises(DimensionMismatchError, match="one dimension, got \\[3, 4\\]"):
+            theorems.prove("nd-pythagoras", mixed, 1e-12, 1e-12)

@@ -1,11 +1,12 @@
 """The benchmark tracer's contract with the CLI, for every theorem and every
 named field: no traced call is missing, a verify batch counts one instance
-per generated shape with one verifier span each, every proof field is
-built through its public constructor, and a derive evaluates its four
-finite-difference images in one ``perturbed_integral`` call, building no
-``Simplex`` beyond the input's. The benchmark's own tests run only a
-few of these calls, so a table row that stored a function object, and so
-bypassed the tracer, would slip past them.
+per generated shape and proves the batch as one stack outside every
+traced span, every named derive field is built through its public
+constructor, and a derive evaluates its four finite-difference images in
+one ``perturbed_integral`` call, building no ``Simplex`` beyond the
+input's. The benchmark's own tests run only a few of these calls, so a
+table row that stored a function object, and so bypassed the tracer,
+would slip past them.
 
 The tracer is loaded from ``bench/tracer.py``; nothing under ``bench/`` is
 written.
@@ -48,10 +49,12 @@ def traced_main(argv):
     return code, tracer
 
 
-# Every theorem at --count 3, plus the exact job shape of the benchmark's
-# nd16-csv workload.
+# Every theorem at --count 3, plus the exact job shapes of the benchmark's
+# triangles-json and nd16-csv workloads.
 VERIFY_CASES = [pytest.param(theorem, ["--count", "3"], id=theorem)
                 for theorem in THEOREMS] + [
+    pytest.param(theorem, ["--count", "25"], id=f"triangles-json-{theorem}")
+    for theorem in ("sines", "cosines", "pythagoras")] + [
     pytest.param("nd-pythagoras", ["--dim", "16", "--legs", "scaled", "--count", "5",
                                    "--format", "csv"], id="nd16-csv"),
 ]
@@ -67,19 +70,29 @@ def test_verify_batch_is_traced(theorem, options, tmp_path):
     assert tracer.instances == count
     spans = tracer.summary()
     assert spans["theorems.generate"][1] == count
-    assert spans["theorems.verify"][1] == count
-    fields = len(THEOREMS[theorem].fields)
-    assert spans["fields.proof_field"][1] == count * fields
-    assert spans["hadamard.boundary_integral"][1] == count * fields
     # Every generator span sits directly under the root span, so each one
     # starts an instance.
     generate, root = tracer.name_ids["theorems.generate"], tracer.name_ids["cli.main"]
     parents = [p for n, p in zip(tracer.name, tracer.parent) if n == generate]
     assert [tracer.name[p] for p in parents] == [root] * count
-    # One verifier span per instance, each under that instance.
-    verify = tracer.name_ids["theorems.verify"]
-    instances = [i for n, i in zip(tracer.name, tracer.instance) if n == verify]
-    assert instances == list(range(count))
+    # The batch is proved as one stack by ``prove``, which is not traced: no
+    # per-instance verifier, proof field or boundary integral runs.
+    assert spans["theorems.verify"][1] == 0
+    assert spans["fields.proof_field"][1] == 0
+    assert spans["hadamard.boundary_integral"][1] == 0
+    if theorem == "nd-pythagoras":
+        # One stacked gate and facet routine, no Simplex per instance.
+        assert spans["geometry.Simplex"][1] == 0
+        assert spans["geometry.facets"][1] == 0
+    else:
+        # Each facet span is a generated Triangle's own, under its generator.
+        assert spans["geometry.facets"][1] == spans["geometry.Triangle"][1] >= count
+    # One report per instance, directly under the root, after the last
+    # instance is generated: the tracer files the stacked proof under it.
+    to_dict = tracer.name_ids["theorems.to_dict"]
+    reports = [(tracer.name[p], i) for n, p, i in zip(tracer.name, tracer.parent,
+                                                      tracer.instance) if n == to_dict]
+    assert reports == [(root, count - 1)] * count
 
 
 def test_every_named_field_is_tested():
