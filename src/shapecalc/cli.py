@@ -30,10 +30,9 @@ import numpy as np
 from . import __version__
 from .errors import ShapeParseError, ShapeValidationError
 from .fields import AffineDensity, AffineField
-from .geometry import Simplex, Triangle
+from .geometry import Simplex, Triangle, as_vector
 from .hadamard import hadamard_derivative
-from .theorems import (DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec,
-                       prove)
+from .theorems import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec
 
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
 
@@ -281,7 +280,7 @@ def run_verify(
     else:
         raise ShapeValidationError("verify needs --input PATH or --random")
     entries = []
-    for s, report in zip(seeds or [None], prove(theorem, instances, tol_abs, tol_rel)):
+    for s, report in zip(seeds or [None], row.verify(instances, tol_abs, tol_rel)):
         entry = report.to_dict()
         entry["seed"] = s
         entries.append(entry)
@@ -296,8 +295,10 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
             raise ShapeParseError(f"invalid field JSON: {err}") from err
         _require(isinstance(raw, dict) and "matrix" in raw and "offset" in raw,
                  "field spec needs 'matrix' and 'offset'", parse=True)
-        return AffineField(_float_array(raw["matrix"], "field 'matrix'"),
-                           _float_array(raw["offset"], "field 'offset'"))
+        field = AffineField(_float_array(raw["matrix"], "field 'matrix'"),
+                            _float_array(raw["offset"], "field 'offset'"))
+        as_vector(field.offset, name="field offset")  # one field, not a stack
+        return field
     if spec not in NAMED_FIELDS:
         raise ShapeValidationError(
             f"unknown field spec {spec!r}; use inline JSON or one of {FIELD_NAMES}"

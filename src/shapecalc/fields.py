@@ -1,8 +1,9 @@
 """Affine perturbation fields xi(x) = A x + b and affine densities
-f(x) = g . x + c0, plus the four translations used by the theorem proofs.
-Constant fields are the A = 0 case; f == 1 is g = 0, c0 = 1. Each
-translation's formula (``*_translation``) takes one shape or the same
-attributes stacked; derive's named fields wrap it in an ``AffineField``.
+f(x) = g . x + c0, plus the four translation fields used by the theorem
+proofs. Constant fields are the A = 0 case; f == 1 is g = 0, c0 = 1. A
+stack of fields shares A and stacks b; each translation field takes one
+shape, or a stack of shapes with the same attributes stacked, as the
+proofs give it.
 """
 
 from __future__ import annotations
@@ -33,18 +34,23 @@ class AffineField:
             raise ValueError("field matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(
-            self, "offset", as_vector(self.offset, m.shape[0], "field offset")
-        )
+        b = np.array(self.offset, dtype=float)
+        if b.ndim > 1 and b.shape[-1] == m.shape[0] and np.isfinite(b).all():
+            b.flags.writeable = False  # a stack of fields, one offset per row
+        else:
+            b = as_vector(b, m.shape[0], "field offset")
+        object.__setattr__(self, "offset", b)
 
     @classmethod
     def constant(cls, offset) -> "AffineField":
-        b = as_vector(offset, name="field offset")
-        return cls(np.zeros((b.shape[0], b.shape[0])), b)
+        """The constant field ``offset``, or a stack of them: (..., N) rows."""
+        b = np.array(offset, dtype=float)
+        n = b.shape[-1] if b.ndim else 0
+        return cls(np.zeros((n, n)), b)
 
     @property
     def dim(self) -> int:
-        return self.offset.shape[0]
+        return self.offset.shape[-1]
 
     @property
     def is_constant(self) -> bool:
@@ -54,8 +60,9 @@ class AffineField:
         return self.matrix @ x + self.offset
 
     def at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on a (..., N) stack of points, returning (..., N) values."""
-        return points @ self.matrix.T + self.offset
+        """Evaluate on a (..., K, N) stack of points, returning (..., K, N)
+        values; a stack of fields takes one (K, N) point array per field."""
+        return points @ self.matrix.T + self.offset[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,66 +119,39 @@ def div_density_field(f: AffineDensity, xi: AffineField) -> AffineDensity:
     return AffineDensity(gradient, constant)
 
 
-def constant_values(offsets: np.ndarray, count: int) -> np.ndarray:
-    """Values of the constant fields ``offsets`` (..., N) at ``count``
-    points each, as a read-only (..., count, N) view: bit for bit what
-    ``AffineField.constant(b).at`` gives, whose zero matrix product adds
-    +0.0 and so turns -0.0 into +0.0."""
-    values = offsets + 0.0
-    return np.broadcast_to(values[..., None, :],
-                           (*values.shape[:-1], count, values.shape[-1]))
+def pythagoras_field(t: Triangle) -> AffineField:
+    """Constant translation field c * n_c (along the hypotenuse normal)."""
+    return AffineField.constant(t.c * t.n_c)
 
 
-def pythagoras_translation(t) -> np.ndarray:
-    """c * n_c (along the hypotenuse normal)."""
-    return t.c * t.n_c
-
-
-def sines_translation(t, side: str) -> np.ndarray:
-    """Unit translation parallel to the chosen side.
+def sines_field(t: Triangle, side: str) -> AffineField:
+    """Constant unit field parallel to the chosen side.
 
     Orientations: side ``a`` points C -> B, side ``b`` points A -> C,
     side ``c`` points B -> A.
     """
     if side == "a":
-        return (t.B - t.C) / t.a
-    if side == "b":
-        return (t.C - t.A) / t.b
-    if side == "c":
-        return (t.A - t.B) / t.c
-    raise ValueError(f"side must be 'a', 'b', or 'c', got {side!r}")
-
-
-def cosines_translation(t) -> np.ndarray:
-    """c * n_c - a * n_a - b * n_b."""
-    return t.c * t.n_c - t.a * t.n_a - t.b * t.n_b
-
-
-def nd_pythagoras_translation(facets, hyp_index: int) -> np.ndarray:
-    """(hypotenuse measure) * (hypotenuse normal), facet ``hyp_index``."""
-    return facets.measures[..., hyp_index, None] * facets.normals[..., hyp_index, :]
-
-
-def pythagoras_field(t: Triangle) -> AffineField:
-    """Constant translation field ``pythagoras_translation(t)``."""
-    return AffineField.constant(pythagoras_translation(t))
-
-
-def sines_field(t: Triangle, side: str) -> AffineField:
-    """Constant translation field ``sines_translation(t, side)``."""
-    return AffineField.constant(sines_translation(t, side))
+        direction = (t.B - t.C) / t.a
+    elif side == "b":
+        direction = (t.C - t.A) / t.b
+    elif side == "c":
+        direction = (t.A - t.B) / t.c
+    else:
+        raise ValueError(f"side must be 'a', 'b', or 'c', got {side!r}")
+    return AffineField.constant(direction)
 
 
 def cosines_field(t: Triangle) -> AffineField:
-    """Constant translation field ``cosines_translation(t)``."""
-    return AffineField.constant(cosines_translation(t))
+    """Constant translation field c * n_c - a * n_a - b * n_b."""
+    return AffineField.constant(t.c * t.n_c - t.a * t.n_a - t.b * t.n_b)
 
 
 def nd_pythagoras_field(s: Simplex, hyp_index: int) -> AffineField:
-    """Constant translation field ``nd_pythagoras_translation`` of the
-    facets of ``s``."""
+    """Constant translation field (hypotenuse measure) * (hypotenuse normal)."""
     if not 0 <= hyp_index <= s.dim:
         raise ValueError(
             f"hyp_index must be in 0..{s.dim}, got {hyp_index}"
         )
-    return AffineField.constant(nd_pythagoras_translation(s.facets, hyp_index))
+    facets = s.facets
+    return AffineField.constant(
+        facets.measures[..., hyp_index, None] * facets.normals[..., hyp_index, :])

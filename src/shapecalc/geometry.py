@@ -6,12 +6,13 @@ The facets of a simplex are held as arrays, one row per facet
 ``measures`` cover all N+1 facets at once.
 
 ``gated_volumes`` gates a (M, N+1, N) stack of vertex arrays on one path,
-and ``stacked_facets`` builds the stack's facets from one stacked inverse;
-``Simplex`` runs each on a stack of one. Each item gets the bits it gets
-alone: stacked ``det`` and ``inv`` round each matrix as a lone call does,
-and each item's normals keep the lone column-major layout. Vertex, normal
-and measure arrays are read-only; ``Simplex``, ``Facets`` and ``Triangle``
-are frozen dataclasses.
+and ``stacked_facets`` builds the facets of one simplex or of a stack from
+one stacked inverse; ``Simplex`` runs both, on one simplex or on a stack
+of them. Each item gets the bits it gets alone: stacked ``det`` and
+``inv`` round each matrix as a lone call does, and each item's normals
+keep the lone column-major layout. Vertex, normal and measure arrays are
+read-only; ``Simplex``, ``Facets`` and ``Triangle`` are frozen
+dataclasses.
 """
 
 from __future__ import annotations
@@ -89,49 +90,50 @@ def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
 
 @dataclass(frozen=True, eq=False)
 class Simplex:
-    """Non-degenerate N-simplex given by N+1 vertices (rows) in R^N, N >= 2.
+    """Non-degenerate N-simplex given by N+1 vertices (rows) in R^N, N >= 2,
+    or a stack of M of them, vertices (M, N+1, N), gated as one.
 
     ``volume`` and ``scale`` (the longest edge length) come from
-    ``gated_volumes`` on a stack of one.
+    ``gated_volumes``: floats for one simplex, lists of M floats for a
+    stack, whose ``centroid`` and ``facets`` carry a leading (M,) axis.
     """
 
     vertices: np.ndarray
-    volume: float = field(init=False, repr=False)
-    scale: float = field(init=False, repr=False)
+    volume: float | list[float] = field(init=False, repr=False)
+    scale: float | list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
+        if v.ndim not in (2, 3) or v.shape[-2] != v.shape[-1] + 1:
             raise DimensionMismatchError(
                 f"expected (N+1, N) vertex array, got shape {v.shape}"
             )
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        (volume,), (scale,) = gated_volumes(v[None])
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "scale", scale)
+        lone = v.ndim == 2
+        volumes, scales = gated_volumes(v[None] if lone else v)
+        object.__setattr__(self, "volume", volumes[0] if lone else volumes)
+        object.__setattr__(self, "scale", scales[0] if lone else scales)
 
     @property
     def dim(self) -> int:
-        return self.vertices.shape[1]
+        return self.vertices.shape[-1]
 
     @cached_property
     def centroid(self) -> np.ndarray:
-        c = self.vertices.mean(axis=0)
+        c = self.vertices.mean(axis=-2)
         c.flags.writeable = False
         return c
 
     @cached_property
     def facets(self) -> Facets:
-        """All N+1 facets, ordered by ascending opposite-vertex index:
-        ``stacked_facets`` on a stack of one."""
-        facets = stacked_facets(self.vertices[None], [self.volume])
-        return Facets(facets.vertices[0], facets.normals[0], facets.measures[0])
+        """All N+1 facets, ordered by ascending opposite-vertex index."""
+        return stacked_facets(self.vertices, self.volume)
 
 
-def stacked_facets(stack: np.ndarray, volumes: list[float]) -> Facets:
-    """The facets of each simplex of a (M, N+1, N) vertex stack that
-    ``gated_volumes`` accepted, given the volumes it returned.
+def stacked_facets(stack: np.ndarray, volumes) -> Facets:
+    """The facets of a (..., N+1, N) vertex array that ``gated_volumes``
+    accepted, given the volume of each simplex: one stacked inverse.
 
     Closed form from the barycentric gradients: the rows of inv(E)^T,
     E = V[1:] - V[0], are grad lambda_1..N, and grad lambda_0 is minus
@@ -142,14 +144,14 @@ def stacked_facets(stack: np.ndarray, volumes: list[float]) -> Facets:
     gather through ``_facet_index(N)``.
     """
     n = stack.shape[-1]
-    grads = np.linalg.inv(stack[:, 1:] - stack[:, :1]).swapaxes(-1, -2)
+    grads = np.linalg.inv(stack[..., 1:, :] - stack[..., :1, :]).swapaxes(-1, -2)
     # Column-major per item, as a lone transposed inverse is: the layout
     # fixes how the per-facet dots with the normals round.
-    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    grads = np.concatenate([-grads.sum(axis=-2, keepdims=True), grads], axis=-2)
     lengths = np.sqrt((grads * grads).sum(axis=-1))
     normals = -grads / lengths[..., None]
-    measures = (n * np.array(volumes))[:, None] * lengths
-    vertices = np.take(stack, _facet_index(n), axis=1)
+    measures = (n * np.asarray(volumes))[..., None] * lengths
+    vertices = np.take(stack, _facet_index(n), axis=-2)
     for a in (vertices, normals, measures):
         a.flags.writeable = False
     return Facets(vertices, normals, measures)

@@ -3,9 +3,9 @@ d/dt integral_{Omega_t} f at t = 0, for a simplex Omega perturbed along an
 affine field xi:
 
 * boundary route: exact facet-wise quadrature of f * (xi . n), one stacked
-                  product over all facets: ``boundary_moments`` on a
-                  stack of simplices and fields, and ``boundary_integral``
-                  on one simplex and one field,
+                  product over all facets: ``boundary_integral`` on one
+                  simplex and one field, or on a stack of simplices
+                  (a stacked ``Simplex``) and a stack of fields, one each,
 * volume route:   centroid rule on the (affine) divergence density,
 * fd route:       Richardson-extrapolated central differences of exact
                   integrals over the four perturbed images: one
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
 from .fields import AffineDensity, AffineField, div_density_field
-from .geometry import Facets, Simplex, _facet_index, gated_volumes
+from .geometry import Simplex, _facet_index, gated_volumes
 
 _EPS = float(np.finfo(float).eps)
 
@@ -61,50 +61,48 @@ def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):
         raise DimensionMismatchError(
             f"simplex dim {s.dim}, density dim {f.dim}, field dim {xi.dim}"
         )
+    if xi.offset.ndim > 1 and xi.offset.shape[:-1] != s.vertices.shape[:-2]:
+        raise DimensionMismatchError(f"a stack of fields {xi.offset.shape[:-1]} "
+                                     f"needs as many simplices, got {s.vertices.shape[:-2]}")
 
 
-def boundary_moments(f: AffineDensity, x: np.ndarray, facets: Facets) -> np.ndarray:
-    """Per-facet integrals of f * (xi . n) over the boundary of a stack of
-    simplices, as a (..., N+1) array, from ``x`` (..., N+1, N), the field
-    values at the simplex vertices, and the simplices' ``facets``, whose
-    arrays broadcast against it.
-
-    On each facet the integrand is a product of two affine functions, so the
-    degree-2 barycentric moment rule
-    int_F lam_i lam_j dS = measure(F) * (1 + delta_ij) / ((d+1)(d+2)),
-    d = N - 1, integrates it exactly:
-    int_F u v dS = measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)),
-    with u = f and v = xi . n at the facet's N vertices. The field values
-    are gathered to the facets, which gives the same bits as evaluating
-    the field on the facet stack.
-    """
-    n = x.shape[-1]
-    u = f.at(facets.vertices)
-    # The density stays on the facet stack: evaluated once per vertex and
-    # gathered, its dot products take another BLAS kernel and round
-    # differently. The field's matrix products keep their bits.
-    v = np.matmul(np.take(x, _facet_index(n), axis=-2), facets.normals[..., None])[..., 0]
-    return facets.measures / (n * (n + 1)) * (
-        u.sum(axis=-1) * v.sum(axis=-1) + (u * v).sum(axis=-1))
-
-
-def decomposition(values: list[float]) -> tuple[float, tuple[tuple[int, float], ...]]:
-    """(total, per-facet pairs) of one simplex's facet values; the total is
-    accumulated in ascending facet-index order."""
+def _decomposition(values: list[float]) -> tuple[float, tuple[tuple[int, float], ...]]:
     total = 0.0
     for value in values:  # not sum(): it compensates from Python 3.12 on
         total += value
     return total, tuple(enumerate(values))
 
 
-def boundary_integral(
-    s: Simplex, f: AffineDensity, xi: AffineField
-) -> tuple[float, tuple[tuple[int, float], ...]]:
-    """Integral of f * (xi . n) over the boundary of ``s``:
-    ``boundary_moments`` on a stack of one, with xi evaluated once per
-    simplex vertex. Returns (total, per-facet contributions)."""
+def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
+    """Integral of f * (xi . n) over the boundary of ``s``.
+
+    On each facet the integrand is a product of two affine functions, so the
+    degree-2 barycentric moment rule
+    int_F lam_i lam_j dS = measure(F) * (1 + delta_ij) / ((d+1)(d+2)),
+    d = N - 1, integrates it exactly:
+    int_F u v dS = measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)),
+    with u = f and v = xi . n at the facet's N vertices. All N+1 facets are
+    evaluated at once, as stacked products over ``s.facets.vertices``; xi
+    is evaluated once per simplex vertex and gathered, which gives the same
+    bits as evaluating it on the stack.
+
+    Returns (total, per-facet contributions); the total is accumulated in
+    ascending facet-index order. For a stacked ``Simplex`` and a stack of
+    fields, one per simplex, returns the list of those pairs.
+    """
     _check_dims(s, f, xi)
-    return decomposition(boundary_moments(f, xi.at(s.vertices), s.facets).tolist())
+    n = s.dim
+    facets = s.facets
+    u = f.at(facets.vertices)
+    # The density stays on the facet stack: evaluated once per vertex and
+    # gathered, its dot products take another BLAS kernel and round
+    # differently. The field's matrix products keep their bits.
+    x = np.take(xi.at(s.vertices), _facet_index(n), axis=-2)
+    v = np.matmul(x, facets.normals[..., None])[..., 0]
+    values = (facets.measures / (n * (n + 1)) * (
+        u.sum(axis=-1) * v.sum(axis=-1) + (u * v).sum(axis=-1)
+    )).tolist()
+    return [_decomposition(v) for v in values] if s.vertices.ndim == 3 else _decomposition(values)
 
 
 def volume_integral(s: Simplex, f: AffineDensity, xi: AffineField) -> float:

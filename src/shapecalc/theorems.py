@@ -4,19 +4,23 @@ Every proof translates the simplex along a constant field xi, splits the
 boundary derivative sum_i A_i (xi . n_i) = 0 into one term per facet, and
 reads the theorem off those terms. So each theorem is one ``Theorem`` row
 of ``THEOREMS``, keyed by its CLI name, and one routine, ``prove``, runs
-every row on a list of instances as one stack: it checks ``precondition``,
-builds the row's ``stack``, evaluates each of ``translations`` ("" or a
-side -> formula) on it and takes every decomposition from one boundary
-product, then reports ``summary``, ``scale``, ``auxiliary`` (of the stack
-and the decompositions, key -> (total, per-facet terms)), one per
-instance, and each instance's ``residual``. Each instance gets the bits it
-gets alone: dot products stay BLAS products in the lone layout, angles
-stay ``math`` calls on Python floats, and totals add in facet order. The
-CLI reads a row's ``report`` name, ``generate(seed, dim, legs)`` and the
-``ShapeDocument`` methods ``document`` (an instance) and ``field_document``
-(what derive's named ``fields`` take). Rows call this module's functions
-by name at run time, so a tracer can rebind them. Tolerances are
-implementation choices (the underlying mathematics is exact).
+every row on a list of instances as one stack: it checks ``precondition``
+on each, builds the row's ``stack`` (one stacked ``Simplex``, so one gate
+and one facet inverse), builds each of ``fields`` ("" or a side ->
+builder, the ones derive names) from ``shape(stack)`` as one stack of
+fields and decomposes it with one ``boundary_integral`` call, then
+reports ``summary``, ``scale``, ``auxiliary`` (of the stack and the
+decompositions, key -> (total, per-facet terms)) and ``residual``, one
+per instance. Each instance gets the bits it gets alone: stacked
+``det`` and ``inv`` round each matrix as a lone call does, dot products
+stay BLAS products in the lone layout, angles stay ``math`` calls on
+Python floats, and totals add in facet order. The ``verify_*`` functions
+take one instance or a list. The CLI reads a row's ``report`` name,
+``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
+methods ``document`` (an instance) and ``field_document`` (what derive's
+named fields take). Rows call this module's functions by name at run
+time, so a tracer can rebind them. Tolerances are implementation choices
+(the underlying mathematics is exact).
 """
 
 from __future__ import annotations
@@ -37,26 +41,13 @@ from .errors import (
 )
 from .fields import (
     AffineDensity,
-    constant_values,
     cosines_field,
-    cosines_translation,
     nd_pythagoras_field,
-    nd_pythagoras_translation,
     pythagoras_field,
-    pythagoras_translation,
     sines_field,
-    sines_translation,
 )
-from .geometry import (
-    Facets,
-    Simplex,
-    Triangle,
-    _facet_index,
-    as_vector,
-    gated_volumes,
-    stacked_facets,
-)
-from .hadamard import boundary_moments, decomposition
+from .geometry import Facets, Simplex, Triangle, as_vector
+from .hadamard import boundary_integral
 
 DEFAULT_TOL_ABS = 1e-12
 DEFAULT_TOL_REL = 1e-12
@@ -135,33 +126,31 @@ def _right_angle_at_c(t: Triangle) -> None:
         )
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u . v for each row of two (M, N) stacks, as a (M, 1) array: one
-    (1, N) @ (N, 1) product per row, the BLAS dot of a lone 1-D ``u @ v``."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0]
-
-
 class _Triangles:
-    """A stack of triangles as arrays, read from what each ``Triangle``
-    computed: ``items``, lengths ``a``, ``b``, ``c`` (M, 1), vertices
-    ``A``, ``B``, ``C`` and outward normals ``n_a``, ``n_b``, ``n_c``
-    (M, 2), and their ``facets``."""
+    """A stack of triangles under the attribute names of one ``Triangle``:
+    ``items``, their ``simplex`` (one ``Simplex`` of the M vertex arrays),
+    lengths ``a``, ``b``, ``c`` (M, 1), vertices ``A``, ``B``, ``C`` and
+    outward normals ``n_a``, ``n_b``, ``n_c`` (M, 2)."""
 
     def __init__(self, triangles: list[Triangle]):
         self.items = triangles
-        vertices = np.array([t.simplex.vertices for t in triangles])
-        # Column-major per item, as each triangle's own normals are.
-        normals = np.empty((len(triangles), 2, 3)).swapaxes(1, 2)
-        normals[...] = [t.simplex.facets.normals for t in triangles]
-        measures = np.array([t.simplex.facets.measures for t in triangles])
-        self.facets = Facets(np.take(vertices, _facet_index(2), axis=1), normals, measures)
-        self.A, self.B, self.C = vertices.swapaxes(0, 1)
-        self.n_a, self.n_b, self.n_c = normals.swapaxes(0, 1)
+        # Each triangle built these bits alone, outside the proof's float
+        # range, and any overflow warning was given then.
+        with np.errstate(all="ignore"):
+            self.simplex = Simplex(np.array([t.simplex.vertices for t in triangles]))
+            self.n_a, self.n_b, self.n_c = self.simplex.facets.normals.swapaxes(0, 1)
+        self.A, self.B, self.C = self.simplex.vertices.swapaxes(0, 1)
         self.a, self.b, self.c = np.array([(t.a, t.b, t.c) for t in triangles]).T[..., None]
 
 
-def _triangle_summaries(ts: _Triangles) -> list[dict]:
-    return [{
+def _each(member: Callable) -> Callable:
+    """A row member on a stack from one on an instance: ``member`` on each
+    item, with the item's decompositions where the row passes them."""
+    return lambda stack, *per_item: [member(*args) for args in zip(stack.items, *per_item)]
+
+
+def _triangle_summary(t: Triangle) -> dict:
+    return {
         "vertices": t.simplex.vertices.tolist(),
         "a": t.a,
         "b": t.b,
@@ -169,22 +158,19 @@ def _triangle_summaries(ts: _Triangles) -> list[dict]:
         "alpha": t.alpha,
         "beta": t.beta,
         "gamma": t.gamma,
-    } for t in ts.items]
+    }
 
 
-def _pythagoras_auxiliaries(ts: _Triangles, decompositions: list[dict]) -> list[dict]:
-    auxiliaries = []
-    for t, d in zip(ts.items, decompositions):
-        expected = (-t.a**2, -t.b**2, t.c**2)
-        auxiliaries.append({
-            "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
-            "per_facet_deviation": max(abs(value - expected[i]) for i, value in d[""][1]),
-        })
-    for side, n_side in (("a", ts.n_a), ("b", ts.n_b)):
-        values = ts.c * _dots(ts.n_c, n_side) + getattr(ts, side)
-        for auxiliary, value in zip(auxiliaries, values[:, 0].tolist()):
-            auxiliary[f"c_nc_dot_n{side}_plus_{side}"] = value
-    return auxiliaries
+def _pythagoras_auxiliary(t: Triangle, decompositions: dict) -> dict:
+    expected = (-t.a**2, -t.b**2, t.c**2)
+    return {
+        "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
+        "per_facet_deviation": max(
+            abs(value - expected[i]) for i, value in decompositions[""][1]
+        ),
+        "c_nc_dot_na_plus_a": float(t.c * (t.n_c @ t.n_a) + t.a),
+        "c_nc_dot_nb_plus_b": float(t.c * (t.n_c @ t.n_b) + t.b),
+    }
 
 
 def _sines_auxiliary(t: Triangle, decompositions: dict) -> dict:
@@ -206,18 +192,9 @@ def _sines_auxiliary(t: Triangle, decompositions: dict) -> dict:
     }
 
 
-def _cosines_auxiliaries(ts: _Triangles, _) -> list[dict]:
-    laws = [t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma)
-            for t in ts.items]
-    dots = _dots(ts.n_a, ts.n_b)[:, 0] + [math.cos(t.gamma) for t in ts.items]
-    return [{"law_value": law, "na_dot_nb_plus_cos_gamma": dot}
-            for law, dot in zip(laws, dots.tolist())]
-
-
 class _RightSimplices:
-    """A stack of right simplices of one dimension: ``items``, the vertex
-    stack ``vertices`` (M, N+1, N), each apex first, and the ``volumes``
-    of one degeneracy gate on it."""
+    """A stack of right simplices of one dimension: ``items`` and their
+    ``simplex``, one ``Simplex`` of the M vertex arrays, each apex first."""
 
     def __init__(self, specs: list[RightSimplexSpec]):
         dims = sorted({r.legs.shape[0] for r in specs})
@@ -225,28 +202,21 @@ class _RightSimplices:
             raise DimensionMismatchError(f"a proof stack needs one dimension, got {dims}")
         self.items = specs
         apex = np.array([r.apex for r in specs])[:, None]
-        self.vertices = np.concatenate([apex, apex + np.array([r.legs for r in specs])],
-                                       axis=1)
-        self.volumes, _ = gated_volumes(self.vertices)
-
-    @cached_property
-    def facets(self) -> Facets:
-        # Built where first used, inside the proof's float range, as the
-        # proof of a lone simplex builds its facets.
-        return stacked_facets(self.vertices, self.volumes)
+        self.simplex = Simplex(np.concatenate([apex, apex + np.array([r.legs for r in specs])],
+                                              axis=1))
 
 
 def _nd_auxiliaries(rs: _RightSimplices, _) -> list[dict]:
+    facets = rs.simplex.facets
     auxiliaries = []
-    for measures in rs.facets.measures.tolist():
+    for measures, residuals in zip(facets.measures.tolist(),
+                                   _face_normal_residuals(facets).tolist()):
         expected = [measures[0] ** 2] + [-m**2 for m in measures[1:]]
         auxiliaries.append({
             "leg_face_measures": measures[1:],
             "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
+            "face_normal_residuals": residuals,
         })
-    residuals = _face_normal_residuals(rs.facets).tolist()
-    for auxiliary, values in zip(auxiliaries, residuals):
-        auxiliary["face_normal_residuals"] = values
     return auxiliaries
 
 
@@ -256,21 +226,22 @@ class Theorem:
 
     report: str
     generate: Callable
+    verify: Callable
     document: str
     field_document: str
     fields: dict[str, Callable]
     stack: Callable
-    translations: dict[str, Callable]
     summary: Callable
     scale: Callable
     auxiliary: Callable
     residual: Callable = lambda decompositions, auxiliary: decompositions[""][0]
     precondition: Callable = lambda instance: None
+    shape: Callable = lambda stack: stack
 
 
 _TRIANGLE = dict(document="triangle", field_document="triangle", stack=_Triangles,
-                 summary=_triangle_summaries,
-                 scale=lambda ts: [max(t.a, t.b, t.c) for t in ts.items])
+                 summary=_each(_triangle_summary),
+                 scale=_each(lambda t: max(t.a, t.b, t.c)))
 
 THEOREMS = {
     # Right angle at C, field c * n_c: side c contributes c^2, and sides a and
@@ -278,10 +249,10 @@ THEOREMS = {
     "pythagoras": Theorem(
         report="pythagoras",
         generate=lambda seed, dim, legs: random_triangle(seed, "right"),
+        verify=lambda *args: verify_pythagoras(*args),
         fields={"": lambda t: pythagoras_field(t)},
-        translations={"": pythagoras_translation},
         precondition=_right_angle_at_c,
-        auxiliary=_pythagoras_auxiliaries,
+        auxiliary=_each(_pythagoras_auxiliary),
         **_TRIANGLE,
     ),
     # A unit field along each side: along side a, facet a contributes ~0 and
@@ -290,13 +261,11 @@ THEOREMS = {
     "sines": Theorem(
         report="sines",
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
+        verify=lambda *args: verify_law_of_sines(*args),
         fields={side: lambda t, side=side: sines_field(t, side) for side in "abc"},
-        translations={side: lambda ts, side=side: sines_translation(ts, side)
-                      for side in "abc"},
         residual=lambda _, auxiliary: (max(auxiliary["ratios"].values())
                                        - min(auxiliary["ratios"].values())),
-        auxiliary=lambda ts, decompositions: [
-            _sines_auxiliary(t, d) for t, d in zip(ts.items, decompositions)],
+        auxiliary=_each(_sines_auxiliary),
         **_TRIANGLE,
     ),
     # Field c n_c - a n_a - b n_b: the terms add up to
@@ -304,31 +273,35 @@ THEOREMS = {
     "cosines": Theorem(
         report="cosines",
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
+        verify=lambda *args: verify_law_of_cosines(*args),
         fields={"": lambda t: cosines_field(t)},
-        translations={"": cosines_translation},
-        auxiliary=_cosines_auxiliaries,
+        auxiliary=_each(lambda t, _: {
+            "law_value": t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma),
+            "na_dot_nb_plus_cos_gamma": float(t.n_a @ t.n_b + math.cos(t.gamma)),
+        }),
         **_TRIANGLE,
     ),
     # Right N-simplex, field C * n_C with C the hypotenuse-facet measure: the
     # hypotenuse contributes C^2, leg facet i -A_i^2 (A_i = -C n_C . n_i).
-    # The proof's hypotenuse is facet 0; derive's field takes the document's
-    # simplex and its hyp_index.
+    # The field takes a simplex and its hypotenuse facet: facet 0 here, the
+    # document's own simplex and hyp_index in derive.
     "nd-pythagoras": Theorem(
         report="nd_pythagoras",
         generate=lambda *args: random_right_simplex(*args),
+        verify=lambda *args: verify_nd_pythagoras(*args),
         document="right_simplex",
         field_document="hypotenuse",
         fields={"": lambda shape: nd_pythagoras_field(*shape)},
         stack=_RightSimplices,
-        translations={"": lambda rs: nd_pythagoras_translation(rs.facets, 0)},
+        shape=lambda rs: (rs.simplex, 0),
         summary=lambda rs: [{
-            "dim": rs.vertices.shape[-1],
+            "dim": rs.simplex.dim,
             "vertices": vertices,
             "leg_lengths": r.leg_lengths.tolist(),
             "hyp_measure": hyp,
-        } for r, vertices, hyp in zip(rs.items, rs.vertices.tolist(),
-                                      rs.facets.measures[:, 0].tolist())],
-        scale=lambda rs: rs.facets.measures[:, 0].tolist(),
+        } for r, vertices, hyp in zip(rs.items, rs.simplex.vertices.tolist(),
+                                      rs.simplex.facets.measures[:, 0].tolist())],
+        scale=lambda rs: rs.simplex.facets.measures[:, 0].tolist(),
         auxiliary=_nd_auxiliaries,
     ),
 }
@@ -348,14 +321,12 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
         for instance in instances:
             row.precondition(instance)
         stack = row.stack(instances)
+        s, shape = stack.simplex, row.shape(stack)
+        one = AffineDensity.one(s.dim)
         with float_range(f"the {theorem} proof overflows the float range") as finite:
-            # (keys, M, N) translations, every decomposition from one product.
-            offsets = np.array([translate(stack) for translate in row.translations.values()])
-            n = offsets.shape[-1]
-            values = boundary_moments(AffineDensity.one(n), constant_values(offsets, n + 1),
-                                      stack.facets).tolist()
-            decompositions = [dict(zip(row.translations, map(decomposition, per_key)))
-                              for per_key in zip(*values)]
+            per_key = {key: boundary_integral(s, one, build(shape))
+                       for key, build in row.fields.items()}
+            decompositions = [dict(zip(per_key, d)) for d in zip(*per_key.values())]
             auxiliaries = row.auxiliary(stack, decompositions)
             residuals = [row.residual(d, a) for d, a in zip(decompositions, auxiliaries)]
             for residual, d in zip(residuals, decompositions):
@@ -385,35 +356,52 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
         raise
 
 
+def _verify(theorem: str, shapes, tol_abs: float, tol_rel: float):
+    # A list is proved as one stack, one shape as a list of one.
+    if isinstance(shapes, list):
+        return prove(theorem, shapes, tol_abs, tol_rel)
+    return prove(theorem, [shapes], tol_abs, tol_rel)[0]
+
+
 def verify_pythagoras(
-    t: Triangle, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL
-) -> TheoremReport:
-    """c^2 == a^2 + b^2 for a right triangle (right angle at C)."""
-    return prove("pythagoras", [t], tol_abs, tol_rel)[0]
+    t: Triangle | list[Triangle],
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
+) -> TheoremReport | list[TheoremReport]:
+    """c^2 == a^2 + b^2 for a right triangle (right angle at C); for a list
+    of them, one report each."""
+    return _verify("pythagoras", t, tol_abs, tol_rel)
 
 
 def verify_law_of_sines(
-    t: Triangle, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL
-) -> TheoremReport:
-    """a / sin(alpha) == b / sin(beta) == c / sin(gamma) for any triangle."""
-    return prove("sines", [t], tol_abs, tol_rel)[0]
+    t: Triangle | list[Triangle],
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
+) -> TheoremReport | list[TheoremReport]:
+    """a / sin(alpha) == b / sin(beta) == c / sin(gamma) for any triangle;
+    for a list of them, one report each."""
+    return _verify("sines", t, tol_abs, tol_rel)
 
 
 def verify_law_of_cosines(
-    t: Triangle, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL
-) -> TheoremReport:
-    """c^2 == a^2 + b^2 - 2ab cos(gamma) for any triangle."""
-    return prove("cosines", [t], tol_abs, tol_rel)[0]
+    t: Triangle | list[Triangle],
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
+) -> TheoremReport | list[TheoremReport]:
+    """c^2 == a^2 + b^2 - 2ab cos(gamma) for any triangle; for a list of
+    them, one report each."""
+    return _verify("cosines", t, tol_abs, tol_rel)
 
 
 def verify_nd_pythagoras(
-    r: RightSimplexSpec,
+    r: RightSimplexSpec | list[RightSimplexSpec],
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-) -> TheoremReport:
+) -> TheoremReport | list[TheoremReport]:
     """C^2 == sum_i A_i^2 for a right N-simplex (C the hypotenuse-facet
-    measure, A_i the leg-facet measures)."""
-    return prove("nd-pythagoras", [r], tol_abs, tol_rel)[0]
+    measure, A_i the leg-facet measures); for a list of them, all of one
+    dimension, one report each."""
+    return _verify("nd-pythagoras", r, tol_abs, tol_rel)
 
 
 def _face_normal_residuals(facets: Facets) -> np.ndarray:

@@ -211,6 +211,18 @@ def gated_volumes_two_path(stack: np.ndarray) -> tuple[list[float], list[float]]
     return [abs(det) / math.factorial(n) for det in dets], scales
 
 
+def facets_alone(s: Simplex) -> SimpleNamespace:
+    """Reference facets of one simplex, as computed before stacks: the
+    closed form on the (N+1, N) vertex array itself. ``Simplex.facets``
+    must match it bit for bit, with the normals in the same layout."""
+    v, n = s.vertices, s.dim
+    grads = np.linalg.inv(v[1:] - v[0]).T
+    grads = np.concatenate([-grads.sum(axis=0)[None], grads])
+    lengths = np.sqrt((grads * grads).sum(axis=1))
+    return SimpleNamespace(vertices=v[_facet_index(n)], normals=-grads / lengths[:, None],
+                           measures=n * s.volume * lengths)
+
+
 def _boundary_integral_alone(s: Simplex, f: AffineDensity, xi: AffineField):
     # The boundary route on one simplex and one field, as before stacks.
     n = s.dim

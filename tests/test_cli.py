@@ -291,6 +291,7 @@ class TestExitCodes:
             '{"matrix": {}, "offset": [0, 0]}',
             f'{{"matrix": [[1, 0], [0, {HUGE_INT}]], "offset": [0, 0]}}',
             f'{{"matrix": [[1, 0], [0, 1]], "offset": [{HUGE_INT}, 0]}}',
+            '{"matrix": [[1, 0], [0, 1]], "offset": [[0, 0], [1, 1]]}',
             "sines:d",
             "sines:",
             "sines",
@@ -305,6 +306,8 @@ class TestExitCodes:
             if not spec.startswith("{"):
                 assert (f"unknown field spec {spec!r}; use inline JSON or one of "
                         "pythagoras, sines:a|b|c, cosines, nd-pythagoras") in err, err
+            if "[[0, 0]" in spec:  # a stack of offsets is not one field
+                assert "field offset must be 1-D, got shape (2, 2)" in err, err
 
     def test_field_help_lists_the_named_fields(self, capsys):
         with pytest.raises(SystemExit):

@@ -20,13 +20,6 @@ from shapecalc import (
     pythagoras_field,
     sines_field,
 )
-from shapecalc.fields import (
-    constant_values,
-    cosines_translation,
-    nd_pythagoras_translation,
-    pythagoras_translation,
-    sines_translation,
-)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -128,21 +121,28 @@ class TestDivergenceDensity:
             assert div(x) == pytest.approx(direct, rel=1e-13, abs=1e-14)
 
 
-class TestConstantValues:
-    def test_bits_of_the_constant_field(self):
-        # Signed zeros included: the field's zero matrix product adds +0.0.
+class TestFieldStacks:
+    def test_each_field_of_a_stack_evaluates_as_alone(self):
+        # Signed zeros included: the zero matrix product adds +0.0 either way.
         rng = np.random.default_rng(5)
         for dim in (2, 3, 8, 16):
-            for _ in range(50):
-                b = rng.choice([0.0, -0.0, 1.5, -2.0, 1e-300], dim)
-                points = rng.choice([0.0, -0.0, -1.0, 3.0], (dim + 1, dim))
-                expected = AffineField.constant(b).at(points)
-                values = constant_values(b[None], dim + 1)[0]
-                assert values.tobytes() == expected.tobytes()
+            offsets = rng.choice([0.0, -0.0, 1.5, -2.0, 1e-300], (7, dim))
+            points = rng.choice([0.0, -0.0, -1.0, 3.0], (7, dim + 1, dim))
+            values = AffineField.constant(offsets).at(points)
+            assert values.shape == points.shape
+            for b, p, row in zip(offsets, points, values):
+                assert row.tobytes() == AffineField.constant(b).at(p).tobytes()
 
-    def test_stacked_translations_match_the_named_fields(self):
-        # One formula per translation: evaluated on a stack, each row is
-        # the offset of the named field of that triangle or simplex.
+    def test_bad_stacks_are_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="must have dimension 2"):
+            AffineField(np.zeros((2, 2)), [1.0, 2.0, 3.0])
+        for offsets in (np.zeros((4, 3)), np.full((4, 2), np.inf)):
+            with pytest.raises(ValueError, match="field offset must be 1-D"):
+                AffineField(np.zeros((2, 2)), offsets)
+
+    def test_proof_fields_of_a_stack_match_the_lone_fields(self):
+        # One builder per translation: on a stack, each row of the offsets
+        # is the offset of that triangle's or simplex's own field.
         triangles = [triangle_345(), equilateral(),
                      Triangle([0.3, -0.2], [-0.9, 0.4], [0.6, 0.8])]
         stack = SimpleNamespace(**{
@@ -150,19 +150,15 @@ class TestConstantValues:
             for name in ("A", "B", "C", "n_a", "n_b", "n_c")},
             **{name: np.array([[getattr(t, name)] for t in triangles])
                for name in ("a", "b", "c")})
-        cases = [(pythagoras_translation(stack), pythagoras_field),
-                 (cosines_translation(stack), cosines_field)] + [
-            (sines_translation(stack, side), lambda t, side=side: sines_field(t, side))
-            for side in "abc"]
-        for offsets, build in cases:
-            for t, row in zip(triangles, offsets):
+        builds = [pythagoras_field, cosines_field] + [
+            lambda t, side=side: sines_field(t, side) for side in "abc"]
+        for build in builds:
+            for t, row in zip(triangles, build(stack).offset):
                 assert row.tobytes() == build(t).offset.tobytes()
         simplices = [support.random_simplex(np.random.default_rng(k), 4) for k in range(3)]
-        facets = SimpleNamespace(
-            measures=np.array([s.facets.measures for s in simplices]),
-            normals=np.array([s.facets.normals for s in simplices]))
+        stacked = Simplex(np.array([s.vertices for s in simplices]))
         for hyp in range(5):
-            offsets = nd_pythagoras_translation(facets, hyp)
+            offsets = nd_pythagoras_field(stacked, hyp).offset
             for s, row in zip(simplices, offsets):
                 assert row.tobytes() == nd_pythagoras_field(s, hyp).offset.tobytes()
 

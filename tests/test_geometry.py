@@ -197,6 +197,39 @@ class TestStackedGeometry:
                 assert stacked.strides == alone.strides, name
                 assert not stacked.flags.writeable
 
+    @pytest.mark.parametrize("m, dim", STACK_SHAPES)
+    def test_lone_facets_match_the_reference(self, m, dim):
+        for vertices in scaled_stack(m, dim):
+            s = Simplex(vertices)
+            expected = support.facets_alone(s)
+            for name in ("vertices", "normals", "measures"):
+                got, want = getattr(s.facets, name), getattr(expected, name)
+                assert got.tobytes() == want.tobytes(), name
+                assert got.strides == want.strides, name
+
+    @pytest.mark.parametrize("m, dim", STACK_SHAPES)
+    def test_stacked_simplex_is_its_items(self, m, dim):
+        stack = scaled_stack(m, dim)
+        stacked = Simplex(stack)
+        assert stacked.dim == dim
+        alone = [Simplex(vertices) for vertices in stack]
+        assert stacked.volume == [s.volume for s in alone]
+        assert stacked.scale == [s.scale for s in alone]
+        for k, s in enumerate(alone):
+            assert stacked.centroid[k].tobytes() == s.centroid.tobytes()
+            for name in ("vertices", "normals", "measures"):
+                item = getattr(stacked.facets, name)[k]
+                assert item.tobytes() == getattr(s.facets, name).tobytes(), name
+
+    def test_stacked_simplex_gates_every_item(self):
+        stack = scaled_stack(4, 3)
+        stack[2, 3] = stack[2, 1]  # a repeated vertex
+        with pytest.raises(DegenerateSimplexError) as err:
+            Simplex(stack)
+        assert err.value.index == 2
+        with pytest.raises(DimensionMismatchError, match="expected"):
+            Simplex(np.zeros((2, 4, 4, 3)))
+
     @pytest.mark.parametrize("dim", range(2, 17))
     def test_edge_index_is_cached_and_read_only(self, dim):
         index = geometry._edge_index(dim)

@@ -516,6 +516,19 @@ class TestStackedProof:
         assert stacked == alone
         assert len(stacked) == count
 
+    @pytest.mark.parametrize("verify, make", [
+        (verify_pythagoras, lambda k: random_triangle(k, "right")),
+        (verify_law_of_sines, lambda k: random_triangle(k, "general")),
+        (verify_law_of_cosines, lambda k: random_triangle(k, "obtuse")),
+        (verify_nd_pythagoras, lambda k: random_right_simplex(k, 5, "scaled")),
+    ])
+    def test_verify_takes_one_instance_or_a_list(self, verify, make):
+        instances = [make(k) for k in range(7)]
+        reports = verify(instances, 1e-12, 0.0)
+        assert [json.dumps(r.to_dict()) for r in reports] == [
+            json.dumps(verify(instance, 1e-12, 0.0).to_dict()) for instance in instances]
+        assert verify([]) == []
+
     @pytest.mark.parametrize("legs", ["orthonormal", "scaled"])
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_nd_batch_of_thirty(self, dim, legs):

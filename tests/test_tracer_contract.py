@@ -1,10 +1,11 @@
 """The benchmark tracer's contract with the CLI, for every theorem and every
 named field: no traced call is missing, a verify batch counts one instance
-per generated shape and proves the batch as one stack outside every
-traced span, every named derive field is built through its public
-constructor, and a derive evaluates its four finite-difference images in
-one ``perturbed_integral`` call, building no ``Simplex`` beyond the
-input's. The benchmark's own tests run only a few of these calls, so a
+per generated shape and proves the batch as one stack in one verifier
+span (one stacked ``Simplex``, one stack of fields and one boundary
+integral per field of the row), every named derive field is built
+through its public constructor, and a derive evaluates its four
+finite-difference images in one ``perturbed_integral`` call, building no
+``Simplex`` beyond the input's. The benchmark's own tests run only a few of these calls, so a
 table row that stored a function object, and so bypassed the tracer,
 would slip past them.
 
@@ -14,6 +15,7 @@ written.
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,18 +77,28 @@ def test_verify_batch_is_traced(theorem, options, tmp_path):
     generate, root = tracer.name_ids["theorems.generate"], tracer.name_ids["cli.main"]
     parents = [p for n, p in zip(tracer.name, tracer.parent) if n == generate]
     assert [tracer.name[p] for p in parents] == [root] * count
-    # The batch is proved as one stack by ``prove``, which is not traced: no
-    # per-instance verifier, proof field or boundary integral runs.
-    assert spans["theorems.verify"][1] == 0
-    assert spans["fields.proof_field"][1] == 0
-    assert spans["hadamard.boundary_integral"][1] == 0
-    if theorem == "nd-pythagoras":
-        # One stacked gate and facet routine, no Simplex per instance.
-        assert spans["geometry.Simplex"][1] == 0
-        assert spans["geometry.facets"][1] == 0
-    else:
-        # Each facet span is a generated Triangle's own, under its generator.
-        assert spans["geometry.facets"][1] == spans["geometry.Triangle"][1] >= count
+    # One verifier span, directly under the root after the last instance is
+    # generated: the tracer files the stacked proof under that instance.
+    verify = tracer.name_ids["theorems.verify"]
+    spans_of = lambda nid: [i for i, n in enumerate(tracer.name) if n == nid]
+    assert [(tracer.parent[i], tracer.instance[i]) for i in spans_of(verify)] == \
+        [(spans_of(root)[0], count - 1)]
+
+    def in_proof(i):
+        while i >= 0 and tracer.name[i] != verify:
+            i = tracer.parent[i]
+        return i >= 0
+
+    # Inside it, one stacked Simplex and its facets, and one stack of fields
+    # and one boundary integral per field of the row.
+    proof = Counter(tracer.names[n] for n, p in zip(tracer.name, tracer.parent)
+                    if in_proof(p))
+    fields = len(THEOREMS[theorem].fields)
+    assert proof == {"geometry.Simplex": 1, "geometry.facets": 1,
+                     "fields.proof_field": fields, "hadamard.boundary_integral": fields}
+    if theorem != "nd-pythagoras":
+        # The other Simplex spans are the generated Triangles' own.
+        assert spans["geometry.Simplex"][1] == spans["geometry.Triangle"][1] + 1 > count
     # One report per instance, directly under the root, after the last
     # instance is generated: the tracer files the stacked proof under it.
     to_dict = tracer.name_ids["theorems.to_dict"]
