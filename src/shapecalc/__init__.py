@@ -24,7 +24,6 @@ from .fields import (
     AffineField,
     cosines_field,
     div_density_field,
-    eval_field,
     nd_pythagoras_field,
     pythagoras_field,
     sines_field,
@@ -82,7 +81,6 @@ __all__ = [
     "cosines_field",
     "default_fd_step",
     "div_density_field",
-    "eval_field",
     "face_normal_identity",
     "facet_measure",
     "fd_derivative",

@@ -88,17 +88,6 @@ class ShapeDocument:
     _simplex: Simplex | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
-    def to_dict(self) -> dict:
-        doc: dict = {"dim": self.dim, "vertices": self.vertices}
-        if self.labels is not None:
-            doc["labels"] = self.labels
-        if self.hyp_index is not None:
-            doc["hyp_index"] = self.hyp_index
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def simplex(self) -> Simplex:
         """The document's simplex, built on the first call and then kept."""
         if self._simplex is None:

@@ -52,13 +52,6 @@ class AffineField:
     def dim(self) -> int:
         return self.offset.shape[-1]
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.matrix.any()
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
-
     def at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on a (..., K, N) stack of points, returning (..., K, N)
         values; a stack of fields takes one (K, N) point array per field."""
@@ -97,11 +90,6 @@ class AffineDensity:
     def at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on a (..., N) stack of points, returning (...) values."""
         return points @ self.gradient + self.constant
-
-
-def eval_field(field: AffineField, x) -> np.ndarray:
-    """Evaluate ``field`` at a single point, with dimension checking."""
-    return field(as_vector(x, field.dim, "evaluation point"))
 
 
 def div_density_field(f: AffineDensity, xi: AffineField) -> AffineDensity:

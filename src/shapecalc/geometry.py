@@ -7,11 +7,14 @@ The facets of a simplex are held as arrays, one row per facet
 
 ``gated_volumes`` gates a (M, N+1, N) stack of vertex arrays on one path,
 and ``stacked_facets`` builds the facets of one simplex or of a stack from
-one stacked inverse; ``Simplex`` runs both, on one simplex or on a stack
-of them. Each item gets the bits it gets alone: stacked ``det`` and
-``inv`` round each matrix as a lone call does, and each item's normals
-keep the lone column-major layout. Vertex, normal and measure arrays are
-read-only; ``Simplex``, ``Facets`` and ``Triangle`` are frozen
+one stacked inverse, raising ``FloatRangeError`` where they overflow;
+``Simplex`` runs both, on one simplex or on a stack of them, and computes
+the facets on first read. Each item gets the bits it gets alone: stacked
+``det`` and ``inv`` round each matrix as a lone call does, and each item's
+normals keep the lone column-major layout. A ``Triangle``'s side normals
+are views of its simplex's facets, so building one computes none, and the
+same properties read a stacked simplex's. Vertex, normal and measure
+arrays are read-only; ``Simplex``, ``Facets`` and ``Triangle`` are frozen
 dataclasses.
 """
 
@@ -141,16 +144,19 @@ def stacked_facets(stack: np.ndarray, volumes) -> Facets:
     -grad lambda_i / |grad lambda_i|; its distance to vertex i is
     1 / |grad lambda_i|, so base-times-height gives the measure
     N * volume * |grad lambda_i|. The facet vertex arrays come from one
-    gather through ``_facet_index(N)``.
+    gather through ``_facet_index(N)``. Raises ``FloatRangeError`` where
+    the closed form overflows, as it does for a tiny simplex whose
+    gradients square past the float range.
     """
     n = stack.shape[-1]
-    grads = np.linalg.inv(stack[..., 1:, :] - stack[..., :1, :]).swapaxes(-1, -2)
-    # Column-major per item, as a lone transposed inverse is: the layout
-    # fixes how the per-facet dots with the normals round.
-    grads = np.concatenate([-grads.sum(axis=-2, keepdims=True), grads], axis=-2)
-    lengths = np.sqrt((grads * grads).sum(axis=-1))
-    normals = -grads / lengths[..., None]
-    measures = (n * np.asarray(volumes))[..., None] * lengths
+    with float_range("the facet geometry overflows the float range"):
+        grads = np.linalg.inv(stack[..., 1:, :] - stack[..., :1, :]).swapaxes(-1, -2)
+        # Column-major per item, as a lone transposed inverse is: the layout
+        # fixes how the per-facet dots with the normals round.
+        grads = np.concatenate([-grads.sum(axis=-2, keepdims=True), grads], axis=-2)
+        lengths = np.sqrt((grads * grads).sum(axis=-1))
+        normals = -grads / lengths[..., None]
+        measures = (n * np.asarray(volumes))[..., None] * lengths
     vertices = np.take(stack, _facet_index(n), axis=-2)
     for a in (vertices, normals, measures):
         a.flags.writeable = False
@@ -199,6 +205,12 @@ def _interior_angle(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(abs(cross), float(u @ v))
 
 
+def _side_normal(i: int) -> property:
+    """Side i's outward unit normals, a read-only view of ``simplex.facets``,
+    which the simplex computes on first read and caches."""
+    return property(lambda self: self.simplex.facets.normals[..., i, :])
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Triangle:
     """Plane triangle with labeled vertices A, B, C: ``Triangle(A, B, C)``.
@@ -207,20 +219,22 @@ class Triangle:
     ``b`` = |AC|, ``c`` = |AB|; interior angles ``alpha``, ``beta``, ``gamma``
     at A, B, C; outward unit side normals ``n_a``, ``n_b``, ``n_c``; and
     ``simplex``, whose facet order is (a, b, c): side x is the facet
-    opposite the like-named vertex. ``__post_init__`` sets them all once,
-    with A, B, C replaced by the rows of ``simplex.vertices``.
+    opposite the like-named vertex. ``__post_init__`` sets the lengths and
+    angles once, with A, B, C replaced by the rows of ``simplex.vertices``;
+    the side normals are views of ``simplex.facets``, computed on first read.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
 
+    n_a, n_b, n_c = map(_side_normal, range(3))
+
     def __post_init__(self):
         simplex = Simplex(np.array([as_vector(self.A, 2, "vertex A"),
                                     as_vector(self.B, 2, "vertex B"),
                                     as_vector(self.C, 2, "vertex C")]))
         A, B, C = simplex.vertices
-        n_a, n_b, n_c = simplex.facets.normals
         # np.linalg.norm's own formula for 1-D floats; .dot, unlike @, never warns.
         a, b, c = (math.sqrt(d.dot(d)) for d in (B - C, A - C, A - B))
         derived = {
@@ -228,7 +242,6 @@ class Triangle:
             "alpha": _interior_angle(B - A, C - A),
             "beta": _interior_angle(A - B, C - B),
             "gamma": _interior_angle(A - C, B - C),
-            "n_a": n_a, "n_b": n_b, "n_c": n_c,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)

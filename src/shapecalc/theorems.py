@@ -6,12 +6,14 @@ reads the theorem off those terms. So each theorem is one ``Theorem`` row
 of ``THEOREMS``, keyed by its CLI name, and one routine, ``prove``, runs
 every row on a list of instances as one stack: it checks ``precondition``
 on each, builds the row's ``stack`` (one stacked ``Simplex``, so one gate
-and one facet inverse), builds each of ``fields`` ("" or a side ->
-builder, the ones derive names) from ``shape(stack)`` as one stack of
-fields and decomposes it with one ``boundary_integral`` call, then
-reports ``summary``, ``scale``, ``auxiliary`` (of the stack and the
-decompositions, key -> (total, per-facet terms)) and ``residual``, one
-per instance. Each instance gets the bits it gets alone: stacked
+and one facet inverse, the proof's only one: the triangle rows read their
+side normals through the ``Triangle`` properties on it), builds each of
+``fields`` ("" or a side -> builder, the ones derive names) from
+``shape(stack)`` as one stack of fields and decomposes it with one
+``boundary_integral`` call, then reports ``summary``, ``scale``,
+``auxiliary`` (of the stack and the decompositions, key -> (total,
+per-facet terms)) and ``residual``, one per instance. Each instance gets
+the bits it gets alone: stacked
 ``det`` and ``inv`` round each matrix as a lone call does, dot products
 stay BLAS products in the lone layout, angles stay ``math`` calls on
 Python floats, and totals add in facet order. The ``verify_*`` functions
@@ -130,23 +132,30 @@ class _Triangles:
     """A stack of triangles under the attribute names of one ``Triangle``:
     ``items``, their ``simplex`` (one ``Simplex`` of the M vertex arrays),
     lengths ``a``, ``b``, ``c`` (M, 1), vertices ``A``, ``B``, ``C`` and
-    outward normals ``n_a``, ``n_b``, ``n_c`` (M, 2)."""
+    outward normals ``n_a``, ``n_b``, ``n_c`` (M, 2), read through the
+    ``Triangle`` properties: the stack's facets are the proof's only ones."""
+
+    n_a, n_b, n_c = Triangle.n_a, Triangle.n_b, Triangle.n_c
 
     def __init__(self, triangles: list[Triangle]):
         self.items = triangles
-        # Each triangle built these bits alone, outside the proof's float
-        # range, and any overflow warning was given then.
-        with np.errstate(all="ignore"):
-            self.simplex = Simplex(np.array([t.simplex.vertices for t in triangles]))
-            self.n_a, self.n_b, self.n_c = self.simplex.facets.normals.swapaxes(0, 1)
+        self.simplex = Simplex(np.array([t.simplex.vertices for t in triangles]))
         self.A, self.B, self.C = self.simplex.vertices.swapaxes(0, 1)
         self.a, self.b, self.c = np.array([(t.a, t.b, t.c) for t in triangles]).T[..., None]
 
 
 def _each(member: Callable) -> Callable:
     """A row member on a stack from one on an instance: ``member`` on each
-    item, with the item's decompositions where the row passes them."""
+    item, with the item's entry of each list the row passes, such as its
+    decompositions."""
     return lambda stack, *per_item: [member(*args) for args in zip(stack.items, *per_item)]
+
+
+def _each_with_normals(member: Callable) -> Callable:
+    """``_each(member)`` with each triangle's (n_a, n_b, n_c) passed second:
+    its row of the stack's normals, laid out as a lone triangle's, so every
+    dot rounds as it does alone."""
+    return lambda ts, ds: _each(member)(ts, ts.simplex.facets.normals, ds)
 
 
 def _triangle_summary(t: Triangle) -> dict:
@@ -161,15 +170,16 @@ def _triangle_summary(t: Triangle) -> dict:
     }
 
 
-def _pythagoras_auxiliary(t: Triangle, decompositions: dict) -> dict:
+def _pythagoras_auxiliary(t: Triangle, normals: np.ndarray, decompositions: dict) -> dict:
+    n_a, n_b, n_c = normals
     expected = (-t.a**2, -t.b**2, t.c**2)
     return {
         "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
         "per_facet_deviation": max(
             abs(value - expected[i]) for i, value in decompositions[""][1]
         ),
-        "c_nc_dot_na_plus_a": float(t.c * (t.n_c @ t.n_a) + t.a),
-        "c_nc_dot_nb_plus_b": float(t.c * (t.n_c @ t.n_b) + t.b),
+        "c_nc_dot_na_plus_a": float(t.c * (n_c @ n_a) + t.a),
+        "c_nc_dot_nb_plus_b": float(t.c * (n_c @ n_b) + t.b),
     }
 
 
@@ -252,7 +262,7 @@ THEOREMS = {
         verify=lambda *args: verify_pythagoras(*args),
         fields={"": lambda t: pythagoras_field(t)},
         precondition=_right_angle_at_c,
-        auxiliary=_each(_pythagoras_auxiliary),
+        auxiliary=_each_with_normals(_pythagoras_auxiliary),
         **_TRIANGLE,
     ),
     # A unit field along each side: along side a, facet a contributes ~0 and
@@ -275,9 +285,9 @@ THEOREMS = {
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_cosines(*args),
         fields={"": lambda t: cosines_field(t)},
-        auxiliary=_each(lambda t, _: {
+        auxiliary=_each_with_normals(lambda t, normals, _: {
             "law_value": t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma),
-            "na_dot_nb_plus_cos_gamma": float(t.n_a @ t.n_b + math.cos(t.gamma)),
+            "na_dot_nb_plus_cos_gamma": float(normals[0] @ normals[1] + math.cos(t.gamma)),
         }),
         **_TRIANGLE,
     ),

@@ -9,6 +9,7 @@ import numpy as np
 
 import support
 from shapecalc import (
+    DegenerateSimplexError,
     RightSimplexSpec,
     Simplex,
     Triangle,
@@ -236,16 +237,15 @@ def test_criterion_8_cli_contract(tmp_path):
     if len(rendered) == 2 and rendered[0] != rendered[1]:
         failures.append(("determinism", "reports differ"))
 
-    # Round-trip: emit then re-parse yields an equal document.
+    # Round-trip: parsing a document's JSON yields the document it describes.
     rng = np.random.default_rng(31337)
     for _ in range(20):
         dim = int(rng.integers(2, 6))
-        verts = rng.uniform(-1.0, 1.0, (dim + 1, dim)).tolist()
-        doc = ShapeDocument(dim=dim, vertices=verts, hyp_index=None)
+        raw = {"dim": dim, "vertices": rng.uniform(-1.0, 1.0, (dim + 1, dim)).tolist()}
         try:
-            if parse_shape(doc.to_json()) != doc:
-                failures.append(("round-trip", doc.dim))
-        except Exception:
+            if parse_shape(json.dumps(raw)) != ShapeDocument(**raw):
+                failures.append(("round-trip", dim))
+        except DegenerateSimplexError:
             continue  # degenerate draw; round-trip needs a valid document
 
     # Exit-code classes.

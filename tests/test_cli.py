@@ -71,23 +71,26 @@ RIGHT_TETRA = {
 
 # derive on the 3-4-5 triangle scaled by 1e-200 ... 2e153: exit code and
 # message. At 1e-200 det and scale**2 underflow, so the gate, which is not
-# yet scale-free, rejects the shape; from 1e150 up a route of the derivative
-# overflows.
+# yet scale-free, rejects the shape; at 1e-160 the gate passes it but the
+# squared barycentric gradients overflow; from 1e150 up a route of the
+# derivative overflows.
 IDENTITY = '{"matrix": [[1, 0], [0, 1]], "offset": [0, 0]}'
 DENSITY = '{"gradient": [1, 2], "constant": 3}'
 _UNDERFLOW = "degenerate simplex: |det| = 0.000e+00 <= 1e-12 * scale^2"
 _OVERFLOW = "the shape derivative overflows the float range"
+_FACETS = (2, "the facet geometry overflows the float range (overflow encountered in multiply)")
 SCALED_DERIVE = [
     (field, density, scale, *outcome)
     for field, density, outcomes in [
-        (IDENTITY, None, [(2, _UNDERFLOW)] + [(0, None)] * 5 + [(2, _OVERFLOW)]),
-        (IDENTITY, DENSITY, [(2, _UNDERFLOW)] + [(0, None)] * 3
+        (IDENTITY, None, [(2, _UNDERFLOW), _FACETS] + [(0, None)] * 5 + [(2, _OVERFLOW)]),
+        (IDENTITY, DENSITY, [(2, _UNDERFLOW), _FACETS] + [(0, None)] * 3
          + [(2, f"{_OVERFLOW} (overflow encountered in multiply)")] * 3),
-        ("sines:a", DENSITY, [(2, _UNDERFLOW)] + [(0, None)] * 3 + [(2, _OVERFLOW)] * 3),
+        ("sines:a", DENSITY, [(2, _UNDERFLOW), _FACETS] + [(0, None)] * 3
+         + [(2, _OVERFLOW)] * 3),
     ]
-    for scale, outcome in zip([1e-200, 1e-150, 1.0, 1e100, 1e150, 1e153, 2e153],
+    for scale, outcome in zip([1e-200, 1e-160, 1e-150, 1.0, 1e100, 1e150, 1e153, 2e153],
                               outcomes)
-]
+] + [("pythagoras", None, 1e-160, *_FACETS)]  # a named field reads the normals first
 
 
 def _reject_constant(name):
@@ -169,13 +172,10 @@ class TestParseShape:
                     break
                 except DegenerateSimplexError:
                     continue
-            doc = ShapeDocument(
-                dim=dim,
-                vertices=verts.tolist(),
-                labels={"A": 0, "B": 1, "C": 2} if dim == 2 else None,
-                hyp_index=0,
-            )
-            assert parse_shape(doc.to_json()) == doc
+            raw = {"dim": dim, "vertices": verts.tolist(), "hyp_index": 0}
+            if dim == 2:
+                raw["labels"] = {"A": 0, "B": 1, "C": 2}
+            assert parse_shape(json.dumps(raw)) == ShapeDocument(**raw)
 
     def test_triangle_requires_dim_2(self):
         doc = parse_shape(json.dumps(RIGHT_TETRA))
@@ -383,7 +383,8 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert [str(w.message) for w in caught] == []
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1.0, 1e100, 1e150, 1e153, 2e153])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-150, 1.0, 1e100, 1e150, 1e153,
+                                       2e153])
     @pytest.mark.parametrize(
         "argv",
         [["verify", theorem] for theorem in THEOREMS]

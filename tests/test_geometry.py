@@ -468,6 +468,22 @@ class TestTriangle:
         for array in (t.A, t.B, t.C, t.n_a, t.n_b, t.n_c):
             assert not array.flags.writeable
 
+    def test_side_normals_are_computed_on_first_read(self):
+        # Building a triangle computes no facets, so the tiny triangle, whose
+        # squared barycentric gradients overflow, builds; reading a side
+        # normal computes them all, once, and raises where they overflow.
+        t = Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
+        assert "facets" not in vars(t.simplex)
+        n_b = t.n_b
+        facets = vars(t.simplex)["facets"]
+        assert np.shares_memory(n_b, facets.normals)
+        assert np.array_equal(n_b, facets.normals[1])
+        t.n_c
+        assert t.simplex.facets is facets
+        tiny = Triangle([3e-160, 0.0], [0.0, 4e-160], [0.0, 0.0])
+        with pytest.raises(FloatRangeError, match="the facet geometry overflows"):
+            tiny.n_a
+
     def test_side_normals_are_unit_and_outward(self):
         t = Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
         for n, opposite in ((t.n_a, t.A), (t.n_b, t.B), (t.n_c, t.C)):

@@ -2,12 +2,13 @@
 named field: no traced call is missing, a verify batch counts one instance
 per generated shape and proves the batch as one stack in one verifier
 span (one stacked ``Simplex``, one stack of fields and one boundary
-integral per field of the row), every named derive field is built
-through its public constructor, and a derive evaluates its four
-finite-difference images in one ``perturbed_integral`` call, building no
-``Simplex`` beyond the input's. The benchmark's own tests run only a few of these calls, so a
-table row that stored a function object, and so bypassed the tracer,
-would slip past them.
+integral per field of the row), the stacked ``Simplex`` computes the
+call's only facets (building a ``Triangle`` computes none), every named
+derive field is built through its public constructor, and a derive
+evaluates its four finite-difference images in one ``perturbed_integral``
+call, building no ``Simplex`` beyond the input's. The benchmark's own
+tests run only a few of these calls, so a table row that stored a
+function object, and so bypassed the tracer, would slip past them.
 
 The tracer is loaded from ``bench/tracer.py``; nothing under ``bench/`` is
 written.
@@ -99,6 +100,8 @@ def test_verify_batch_is_traced(theorem, options, tmp_path):
     if theorem != "nd-pythagoras":
         # The other Simplex spans are the generated Triangles' own.
         assert spans["geometry.Simplex"][1] == spans["geometry.Triangle"][1] + 1 > count
+    # The stack's facets are the call's only ones: no Triangle computes its own.
+    assert spans["geometry.facets"][1] == 1
     # One report per instance, directly under the root, after the last
     # instance is generated: the tracer files the stacked proof under it.
     to_dict = tracer.name_ids["theorems.to_dict"]
