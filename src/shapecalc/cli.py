@@ -10,6 +10,13 @@ Subcommands
     totals, residuals) for a shape file, a field spec, and an optional
     density spec.
 
+Each theorem's row of ``theorems.THEOREMS`` gives verify its ``generate``,
+``verify`` and ``document`` members and derive its named ``fields`` (of
+the row's ``field_document``). A shape file parses to a ``ShapeDocument``,
+whose ``simplex`` field is built once, at construction. The parser names
+each option after the ``run_verify`` / ``run_derive`` parameter it sets,
+so ``main`` passes the parsed options straight to the run function.
+
 Exit codes: 0 all instances pass, 1 at least one verification failure,
 2 input / parse / precondition error or a report that cannot be written.
 """
@@ -78,21 +85,20 @@ def json_text(value, indent: str = "\n") -> str:
 @dataclass
 class ShapeDocument:
     """Parsed shape file: dim, dim+1 vertices, optional triangle labels,
-    optional hypotenuse facet index for right simplices. ``simplex()`` is
-    built once and kept, so the vertices must not change afterwards."""
+    optional hypotenuse facet index for right simplices. ``simplex`` is
+    built from the vertices at construction, which raises on a degenerate
+    shape, and ``vertices`` are stored as its rows, so the two must not
+    change afterwards."""
 
     dim: int
     vertices: list[list[float]]
     labels: dict[str, int] | None = None
     hyp_index: int | None = None
-    _simplex: Simplex | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    simplex: Simplex = field(init=False, repr=False, compare=False)
 
-    def simplex(self) -> Simplex:
-        """The document's simplex, built on the first call and then kept."""
-        if self._simplex is None:
-            self._simplex = Simplex(np.array(self.vertices))
-        return self._simplex
+    def __post_init__(self):
+        self.simplex = Simplex(self.vertices)
+        self.vertices = self.simplex.vertices.tolist()
 
     def triangle(self) -> Triangle:
         if self.dim != 2:
@@ -112,7 +118,7 @@ class ShapeDocument:
             raise ShapeValidationError(
                 "nd-pythagoras needs 'hyp_index' in the shape document"
             )
-        return self.simplex(), self.hyp_index
+        return self.simplex, self.hyp_index
 
     def right_simplex(self) -> RightSimplexSpec:
         s, hyp = self.hypotenuse()
@@ -127,8 +133,8 @@ def _require(condition: bool, message: str, parse: bool = False):
 
 
 def parse_shape(text: str) -> ShapeDocument:
-    """Parse and validate a JSON shape document; the simplex is constructed
-    here to surface degeneracy early, and the document keeps it."""
+    """Parse and validate a JSON shape document; the document builds its
+    simplex, which surfaces degeneracy early."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -172,10 +178,7 @@ def parse_shape(text: str) -> ShapeDocument:
                  and 0 <= hyp_index <= dim,
                  f"'hyp_index' must be a facet index in 0..{dim}")
 
-    doc = ShapeDocument(dim=dim, vertices=coords.tolist(), labels=labels,
-                        hyp_index=hyp_index)
-    doc._simplex = Simplex(coords)  # degeneracy check
-    return doc
+    return ShapeDocument(dim=dim, vertices=coords, labels=labels, hyp_index=hyp_index)
 
 
 @dataclass
@@ -360,7 +363,7 @@ def run_derive(
         doc = parse_shape(handle.read())
     xi = _parse_field_spec(field_spec, doc)
     f = _parse_density_spec(density_spec, doc.dim)
-    report = hadamard_derivative(doc.simplex(), f, xi)
+    report = hadamard_derivative(doc.simplex, f, xi)
     budget = 1.0 + abs(report.boundary_total)
     passed = (
         report.residual_bv <= tol_abs + tol_rel * budget
@@ -400,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="verify a theorem on one shape or a batch")
     verify.add_argument("theorem", choices=THEOREMS)
     source = verify.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", metavar="PATH", help="shape document file")
-    source.add_argument("--random", action="store_true",
+    source.add_argument("--input", dest="input_path", metavar="PATH",
+                        help="shape document file")
+    source.add_argument("--random", dest="random_batch", action="store_true",
                         help="generate seeded random instances instead")
     verify.add_argument("--count", type=int, default=1,
                         help="number of random instances (default 1)")
@@ -415,52 +419,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     derive = sub.add_parser("derive", parents=[common],
                             help="full derivative report for one shape")
-    derive.add_argument("--input", metavar="PATH", required=True,
+    derive.add_argument("--input", dest="input_path", metavar="PATH", required=True,
                         help="shape document file")
-    derive.add_argument("--field", required=True,
+    derive.add_argument("--field", dest="field_spec", metavar="FIELD", required=True,
                         help=f"named proof field ({FIELD_NAMES}) or inline JSON "
                         '{"matrix": ..., "offset": ...}')
-    derive.add_argument("--density",
+    derive.add_argument("--density", dest="density_spec", metavar="DENSITY",
                         help='inline JSON {"gradient": ..., "constant": ...}; '
                         "defaults to f == 1")
     return parser
 
 
-def _dispatch(args: argparse.Namespace, argv: list[str]) -> tuple[RunReport, int]:
-    if args.command == "verify":
-        return run_verify(
-            args.theorem,
-            input_path=args.input,
-            random_batch=args.random,
-            count=args.count,
-            seed=args.seed,
-            dim=args.dim,
-            legs=args.legs,
-            tol_abs=args.tol_abs,
-            tol_rel=args.tol_rel,
-            command=argv,
-        )
-    return run_derive(
-        args.input,
-        args.field,
-        args.density,
-        tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel,
-        command=argv,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    run = run_verify if options.pop("command") == "verify" else run_derive
+    fmt, out = options.pop("format"), options.pop("out")
     try:
-        report, code = _dispatch(args, argv)
+        report, code = run(**options, command=argv)
         # Opened only after a successful run: an input error leaves no file.
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                report.render(args.format, handle)
+        if out:
+            with open(out, "w", encoding="utf-8") as handle:
+                report.render(fmt, handle)
         else:
-            report.render(args.format, sys.stdout)
+            report.render(fmt, sys.stdout)
     except INPUT_ERRORS as err:
         print(f"shapecalc: error: {err}", file=sys.stderr)
         return 2

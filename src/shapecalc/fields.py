@@ -84,9 +84,6 @@ class AffineDensity:
     def dim(self) -> int:
         return self.gradient.shape[0]
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.gradient @ x + self.constant)
-
     def at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on a (..., N) stack of points, returning (...) values."""
         return points @ self.gradient + self.constant

@@ -110,7 +110,7 @@ def volume_integral(s: Simplex, f: AffineDensity, xi: AffineField) -> float:
     affine divergence density)."""
     _check_dims(s, f, xi)
     density = div_density_field(f, xi)
-    return float(s.volume * density(s.centroid))
+    return s.volume * float(density.at(s.centroid))
 
 
 def perturbed_integral(
@@ -130,8 +130,8 @@ def perturbed_integral(
     except DegenerateSimplexError as err:
         raise DegenerateSimplexError("perturbed simplex is degenerate at t = "
                                      f"{steps[err.index].item()!r}") from err
-    # Python floats, so an overflow gives inf; f(c) rounds as on a lone image.
-    return [v * f(c) for v, c in zip(volumes, moved.mean(axis=1))]
+    # Python floats, so an overflow gives inf; f.at(c) rounds as on a lone image.
+    return [v * float(f.at(c)) for v, c in zip(volumes, moved.mean(axis=1))]
 
 
 def default_fd_step(s: Simplex, xi: AffineField) -> float:

@@ -13,12 +13,12 @@ side normals through the ``Triangle`` properties on it), builds each of
 ``boundary_integral`` call, then reports ``summary``, ``scale``,
 ``auxiliary`` (of the stack and the decompositions, key -> (total,
 per-facet terms)) and ``residual``, one per instance. Each instance gets
-the bits it gets alone: stacked
-``det`` and ``inv`` round each matrix as a lone call does, dot products
-stay BLAS products in the lone layout, angles stay ``math`` calls on
-Python floats, and totals add in facet order. The ``verify_*`` functions
-take one instance or a list. The CLI reads a row's ``report`` name,
-``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
+the bits it gets alone: stacked ``det`` and ``inv`` round each matrix as
+a lone call does, dot products stay BLAS products in the lone layout,
+angles stay ``math`` calls on Python floats, and totals add in facet
+order. A report names its theorem by the row's key, with ``_`` for ``-``.
+The ``verify_*`` functions take one instance or a list. The CLI reads a
+row's ``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
 methods ``document`` (an instance) and ``field_document`` (what derive's
 named fields take). Rows call this module's functions by name at run
 time, so a tracer can rebind them. Tolerances are implementation choices
@@ -81,8 +81,9 @@ class TheoremReport:
 @dataclass(frozen=True, eq=False)
 class RightSimplexSpec:
     """Right N-simplex: an apex plus N mutually orthogonal leg vectors
-    (rows of ``legs``). ``simplex`` lists the apex first, so its facet 0,
-    the one opposite the apex, is the hypotenuse."""
+    (rows of ``legs``). ``vertices`` lists the apex first, then apex + each
+    leg, so facet 0 of ``simplex``, the one opposite the apex, is the
+    hypotenuse."""
 
     apex: np.ndarray
     legs: np.ndarray
@@ -117,8 +118,14 @@ class RightSimplexSpec:
         return lengths
 
     @cached_property
+    def vertices(self) -> np.ndarray:
+        vertices = np.concatenate([self.apex[None], self.apex + self.legs])
+        vertices.flags.writeable = False
+        return vertices
+
+    @cached_property
     def simplex(self) -> Simplex:
-        return Simplex(np.concatenate([self.apex[None], self.apex + self.legs]))
+        return Simplex(self.vertices)
 
 
 def _right_angle_at_c(t: Triangle) -> None:
@@ -211,9 +218,7 @@ class _RightSimplices:
         if len(dims) > 1:
             raise DimensionMismatchError(f"a proof stack needs one dimension, got {dims}")
         self.items = specs
-        apex = np.array([r.apex for r in specs])[:, None]
-        self.simplex = Simplex(np.concatenate([apex, apex + np.array([r.legs for r in specs])],
-                                              axis=1))
+        self.simplex = Simplex(np.array([r.vertices for r in specs]))
 
 
 def _nd_auxiliaries(rs: _RightSimplices, _) -> list[dict]:
@@ -234,7 +239,6 @@ def _nd_auxiliaries(rs: _RightSimplices, _) -> list[dict]:
 class Theorem:
     """One row of ``THEOREMS``; the module docstring says what it holds."""
 
-    report: str
     generate: Callable
     verify: Callable
     document: str
@@ -257,7 +261,6 @@ THEOREMS = {
     # Right angle at C, field c * n_c: side c contributes c^2, and sides a and
     # b contribute -a^2 and -b^2 (c * n_c . n_a = -a, c * n_c . n_b = -b).
     "pythagoras": Theorem(
-        report="pythagoras",
         generate=lambda seed, dim, legs: random_triangle(seed, "right"),
         verify=lambda *args: verify_pythagoras(*args),
         fields={"": lambda t: pythagoras_field(t)},
@@ -269,7 +272,6 @@ THEOREMS = {
     # the others -b sin(gamma) and c sin(beta). The residual is the largest
     # pairwise deviation of the three ratios side / sin(opposite angle).
     "sines": Theorem(
-        report="sines",
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_sines(*args),
         fields={side: lambda t, side=side: sines_field(t, side) for side in "abc"},
@@ -281,7 +283,6 @@ THEOREMS = {
     # Field c n_c - a n_a - b n_b: the terms add up to
     # c^2 - a^2 - b^2 + 2ab cos(gamma), the law's own residual.
     "cosines": Theorem(
-        report="cosines",
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_cosines(*args),
         fields={"": lambda t: cosines_field(t)},
@@ -296,7 +297,6 @@ THEOREMS = {
     # The field takes a simplex and its hypotenuse facet: facet 0 here, the
     # document's own simplex and hyp_index in derive.
     "nd-pythagoras": Theorem(
-        report="nd_pythagoras",
         generate=lambda *args: random_right_simplex(*args),
         verify=lambda *args: verify_nd_pythagoras(*args),
         document="right_simplex",
@@ -343,7 +343,7 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
                 finite(residual, *(total for total, _ in d.values()))
             return [
                 TheoremReport(
-                    theorem=row.report,
+                    theorem=theorem.replace("-", "_"),
                     summary=summary,
                     per_facet=next(iter(d.values()))[1],
                     residual=residual,

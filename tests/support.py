@@ -163,7 +163,7 @@ def perturbed_integral_per_image(
     vertices are built, gated and integrated as a lone simplex, with the
     centroid rule volume * f(centroid)."""
     image = Simplex(s.vertices + t * xi.at(s.vertices))
-    return float(image.volume * f(image.centroid))
+    return float(image.volume * float(f.at(image.centroid)))
 
 
 def fd_derivative_per_image(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -177,6 +178,26 @@ class TestParseShape:
                 raw["labels"] = {"A": 0, "B": 1, "C": 2}
             assert parse_shape(json.dumps(raw)) == ShapeDocument(**raw)
 
+    def test_direct_construction_gates(self):
+        with pytest.raises(DegenerateSimplexError):
+            ShapeDocument(dim=2, vertices=[[0, 0], [1, 1], [2, 2]])
+        doc = ShapeDocument(dim=2, vertices=[[0, 0], [1, 0], [0, 1]])
+        assert {type(x) for v in doc.vertices for x in v} == {float}
+
+    def test_parse_builds_one_simplex(self, monkeypatch):
+        built = []
+        post_init = Simplex.__post_init__
+
+        def record(s):
+            post_init(s)
+            built.append(s)
+
+        monkeypatch.setattr(Simplex, "__post_init__", record)
+        doc = parse_shape(json.dumps(RIGHT_TETRA))
+        doc.hypotenuse()
+        doc.right_simplex()
+        assert len(built) == 1 and built[0] is doc.simplex
+
     def test_triangle_requires_dim_2(self):
         doc = parse_shape(json.dumps(RIGHT_TETRA))
         with pytest.raises(ShapeValidationError):
@@ -284,6 +305,9 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "thales"])
         assert exc.value.code == 2
+        # Library callers get run_verify's own check.
+        with pytest.raises(ShapeValidationError, match="unknown theorem 'thales'"):
+            run_verify("thales")
 
     def test_bad_field_spec_is_two(self, shape_file, capsys):
         for spec in (
@@ -297,6 +321,8 @@ class TestExitCodes:
             "sines",
             "cosines:a",
             "pythagoras:",
+            "{broken",
+            '{"matrix": [[1, 0, 0], [0, 1, 0]], "offset": [0, 0]}',
         ):
             assert (
                 main(["derive", "--input", shape_file(T345), "--field", spec])
@@ -308,12 +334,21 @@ class TestExitCodes:
                         "pythagoras, sines:a|b|c, cosines, nd-pythagoras") in err, err
             if "[[0, 0]" in spec:  # a stack of offsets is not one field
                 assert "field offset must be 1-D, got shape (2, 2)" in err, err
+            if spec == "{broken":
+                assert "shapecalc: error: invalid field JSON: " in err, err
+            if "[0, 1, 0]" in spec:
+                assert "field matrix must be square, got shape (2, 3)" in err, err
 
     def test_field_help_lists_the_named_fields(self, capsys):
         with pytest.raises(SystemExit):
             main(["derive", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
         assert ("named proof field (pythagoras, sines:a|b|c, cosines, "
-                "nd-pythagoras)") in " ".join(capsys.readouterr().out.split())
+                "nd-pythagoras)") in text
+        assert "--input PATH --field FIELD [--density DENSITY]" in text
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "(--input PATH | --random)" in " ".join(capsys.readouterr().out.split())
 
     def test_bad_density_spec_is_two(self, shape_file):
         for spec in (
@@ -437,6 +472,26 @@ class TestExitCodes:
         assert done.stderr.splitlines() == [
             "shapecalc: error: degenerate simplex: |det| = 0.000e+00 "
             "<= 1e-12 * scale^2"]
+
+    def test_module_entry_point_matches_main(self, shape_file, capsys):
+        # python -m shapecalc.cli: main's exit code, stdout and stderr.
+        src = os.path.dirname(os.path.dirname(shapecalc.__file__))
+        zero_tol = ["--tol-abs", "0", "--tol-rel", "0"]
+        for argv, code in [
+            (["verify", "pythagoras", "--input", shape_file(T345), *zero_tol], 0),
+            (["verify", "sines", "--random", "--count", "5", *zero_tol], 1),
+            (["derive", "--input", shape_file(T345), "--field", "bogus"], 2),
+        ]:
+            done = subprocess.run(
+                [sys.executable, "-m", "shapecalc.cli", *argv],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            )
+            assert (done.returncode, main(argv)) == (code, code)
+            out, err = capsys.readouterr()
+            wall_time = re.compile(r'"wall_time_s": [^\n]*')
+            assert wall_time.sub("", done.stdout) == wall_time.sub("", out)
+            assert (code == 2) == (out == "")
+            assert done.stderr == err
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_out_is_two(self, tmp_path, capsys, target):

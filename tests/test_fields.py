@@ -97,11 +97,11 @@ class TestDivergenceDensity:
         xi_sum = AffineField(xi1.matrix + xi2.matrix, xi1.offset + xi2.offset)
         points = rng.uniform(-1.0, 1.0, (10, dim))
         for x in points:
-            lhs = div_density_field(f_sum, xi1)(x)
-            rhs = div_density_field(f1, xi1)(x) + div_density_field(f2, xi1)(x)
+            lhs = div_density_field(f_sum, xi1).at(x)
+            rhs = div_density_field(f1, xi1).at(x) + div_density_field(f2, xi1).at(x)
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
-            lhs = div_density_field(f1, xi_sum)(x)
-            rhs = div_density_field(f1, xi1)(x) + div_density_field(f1, xi2)(x)
+            lhs = div_density_field(f1, xi_sum).at(x)
+            rhs = div_density_field(f1, xi1).at(x) + div_density_field(f1, xi2).at(x)
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_matches_pointwise_divergence_formula(self):
@@ -111,8 +111,9 @@ class TestDivergenceDensity:
         xi = support.random_field(rng, dim)
         div = div_density_field(f, xi)
         for x in rng.uniform(-1.0, 1.0, (10, dim)):
-            direct = float(f.gradient @ xi.at(x[None])[0]) + f(x) * float(np.trace(xi.matrix))
-            assert div(x) == pytest.approx(direct, rel=1e-13, abs=1e-14)
+            direct = (float(f.gradient @ xi.at(x[None])[0])
+                      + float(f.at(x)) * float(np.trace(xi.matrix)))
+            assert float(div.at(x)) == pytest.approx(direct, rel=1e-13, abs=1e-14)
 
 
 class TestFieldStacks:

@@ -52,6 +52,8 @@ class TestVolume:
     def test_bad_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Simplex(np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError, match="at least 2"):
+            Simplex(np.array([[0.0], [1.0]]))  # two points on a line, N = 1
 
     def test_non_finite_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]])

@@ -173,7 +173,7 @@ class TestPerturbedIntegral:
     def test_zero_step_is_plain_integral(self):
         rng = np.random.default_rng(6)
         s, f, xi = random_instance(rng)
-        expected = s.volume * f(s.centroid)
+        expected = s.volume * float(f.at(s.centroid))
         (value,) = perturbed_integral(s, f, xi, [0.0])
         assert value == pytest.approx(expected, rel=1e-15)
 

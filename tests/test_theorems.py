@@ -207,6 +207,18 @@ class TestNdPythagoras:
         with pytest.raises(LegOrthogonalityError):
             RightSimplexSpec(apex=np.zeros(2), legs=legs)
 
+    def test_malformed_legs_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="expected \\(N, N\\) leg matrix"):
+            RightSimplexSpec(apex=np.zeros(2), legs=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            RightSimplexSpec(apex=np.zeros(2), legs=np.diag([1.0, np.inf]))
+
+    def test_vertices_are_apex_then_apex_plus_legs(self):
+        r = RightSimplexSpec(apex=[1.0, 2.0], legs=np.diag([3.0, 4.0]))
+        assert r.vertices.tolist() == [[1.0, 2.0], [4.0, 2.0], [1.0, 6.0]]
+        assert not r.vertices.flags.writeable
+        assert np.array_equal(r.simplex.vertices, r.vertices)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_residual_property_both_leg_modes(self, seed):
@@ -315,6 +327,10 @@ class TestRandomRightSimplex:
             random_right_simplex(0, 1)
         with pytest.raises(ValueError):
             random_right_simplex(0, 17)
+
+    def test_unknown_leg_mode(self):
+        with pytest.raises(ValueError, match="unknown leg mode 'skewed'"):
+            random_right_simplex(0, 3, "skewed")
 
     def test_deterministic(self):
         first = random_right_simplex(8, 4, "scaled")
