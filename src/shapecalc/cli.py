@@ -87,8 +87,8 @@ class ShapeDocument:
     """Parsed shape file: dim, dim+1 vertices, optional triangle labels,
     optional hypotenuse facet index for right simplices. ``simplex`` is
     built from the vertices at construction, which raises on a degenerate
-    shape, and ``vertices`` are stored as its rows, so the two must not
-    change afterwards."""
+    shape or one whose dimension is not ``dim``, and ``vertices`` are
+    stored as its rows, so the two must not change afterwards."""
 
     dim: int
     vertices: list[list[float]]
@@ -97,8 +97,9 @@ class ShapeDocument:
     simplex: Simplex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.simplex = Simplex(self.vertices)
-        self.vertices = self.simplex.vertices.tolist()
+        s = self.simplex = Simplex(self.vertices)
+        _require(s.dim == self.dim, f"document has dim = {self.dim} but {s.dim}-D vertices")
+        self.vertices = s.vertices.tolist()
 
     def triangle(self) -> Triangle:
         if self.dim != 2:
@@ -106,11 +107,7 @@ class ShapeDocument:
                 f"triangle theorems need dim = 2, document has dim = {self.dim}"
             )
         labels = self.labels or {"A": 0, "B": 1, "C": 2}
-        return Triangle(
-            self.vertices[labels["A"]],
-            self.vertices[labels["B"]],
-            self.vertices[labels["C"]],
-        )
+        return Triangle(*(self.vertices[labels[k]] for k in "ABC"))
 
     def hypotenuse(self) -> tuple[Simplex, int]:
         """The simplex and ``hyp_index``, its hypotenuse facet."""
@@ -242,17 +239,19 @@ def run_verify(
     *,
     input_path: str | None = None,
     random_batch: bool = False,
-    count: int = 1,
-    seed: int = 0,
-    dim: int = 3,
-    legs: str = "orthonormal",
+    count: int | None = None,
+    seed: int | None = None,
+    dim: int | None = None,
+    legs: str | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     command: list[str] | None = None,
 ) -> tuple[RunReport, int]:
     """Run one verification command; returns (report, exit code 0/1).
 
-    Input errors raise (the caller maps them to exit code 2).
+    Unset, ``count``, ``seed``, ``dim`` and ``legs`` read 1, 0, 3 and
+    "orthonormal"; one that is set but not read is an input error. Input
+    errors raise (the caller maps them to exit code 2).
     """
     if theorem not in THEOREMS:
         raise ShapeValidationError(f"unknown theorem {theorem!r}")
@@ -260,6 +259,16 @@ def run_verify(
     started = time.perf_counter()
     if input_path is not None and random_batch:
         raise ShapeValidationError("verify takes --input PATH or --random, not both")
+    # A document fixes all four options; a triangle has dim 2 and no legs.
+    source = " --input" if input_path is not None else ""
+    options = {"count": (count, 1), "seed": (seed, 0), "dim": (dim, 3),
+               "legs": (legs, "orthonormal")}
+    read = () if source else ("count", "seed") if row.document == "triangle" else options
+    for name, (value, _) in options.items():
+        if value is not None and name not in read:
+            raise ShapeValidationError(f"verify {theorem}{source} does not read --{name}")
+    count, seed, dim, legs = (default if value is None else value
+                              for value, default in options.values())
     if input_path is not None:
         with open(input_path, "r", encoding="utf-8") as handle:
             doc = parse_shape(handle.read())
@@ -407,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shape document file")
     source.add_argument("--random", dest="random_batch", action="store_true",
                         help="generate seeded random instances instead")
-    verify.add_argument("--count", type=int, default=1,
+    # Unset, these four are None, and run_verify reads the defaults named here.
+    verify.add_argument("--count", type=int,
                         help="number of random instances (default 1)")
-    verify.add_argument("--seed", type=base_seed, default=0,
+    verify.add_argument("--seed", type=base_seed,
                         help="base seed; instance k uses seed + k")
-    verify.add_argument("--dim", type=int, default=3,
+    verify.add_argument("--dim", type=int,
                         help="simplex dimension for nd-pythagoras (default 3)")
     verify.add_argument("--legs", choices=["orthonormal", "scaled"],
-                        default="orthonormal",
                         help="leg mode for random right simplices")
 
     derive = sub.add_parser("derive", parents=[common],

@@ -115,15 +115,10 @@ def sines_field(t: Triangle, side: str) -> AffineField:
     Orientations: side ``a`` points C -> B, side ``b`` points A -> C,
     side ``c`` points B -> A.
     """
-    if side == "a":
-        direction = (t.B - t.C) / t.a
-    elif side == "b":
-        direction = (t.C - t.A) / t.b
-    elif side == "c":
-        direction = (t.A - t.B) / t.c
-    else:
+    if side not in ("a", "b", "c"):
         raise ValueError(f"side must be 'a', 'b', or 'c', got {side!r}")
-    return AffineField.constant(direction)
+    head, tail = {"a": "BC", "b": "CA", "c": "AB"}[side]
+    return AffineField.constant((getattr(t, head) - getattr(t, tail)) / getattr(t, side))
 
 
 def cosines_field(t: Triangle) -> AffineField:

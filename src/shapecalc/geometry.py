@@ -1,9 +1,5 @@
-"""Simplex geometry in R^N: the degeneracy gate, volumes, facet enumeration,
-outward normals, facet measures, and triangle-specific derived quantities.
-
-The facets of a simplex are held as arrays, one row per facet
-(struct of arrays): a ``Facets`` record whose ``vertices``, ``normals`` and
-``measures`` cover all N+1 facets at once.
+"""Simplex geometry in R^N: the degeneracy gate, volumes, outward facet
+normals and measures, and triangle-specific derived quantities.
 
 ``gated_volumes`` gates a (M, N+1, N) stack of vertex arrays on one path,
 and ``stacked_facets`` builds the facets of one simplex or of a stack from
@@ -51,15 +47,11 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Facets:
-    """All N+1 facets of an N-simplex, row i for the facet opposite vertex i.
+    """All N+1 facets of an N-simplex, row i for the facet opposite vertex i,
+    as all that a proof reads of them: ``normals`` (N+1, N), the outward unit
+    normals, and ``measures`` (N+1,), the (N-1)-dimensional areas. A stack
+    of M simplices puts a leading (M,) axis on each array."""
 
-    ``vertices`` has shape (N+1, N, N): row i is the simplex's vertex array
-    without vertex i. ``normals`` (N+1, N) holds the outward unit normals and
-    ``measures`` (N+1,) the (N-1)-dimensional areas. The facets of a stack
-    of M simplices carry a leading (M,) axis on each array.
-    """
-
-    vertices: np.ndarray
     normals: np.ndarray
     measures: np.ndarray
 
@@ -143,10 +135,9 @@ def stacked_facets(stack: np.ndarray, volumes) -> Facets:
     their sum. Facet i lies on lambda_i = 0, so its outward normal is
     -grad lambda_i / |grad lambda_i|; its distance to vertex i is
     1 / |grad lambda_i|, so base-times-height gives the measure
-    N * volume * |grad lambda_i|. The facet vertex arrays come from one
-    gather through ``_facet_index(N)``. Raises ``FloatRangeError`` where
-    the closed form overflows, as it does for a tiny simplex whose
-    gradients square past the float range.
+    N * volume * |grad lambda_i|. Raises ``FloatRangeError`` where the
+    closed form overflows, as it does for a tiny simplex whose gradients
+    square past the float range.
     """
     n = stack.shape[-1]
     with float_range("the facet geometry overflows the float range"):
@@ -157,10 +148,8 @@ def stacked_facets(stack: np.ndarray, volumes) -> Facets:
         lengths = np.sqrt((grads * grads).sum(axis=-1))
         normals = -grads / lengths[..., None]
         measures = (n * np.asarray(volumes))[..., None] * lengths
-    vertices = np.take(stack, _facet_index(n), axis=-2)
-    for a in (vertices, normals, measures):
-        a.flags.writeable = False
-    return Facets(vertices, normals, measures)
+    normals.flags.writeable = measures.flags.writeable = False
+    return Facets(normals, measures)
 
 
 @cache
@@ -194,7 +183,7 @@ def base_height_volume(s: Simplex, base_index: int) -> float:
     """Volume of ``s`` via the base-times-height rule (h / N) * measure(base),
     where h is the distance from the opposite vertex to the base's hull."""
     facets = s.facets
-    centroid = facets.vertices[base_index].mean(axis=0)
+    centroid = np.delete(s.vertices, base_index, axis=0).mean(axis=0)
     h = float(facets.normals[base_index] @ (centroid - s.vertices[base_index]))
     return h / s.dim * float(facets.measures[base_index])
 

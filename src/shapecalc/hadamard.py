@@ -82,9 +82,10 @@ def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
     d = N - 1, integrates it exactly:
     int_F u v dS = measure / (N (N+1)) * (sum(u) sum(v) + sum(u v)),
     with u = f and v = xi . n at the facet's N vertices. All N+1 facets are
-    evaluated at once, as stacked products over ``s.facets.vertices``; xi
-    is evaluated once per simplex vertex and gathered, which gives the same
-    bits as evaluating it on the stack.
+    evaluated at once, as stacked products over facet points gathered for
+    this call only; xi is evaluated once per simplex vertex and gathered,
+    which on the SkylakeX and Sandybridge OpenBLAS kernels (not always on
+    Haswell or Prescott) gives the bits of evaluating it on those points.
 
     Returns (total, per-facet contributions); the total is accumulated in
     ascending facet-index order. For a stacked ``Simplex`` and a stack of
@@ -92,12 +93,11 @@ def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
     """
     _check_dims(s, f, xi)
     n = s.dim
-    facets = s.facets
-    u = f.at(facets.vertices)
-    # The density stays on the facet stack: evaluated once per vertex and
-    # gathered, its dot products take another BLAS kernel and round
-    # differently. The field's matrix products keep their bits.
-    x = np.take(xi.at(s.vertices), _facet_index(n), axis=-2)
+    facets, index = s.facets, _facet_index(n)
+    # f stays on the gathered points: evaluated once per vertex and gathered,
+    # its dot products take another BLAS kernel and round differently.
+    u = f.at(np.take(s.vertices, index, axis=-2))
+    x = np.take(xi.at(s.vertices), index, axis=-2)
     v = np.matmul(x, facets.normals[..., None])[..., 0]
     values = (facets.measures / (n * (n + 1)) * (
         u.sum(axis=-1) * v.sum(axis=-1) + (u * v).sum(axis=-1)

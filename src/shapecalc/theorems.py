@@ -17,8 +17,9 @@ the bits it gets alone: stacked ``det`` and ``inv`` round each matrix as
 a lone call does, dot products stay BLAS products in the lone layout,
 angles stay ``math`` calls on Python floats, and totals add in facet
 order. A report names its theorem by the row's key, with ``_`` for ``-``.
-The ``verify_*`` functions take one instance or a list. The CLI reads a
-row's ``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
+The ``verify_*`` functions take one instance or a list, proved in stacks
+of at most ``PROOF_CHUNK`` so that its memory stays bounded. The CLI reads
+a row's ``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
 methods ``document`` (an instance) and ``field_document`` (what derive's
 named fields take). Rows call this module's functions by name at run
 time, so a tracer can rebind them. Tolerances are implementation choices
@@ -57,6 +58,7 @@ RIGHT_ANGLE_TOL = 1e-9  # rad; separates wrong input from numerical noise
 LEG_ORTHOGONALITY_TOL = 1e-12  # relative to the leg-length product
 MIN_ANGLE = 0.05  # rad; generator floor against slivers
 MAX_REJECTIONS = 10_000
+PROOF_CHUNK = 256  # instances per proof stack: bounds a batch's memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,9 +369,10 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
 
 
 def _verify(theorem: str, shapes, tol_abs: float, tol_rel: float):
-    # A list is proved as one stack, one shape as a list of one.
+    # A list in order in stacks of at most PROOF_CHUNK, one shape as a list of one.
     if isinstance(shapes, list):
-        return prove(theorem, shapes, tol_abs, tol_rel)
+        return [report for k in range(0, len(shapes), PROOF_CHUNK)
+                for report in prove(theorem, shapes[k:k + PROOF_CHUNK], tol_abs, tol_rel)]
     return prove(theorem, [shapes], tol_abs, tol_rel)[0]
 
 

@@ -81,6 +81,12 @@ def random_density(rng: np.random.Generator, dim: int) -> AffineDensity:
     return AffineDensity(rng.uniform(-1.0, 1.0, dim), float(rng.uniform(-1.0, 1.0)))
 
 
+def facet_vertices(s: Simplex) -> np.ndarray:
+    """Facet i's vertex array in row i, (..., N+1, N, N): the gather that
+    ``boundary_integral`` makes for its call, in the same facet order."""
+    return np.take(s.vertices, _facet_index(s.dim), axis=-2)
+
+
 def moved_field(xi: AffineField, rotation: np.ndarray, shift: np.ndarray) -> AffineField:
     """The pushforward of xi under y = R x + u, i.e. xi'(y) = R xi(R^T (y - u))."""
     matrix = rotation @ xi.matrix @ rotation.T
@@ -105,7 +111,7 @@ def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
     values, bounds = [], []
     facets = s.facets
     for vertices, normal, measure in zip(
-        facets.vertices, facets.normals, facets.measures.tolist()
+        facet_vertices(s), facets.normals, facets.measures.tolist()
     ):
         u = f.at(vertices)
         v = xi.at(vertices) @ normal
@@ -118,13 +124,13 @@ def boundary_integral_per_facet(s: Simplex, f: AffineDensity, xi: AffineField):
 
 def boundary_integral_per_facet_vertex(s: Simplex, f: AffineDensity, xi: AffineField):
     """Reference stacked boundary route that evaluates the field at every
-    facet's own vertices, ``xi.at(s.facets.vertices)``, instead of once per
+    facet's own vertices, ``xi.at(facet_vertices(s))``, instead of once per
     simplex vertex; otherwise the same products and sums in the same order.
     Returns (total, per-facet pairs) like ``boundary_integral``."""
     n = s.dim
     facets = s.facets
-    u = f.at(facets.vertices)
-    x = xi.at(facets.vertices)
+    u = f.at(facet_vertices(s))
+    x = xi.at(facet_vertices(s))
     v = np.matmul(x, facets.normals[:, :, None])[:, :, 0]
     values = (facets.measures / (n * (n + 1)) * (
         u.sum(axis=1) * v.sum(axis=1) + (u * v).sum(axis=1)
@@ -219,15 +225,14 @@ def facets_alone(s: Simplex) -> SimpleNamespace:
     grads = np.linalg.inv(v[1:] - v[0]).T
     grads = np.concatenate([-grads.sum(axis=0)[None], grads])
     lengths = np.sqrt((grads * grads).sum(axis=1))
-    return SimpleNamespace(vertices=v[_facet_index(n)], normals=-grads / lengths[:, None],
-                           measures=n * s.volume * lengths)
+    return SimpleNamespace(normals=-grads / lengths[:, None], measures=n * s.volume * lengths)
 
 
 def _boundary_integral_alone(s: Simplex, f: AffineDensity, xi: AffineField):
     # The boundary route on one simplex and one field, as before stacks.
     n = s.dim
     facets = s.facets
-    u = f.at(facets.vertices)
+    u = f.at(facet_vertices(s))
     x = xi.at(s.vertices)[_facet_index(n)]
     v = np.matmul(x, facets.normals[:, :, None])[:, :, 0]
     values = (facets.measures / (n * (n + 1)) * (

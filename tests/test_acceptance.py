@@ -154,7 +154,7 @@ def test_criterion_6_geometry_invariants():
         s = support.random_simplex(rng, dim)
         i = int(rng.integers(0, dim + 1))
         measure = float(s.facets.measures[i])
-        oracle = support.cayley_menger_measure(s.facets.vertices[i])
+        oracle = support.cayley_menger_measure(support.facet_vertices(s)[i])
         if abs(measure - oracle) > 1e-12 * oracle:
             failures.append(("cayley-menger", k, measure, oracle))
     _conclude("6 geometry-invariants", failures)

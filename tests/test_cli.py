@@ -181,6 +181,8 @@ class TestParseShape:
     def test_direct_construction_gates(self):
         with pytest.raises(DegenerateSimplexError):
             ShapeDocument(dim=2, vertices=[[0, 0], [1, 1], [2, 2]])
+        with pytest.raises(ShapeValidationError, match="document has dim = 3"):
+            ShapeDocument(dim=3, vertices=[[0, 0], [1, 0], [0, 1]])
         doc = ShapeDocument(dim=2, vertices=[[0, 0], [1, 0], [0, 1]])
         assert {type(x) for v in doc.vertices for x in v} == {float}
 
@@ -270,6 +272,37 @@ class TestExitCodes:
         with pytest.raises(ShapeValidationError, match="--input PATH or --random, not both"):
             run_verify("pythagoras", input_path=shape_file(T345), random_batch=True,
                        count=3, seed=5)
+
+    @pytest.mark.parametrize("theorem, argv, flag", [
+        ("pythagoras", ["--random", "--dim", "8", "--legs", "scaled", "--format", "csv"],
+         "--dim"),
+        ("sines", ["--random", "--legs", "orthonormal"], "--legs"),
+        ("cosines", ["--random", "--count", "2", "--dim", "3"], "--dim"),
+        ("nd-pythagoras", ["--input", RIGHT_TETRA, "--count", "5", "--seed", "9",
+                           "--dim", "7"], "--count"),
+        ("nd-pythagoras", ["--input", RIGHT_TETRA, "--seed", "0"], "--seed"),
+        ("nd-pythagoras", ["--input", RIGHT_TETRA, "--dim", "3"], "--dim"),
+        ("pythagoras", ["--input", T345, "--legs", "orthonormal"], "--legs"),
+    ])
+    def test_unread_flag_is_two(self, shape_file, capsys, theorem, argv, flag):
+        argv = [shape_file(a) if isinstance(a, dict) else a for a in argv]
+        assert main(["verify", theorem, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        source = " --input" if "--input" in argv else ""
+        assert err == f"shapecalc: error: verify {theorem}{source} does not read {flag}\n"
+
+    def test_unset_flags_read_their_defaults(self, shape_file):
+        defaults = dict(count=1, seed=0, dim=3, legs="orthonormal")
+        for theorem in THEOREMS:
+            read = defaults if theorem == "nd-pythagoras" else dict(count=1, seed=0)
+            unset, _ = run_verify(theorem, random_batch=True)
+            given, _ = run_verify(theorem, random_batch=True, **read)
+            assert unset.entries == given.entries
+        with pytest.raises(ShapeValidationError, match="does not read --seed"):
+            run_verify("sines", input_path=shape_file(T345), seed=0)
+        with pytest.raises(ShapeValidationError, match="verify sines does not read --dim"):
+            run_verify("sines", random_batch=True, dim=3)
 
     @pytest.mark.parametrize("value, message", [
         ("-1", "argument --seed: must be >= 0, got '-1'"),
@@ -794,9 +827,8 @@ class TestReportsArePlainData:
 
     @pytest.mark.parametrize("theorem", list(THEOREMS))
     def test_verify_run_report(self, theorem):
-        report, _ = run_verify(
-            theorem, random_batch=True, count=2, seed=4, dim=16, legs="scaled"
-        )
+        nd = {"dim": 16, "legs": "scaled"} if theorem == "nd-pythagoras" else {}
+        report, _ = run_verify(theorem, random_batch=True, count=2, seed=4, **nd)
         assert_plain(report.to_dict())
 
     def test_derive_run_report(self, shape_file):
@@ -891,8 +923,10 @@ class TestStreamedRender:
     )
     def test_verify_reports(self, theorem, dim, count):
         argv = ["verify", theorem, "--random", "--count", str(count), AWKWARD]
+        # Only nd-pythagoras reads dim and legs.
+        nd = {"dim": dim, "legs": "scaled"} if theorem == "nd-pythagoras" else {}
         report, _ = run_verify(theorem, random_batch=True, count=count, seed=5,
-                               dim=dim, legs="scaled", command=argv)
+                               command=argv, **nd)
         assert_renders_whole_text(report)
 
     @pytest.mark.parametrize(

@@ -193,7 +193,7 @@ class TestStackedGeometry:
         for k, vertices in enumerate(stack):
             s = Simplex(vertices)
             assert (volumes[k], scales[k]) == (s.volume, s.scale)
-            for name in ("vertices", "normals", "measures"):
+            for name in ("normals", "measures"):
                 stacked, alone = getattr(facets, name)[k], getattr(s.facets, name)
                 assert stacked.tobytes() == alone.tobytes(), name
                 assert stacked.strides == alone.strides, name
@@ -204,7 +204,7 @@ class TestStackedGeometry:
         for vertices in scaled_stack(m, dim):
             s = Simplex(vertices)
             expected = support.facets_alone(s)
-            for name in ("vertices", "normals", "measures"):
+            for name in ("normals", "measures"):
                 got, want = getattr(s.facets, name), getattr(expected, name)
                 assert got.tobytes() == want.tobytes(), name
                 assert got.strides == want.strides, name
@@ -219,7 +219,7 @@ class TestStackedGeometry:
         assert stacked.scale == [s.scale for s in alone]
         for k, s in enumerate(alone):
             assert stacked.centroid[k].tobytes() == s.centroid.tobytes()
-            for name in ("vertices", "normals", "measures"):
+            for name in ("normals", "measures"):
                 item = getattr(stacked.facets, name)[k]
                 assert item.tobytes() == getattr(s.facets, name).tobytes(), name
 
@@ -265,7 +265,7 @@ class TestFacets:
         s = Simplex(np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0]]))
         fs = s.facets  # facet 2 spans (0,0)-(3,4)
         assert fs.measures[2] == pytest.approx(5.0, abs=1e-14)
-        assert facet_measure(fs.vertices[2]) == pytest.approx(5.0, abs=1e-14)
+        assert facet_measure(support.facet_vertices(s)[2]) == pytest.approx(5.0, abs=1e-14)
 
     def test_oblique_face_cross_product_oracle(self):
         s = unit_simplex(3)
@@ -278,7 +278,7 @@ class TestFacets:
     def test_standard_4_simplex_face_cayley_menger_oracle(self):
         s = unit_simplex(4)
         fs = s.facets  # facet 0 spans e1..e4
-        oracle = support.cayley_menger_measure(fs.vertices[0])
+        oracle = support.cayley_menger_measure(support.facet_vertices(s)[0])
         assert fs.measures[0] == pytest.approx(oracle, rel=1e-12)
         assert fs.measures[0] == pytest.approx(1.0 / 3.0, rel=1e-13)
 
@@ -287,20 +287,18 @@ class TestFacets:
         for dim in (2, 3, 5):
             s = support.random_simplex(rng, dim)
             fs = s.facets
-            for vertices, measure in zip(fs.vertices, fs.measures):
+            for vertices, measure in zip(support.facet_vertices(s), fs.measures):
                 assert facet_measure(vertices) == pytest.approx(measure, rel=1e-14)
 
 
 class TestFacetsArrays:
-    """``Simplex.facets`` as a frozen record of three read-only arrays."""
+    """``Simplex.facets`` as a frozen record of two read-only arrays."""
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
-    def test_record_of_three_arrays(self, dim):
+    def test_record_of_two_arrays(self, dim):
         s = support.random_simplex(np.random.default_rng(dim), dim, min_rel_det=1e-6)
         fs = s.facets
-        assert [f.name for f in dataclasses.fields(fs)] == [
-            "vertices", "normals", "measures"]
-        assert fs.vertices.shape == (dim + 1, dim, dim)
+        assert [f.name for f in dataclasses.fields(fs)] == ["normals", "measures"]
         assert fs.normals.shape == (dim + 1, dim)
         assert fs.measures.shape == (dim + 1,)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -311,19 +309,27 @@ class TestFacetsArrays:
         fs = support.random_simplex(
             np.random.default_rng(dim), dim, min_rel_det=1e-6
         ).facets
-        for array in (fs.vertices, fs.normals, fs.measures):
+        for array in (fs.normals, fs.measures):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        assert not fs.vertices[0].flags.writeable
         assert not fs.normals[0].flags.writeable
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_rows_match_the_vertex_array(self, dim):
+        # boundary_integral pairs gathered row i with normal i and measure i.
         s = support.random_simplex(np.random.default_rng(dim), dim, min_rel_det=1e-6)
-        fs = s.facets
+        rows = support.facet_vertices(s)
         for i in range(dim + 1):
-            assert np.array_equal(fs.vertices[i], np.delete(s.vertices, i, axis=0))
+            assert np.array_equal(rows[i], np.delete(s.vertices, i, axis=0))
+            assert float(s.facets.normals[i] @ (rows[i][0] - s.vertices[i])) > 0.0
+
+    @pytest.mark.parametrize("m, dim", STACK_SHAPES)
+    def test_stack_holds_only_normals_and_measures(self, m, dim):
+        # M (N+1) normals of N floats and M (N+1) measures: no facet points.
+        fs = Simplex(scaled_stack(m, dim)).facets
+        held = sum(vars(fs)[name].size for name in vars(fs))
+        assert held == m * (dim + 1) * (dim + 1)
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_closed_form_matches_norm_and_vstack(self, dim):
@@ -377,7 +383,7 @@ class TestNormals:
         dim = int(rng.integers(2, 7))
         s = support.random_simplex(rng, dim)
         fs = s.facets
-        for vertices, normal in zip(fs.vertices, fs.normals):
+        for vertices, normal in zip(support.facet_vertices(s), fs.normals):
             assert abs(np.linalg.norm(normal) - 1.0) <= 1e-14
             edges = vertices[1:] - vertices[0]
             for edge in edges:
@@ -391,7 +397,7 @@ class TestNormals:
         s = support.random_simplex(rng, dim)
         fs = s.facets
         for i, opposite in enumerate(s.vertices):
-            centroid = fs.vertices[i].mean(axis=0)
+            centroid = support.facet_vertices(s)[i].mean(axis=0)
             assert float(fs.normals[i] @ (centroid - opposite)) > 0.0
 
     @given(st.integers(0, 10_000))
@@ -529,7 +535,7 @@ class TestOracleEquivalence:
         s = support.random_simplex(rng, dim)
         i = int(rng.integers(0, dim + 1))
         assert s.facets.measures[i] == pytest.approx(
-            support.cayley_menger_measure(s.facets.vertices[i]), rel=1e-12
+            support.cayley_menger_measure(support.facet_vertices(s)[i]), rel=1e-12
         )
 
 
@@ -572,7 +578,8 @@ class TestExactOracle:
                 except DegenerateSimplexError:
                     continue
                 fs = s.facets
-                for vertices, measure in zip(fs.vertices, fs.measures.tolist()):
+                for vertices, measure in zip(support.facet_vertices(s),
+                                             fs.measures.tolist()):
                     exact = exact_gram_det(vertices.tolist()) / math.factorial(
                         dim - 1
                     ) ** 2

@@ -598,3 +598,47 @@ class TestStackedProof:
         mixed = [random_right_simplex(0, 3), random_right_simplex(0, 4)]
         with pytest.raises(DimensionMismatchError, match="one dimension, got \\[3, 4\\]"):
             theorems.prove("nd-pythagoras", mixed, 1e-12, 1e-12)
+
+
+class TestProofChunks:
+    """A list is proved in stacks of at most ``PROOF_CHUNK`` instances, in
+    order; each report keeps the bits of the lone proof, and the first
+    failing instance still raises its own error."""
+
+    COUNT = theorems.PROOF_CHUNK + 3
+
+    @pytest.mark.parametrize("verify, make", [
+        (verify_law_of_sines, lambda k: random_triangle(k, "general")),
+        (verify_nd_pythagoras, lambda k: random_right_simplex(k, 5, "scaled")),
+    ])
+    def test_reports_across_a_chunk_boundary_are_the_lone_ones(self, verify, make):
+        instances = [make(k) for k in range(self.COUNT)]
+        reports = verify(instances)
+        assert len(reports) == self.COUNT
+        assert [json.dumps(r.to_dict()) for r in reports] == [
+            json.dumps(verify(instance).to_dict()) for instance in instances]
+
+    def test_no_stack_exceeds_the_chunk(self, monkeypatch):
+        sizes = []
+        prove = theorems.prove
+
+        def spy(theorem, instances, *tolerances):
+            sizes.append(len(instances))
+            return prove(theorem, instances, *tolerances)
+
+        monkeypatch.setattr(theorems, "prove", spy)
+        count = 2 * theorems.PROOF_CHUNK + 1
+        reports = verify_law_of_cosines([random_triangle(k) for k in range(count)])
+        assert len(reports) == count
+        assert sizes == [theorems.PROOF_CHUNK, theorems.PROOF_CHUNK, 1]
+
+    @pytest.mark.parametrize("bad, error", [
+        (Triangle([0.0, 0.0], [1.0, 0.0], [0.5, 0.8]), NotRightTriangleError),
+        (scaled_345(1e-160), FloatRangeError),
+    ])
+    def test_failure_past_the_boundary_raises_its_own_error(self, bad, error):
+        instances = [random_triangle(k, "right") for k in range(self.COUNT)]
+        instances[theorems.PROOF_CHUNK + 1] = bad
+        got = outcome(lambda: verify_pythagoras(instances))
+        assert got == outcome(lambda: [verify_pythagoras(bad)])
+        assert got[0] is error
