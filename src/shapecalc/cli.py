@@ -18,7 +18,9 @@ each option after the ``run_verify`` / ``run_derive`` parameter it sets,
 so ``main`` passes the parsed options straight to the run function.
 
 Exit codes: 0 all instances pass, 1 at least one verification failure,
-2 input / parse / precondition error or a report that cannot be written.
+2 input / parse / precondition error or a report that cannot be written,
+3 internal error: any other exception, reported as one stderr line
+``shapecalc: internal error: <Type>: <message>`` with no traceback.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .errors import ShapeParseError, ShapeValidationError
+from .errors import ShapeCalcError, ShapeParseError, ShapeValidationError
 from .fields import AffineDensity, AffineField
 from .geometry import Simplex, Triangle, as_vector
 from .hadamard import hadamard_derivative
@@ -51,10 +53,9 @@ FIELD_NAMES = ", ".join(f"{name}:{'|'.join(row.fields)}" if "" not in row.fields
                         else name for name, row in THEOREMS.items())
 
 # Everything that counts as a class-2 failure at the CLI boundary: bad input,
-# and (OSError) a file that cannot be read or a report that cannot be
-# written. Every ShapeCalcError is a ValueError. ROADMAP Open item 4 narrows
-# this.
-INPUT_ERRORS = (ValueError, OSError)
+# which the package raises as a ShapeCalcError, and (OSError) a file that
+# cannot be read or a report that cannot be written. Anything else is a bug.
+INPUT_ERRORS = (ShapeCalcError, OSError)
 
 # json.dumps's spelling of each plain leaf type: a float's repr but NaN, ±Infinity.
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -129,12 +130,22 @@ def _require(condition: bool, message: str, parse: bool = False):
         raise (ShapeParseError if parse else ShapeValidationError)(message)
 
 
+def _read_shape(path: str) -> ShapeDocument:
+    """``parse_shape`` of a file; text that is not UTF-8 is a ``ShapeParseError``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ShapeParseError(f"shape file is not UTF-8: {err}") from err
+    return parse_shape(text)
+
+
 def parse_shape(text: str) -> ShapeDocument:
     """Parse and validate a JSON shape document; the document builds its
     simplex, which surfaces degeneracy early."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # or nested too deep
         raise ShapeParseError(f"invalid JSON: {err}") from err
     _require(isinstance(raw, dict), "shape document must be a JSON object", parse=True)
     _require("dim" in raw and "vertices" in raw,
@@ -270,8 +281,7 @@ def run_verify(
     count, seed, dim, legs = (default if value is None else value
                               for value, default in options.values())
     if input_path is not None:
-        with open(input_path, "r", encoding="utf-8") as handle:
-            doc = parse_shape(handle.read())
+        doc = _read_shape(input_path)
         seeds, instances = None, [getattr(doc, row.document)()]
     elif random_batch:
         if count < 1:
@@ -292,7 +302,7 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
     if spec.lstrip().startswith("{"):
         try:
             raw = json.loads(spec)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ShapeParseError(f"invalid field JSON: {err}") from err
         _require(isinstance(raw, dict) and "matrix" in raw and "offset" in raw,
                  "field spec needs 'matrix' and 'offset'", parse=True)
@@ -313,7 +323,7 @@ def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:
         return AffineDensity.one(dim)
     try:
         raw = json.loads(spec)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ShapeParseError(f"invalid density JSON: {err}") from err
     _require(isinstance(raw, dict) and "gradient" in raw and "constant" in raw,
              "density spec needs 'gradient' and 'constant'", parse=True)
@@ -368,8 +378,7 @@ def run_derive(
     residual within max(tol_abs, FD_REL_TOL * (1 + |boundary total|)).
     """
     started = time.perf_counter()
-    with open(input_path, "r", encoding="utf-8") as handle:
-        doc = parse_shape(handle.read())
+    doc = _read_shape(input_path)
     xi = _parse_field_spec(field_spec, doc)
     f = _parse_density_spec(density_spec, doc.dim)
     report = hadamard_derivative(doc.simplex, f, xi)
@@ -455,6 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     except INPUT_ERRORS as err:
         print(f"shapecalc: error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a bug, not bad input: one line, no traceback
+        print(f"shapecalc: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     return code
 
 

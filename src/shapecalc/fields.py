@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ShapeValidationError
 from .geometry import Simplex, Triangle, as_vector
 
 
@@ -31,7 +31,7 @@ class AffineField:
                 f"field matrix must be square, got shape {m.shape}"
             )
         if not np.isfinite(m).all():
-            raise ValueError("field matrix has non-finite entries")
+            raise ShapeValidationError("field matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         b = np.array(self.offset, dtype=float)
@@ -71,7 +71,7 @@ class AffineDensity:
         )
         c = float(self.constant)
         if not np.isfinite(c):
-            raise ValueError("density constant is non-finite")
+            raise ShapeValidationError("density constant is non-finite")
         object.__setattr__(self, "constant", c)
 
     @classmethod
@@ -116,7 +116,7 @@ def sines_field(t: Triangle, side: str) -> AffineField:
     side ``c`` points B -> A.
     """
     if side not in ("a", "b", "c"):
-        raise ValueError(f"side must be 'a', 'b', or 'c', got {side!r}")
+        raise ShapeValidationError(f"side must be 'a', 'b', or 'c', got {side!r}")
     head, tail = {"a": "BC", "b": "CA", "c": "AB"}[side]
     return AffineField.constant((getattr(t, head) - getattr(t, tail)) / getattr(t, side))
 
@@ -129,7 +129,7 @@ def cosines_field(t: Triangle) -> AffineField:
 def nd_pythagoras_field(s: Simplex, hyp_index: int) -> AffineField:
     """Constant translation field (hypotenuse measure) * (hypotenuse normal)."""
     if not 0 <= hyp_index <= s.dim:
-        raise ValueError(
+        raise ShapeValidationError(
             f"hyp_index must be in 0..{s.dim}, got {hyp_index}"
         )
     facets = s.facets

@@ -7,11 +7,12 @@ one stacked inverse, raising ``FloatRangeError`` where they overflow;
 ``Simplex`` runs both, on one simplex or on a stack of them, and computes
 the facets on first read. Each item gets the bits it gets alone: stacked
 ``det`` and ``inv`` round each matrix as a lone call does, and each item's
-normals keep the lone column-major layout. A ``Triangle``'s side normals
-are views of its simplex's facets, so building one computes none, and the
-same properties read a stacked simplex's. Vertex, normal and measure
-arrays are read-only; ``Simplex``, ``Facets`` and ``Triangle`` are frozen
-dataclasses.
+normals keep the lone column-major layout. A ``Triangle`` builds its
+simplex on first read unless its float screen cannot settle the gate,
+and its side normals are views of that simplex's facets, so building one
+computes none; the same properties read a stacked simplex's. Vertex,
+normal and measure arrays are read-only; ``Simplex``, ``Facets`` and
+``Triangle`` are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
+from .errors import (DegenerateSimplexError, DimensionMismatchError, ShapeValidationError,
+                     float_range)
 
 # Degeneracy gate: |det(edge matrix)| must exceed DEGENERACY_EPS * scale**N,
 # with scale the longest edge. Leaves conditioning headroom for
@@ -40,7 +42,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
             f"{name} must have dimension {dim}, got {v.shape[0]}"
         )
     if not np.isfinite(v).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise ShapeValidationError(f"{name} has non-finite entries")
     v.flags.writeable = False
     return v
 
@@ -60,14 +62,14 @@ def gated_volumes(stack: np.ndarray) -> tuple[list[float], list[float]]:
     """Volume |det(v_1 - v_0, ..., v_N - v_0)| / N! and longest edge (scale)
     of each vertex array of a (M, N+1, N) stack, as if gated alone. Raises
     DegenerateSimplexError, ``index`` its position, for the first array with
-    |det| <= DEGENERACY_EPS * scale**N; ValueError for non-finite and
+    |det| <= DEGENERACY_EPS * scale**N; ShapeValidationError for non-finite and
     FloatRangeError for overflowing vertices, and DimensionMismatchError
     for N < 2."""
     n = stack.shape[-1]
     if n < 2:
         raise DimensionMismatchError("simplex dimension must be at least 2")
     if not np.isfinite(stack).all():
-        raise ValueError("simplex vertices have non-finite entries")
+        raise ShapeValidationError("simplex vertices have non-finite entries")
     with float_range("vertex coordinates overflow the float range"):
         with np.errstate(divide="ignore"):  # a zero pivot: |det| = 0 fails below
             dets = np.linalg.det(stack[:, 1:] - stack[:, :1]).tolist()
@@ -188,12 +190,6 @@ def base_height_volume(s: Simplex, base_index: int) -> float:
     return h / s.dim * float(facets.measures[base_index])
 
 
-def _interior_angle(u: np.ndarray, v: np.ndarray) -> float:
-    # atan2 of (rejection, projection) magnitudes; stable near 0 and pi.
-    cross = u[0] * v[1] - u[1] * v[0]
-    return math.atan2(abs(cross), float(u @ v))
-
-
 def _side_normal(i: int) -> property:
     """Side i's outward unit normals, a read-only view of ``simplex.facets``,
     which the simplex computes on first read and caches."""
@@ -208,9 +204,16 @@ class Triangle:
     ``b`` = |AC|, ``c`` = |AB|; interior angles ``alpha``, ``beta``, ``gamma``
     at A, B, C; outward unit side normals ``n_a``, ``n_b``, ``n_c``; and
     ``simplex``, whose facet order is (a, b, c): side x is the facet
-    opposite the like-named vertex. ``__post_init__`` sets the lengths and
-    angles once, with A, B, C replaced by the rows of ``simplex.vertices``;
-    the side normals are views of ``simplex.facets``, computed on first read.
+    opposite the like-named vertex. ``__post_init__`` sets the vertices as
+    read-only arrays and the lengths and angles once; ``simplex`` is built
+    on first read, and the side normals are views of its facets.
+
+    The gate is screened in floats (Shewchuk's static filter): cross =
+    (B - A) x (C - A) and LAPACK's det of the same float edges both lie
+    within about 4 eps * peak of the exact determinant, peak the largest
+    squared side, so the gate passes where 1e-200 < peak < 1e200 and
+    |cross| > 2 * DEGENERACY_EPS * peak. Elsewhere ``simplex`` is built at
+    once, and raises or passes as the gate does.
     """
 
     A: np.ndarray
@@ -219,20 +222,29 @@ class Triangle:
 
     n_a, n_b, n_c = map(_side_normal, range(3))
 
+    @cached_property
+    def simplex(self) -> Simplex:
+        return Simplex((self.A, self.B, self.C))
+
     def __post_init__(self):
-        simplex = Simplex(np.array([as_vector(self.A, 2, "vertex A"),
-                                    as_vector(self.B, 2, "vertex B"),
-                                    as_vector(self.C, 2, "vertex C")]))
-        A, B, C = simplex.vertices
-        # np.linalg.norm's own formula for 1-D floats; .dot, unlike @, never warns.
-        a, b, c = (math.sqrt(d.dot(d)) for d in (B - C, A - C, A - B))
-        derived = {
-            "simplex": simplex, "A": A, "B": B, "C": C, "a": a, "b": b, "c": c,
-            "alpha": _interior_angle(B - A, C - A),
-            "beta": _interior_angle(A - B, C - B),
-            "gamma": _interior_angle(A - C, B - C),
-        }
-        for name, value in derived.items():
+        for k in "ABC":
+            object.__setattr__(self, k, as_vector(getattr(self, k), 2, f"vertex {k}"))
+        (ax, ay), (bx, by), (cx, cy) = self.A.tolist(), self.B.tolist(), self.C.tolist()
+        # The sides BC, AC and AB, and the edges (u, v) of the angles at A, B and C.
+        bc, ac, ab = (bx - cx, by - cy), (ax - cx, ay - cy), (ax - bx, ay - by)
+        us, vs = ((bx - ax, by - ay), ab, ac), ((cx - ax, cy - ay), (cx - bx, cy - by), bc)
+        cross = [u[0] * v[1] - u[1] * v[0] for u, v in zip(us, vs)]
+        peak = max(x * x + y * y for x, y in (bc, ac, ab))
+        if not (1e-200 < peak < 1e200 and abs(cross[0]) > 2 * DEGENERACY_EPS * peak):
+            self.simplex  # the exact gate; past it, the product cannot overflow
+        # One (1, 2) @ (2, 1) product per dot, the BLAS dot that d.dot(d) and
+        # u @ v take: the squared sides, then u . v at A, B and C.
+        rows = np.array([(bc, ac, ab, *us), (bc, ac, ab, *vs)])
+        dots = (rows[0, :, None] @ rows[1, :, :, None]).ravel().tolist()
+        # atan2 of (rejection, projection) magnitudes; stable near 0 and pi.
+        angles = [math.atan2(abs(x), dot) for x, dot in zip(cross, dots[3:])]
+        for name, value in zip(("a", "b", "c", "alpha", "beta", "gamma"),
+                               [*map(math.sqrt, dots[:3]), *angles]):
             object.__setattr__(self, name, value)
 
     def __repr__(self):

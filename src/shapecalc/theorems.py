@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatchError,
     LegOrthogonalityError,
     NotRightTriangleError,
+    ShapeValidationError,
     float_range,
 )
 from .fields import (
@@ -97,7 +98,7 @@ class RightSimplexSpec:
                 f"expected (N, N) leg matrix, got shape {legs.shape}"
             )
         if not np.isfinite(legs).all():
-            raise ValueError("leg vectors have non-finite entries")
+            raise ShapeValidationError("leg vectors have non-finite entries")
         legs.flags.writeable = False
         object.__setattr__(self, "legs", legs)
         object.__setattr__(
@@ -148,7 +149,7 @@ class _Triangles:
 
     def __init__(self, triangles: list[Triangle]):
         self.items = triangles
-        self.simplex = Simplex(np.array([t.simplex.vertices for t in triangles]))
+        self.simplex = Simplex(np.array([(t.A, t.B, t.C) for t in triangles]))
         self.A, self.B, self.C = self.simplex.vertices.swapaxes(0, 1)
         self.a, self.b, self.c = np.array([(t.a, t.b, t.c) for t in triangles]).T[..., None]
 
@@ -169,7 +170,7 @@ def _each_with_normals(member: Callable) -> Callable:
 
 def _triangle_summary(t: Triangle) -> dict:
     return {
-        "vertices": t.simplex.vertices.tolist(),
+        "vertices": [t.A.tolist(), t.B.tolist(), t.C.tolist()],
         "a": t.a,
         "b": t.b,
         "c": t.c,
@@ -450,7 +451,7 @@ def random_triangle(seed: int, kind: str = "general") -> Triangle:
     "obtuse" (largest angle exceeds pi/2).
     """
     if kind not in ("general", "right", "obtuse"):
-        raise ValueError(f"unknown triangle kind {kind!r}")
+        raise ShapeValidationError(f"unknown triangle kind {kind!r}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REJECTIONS):
         if kind == "right":
@@ -531,9 +532,9 @@ def random_right_simplex(
     simplex is placed at the apex.
     """
     if not 2 <= dim <= 16:
-        raise ValueError(f"dim must be in 2..16, got {dim}")
+        raise ShapeValidationError(f"dim must be in 2..16, got {dim}")
     if leg_mode not in ("orthonormal", "scaled"):
-        raise ValueError(f"unknown leg mode {leg_mode!r}")
+        raise ShapeValidationError(f"unknown leg mode {leg_mode!r}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REJECTIONS):
         raw = rng.standard_normal((dim, dim))

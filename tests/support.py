@@ -5,9 +5,11 @@ route used inside the package.
 """
 
 import math
+import struct
 import sys
 from contextlib import nullcontext
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
@@ -18,11 +20,14 @@ from shapecalc import (
     DegenerateSimplexError,
     NotRightTriangleError,
     RightSimplexSpec,
+    ShapeValidationError,
     Simplex,
     TheoremReport,
+    Triangle,
+    theorems,
 )
 from shapecalc.errors import float_range
-from shapecalc.geometry import _facet_index
+from shapecalc.geometry import _facet_index, as_vector
 from shapecalc.theorems import RIGHT_ANGLE_TOL
 
 _EPS = float(np.finfo(float).eps)
@@ -201,7 +206,7 @@ def gated_volumes_two_path(stack: np.ndarray) -> tuple[list[float], list[float]]
     if peak < sys.float_info.max ** (1.0 / n) / (2.0 * math.sqrt(n)):
         screen = nullcontext()
     elif not np.isfinite(peak):
-        raise ValueError("simplex vertices have non-finite entries")
+        raise ShapeValidationError("simplex vertices have non-finite entries")
     else:
         screen = float_range("vertex coordinates overflow the float range")
     with screen:
@@ -386,3 +391,63 @@ def prove_alone(theorem: str, instance, tol_abs: float, tol_rel: float) -> Theor
             passed=abs(residual) <= tol_abs + tol_rel * scale**2,
             auxiliary=auxiliary,
         )
+
+
+def _interior_angle(u: np.ndarray, v: np.ndarray) -> float:
+    # atan2 of (rejection, projection) magnitudes; stable near 0 and pi.
+    cross = u[0] * v[1] - u[1] * v[0]
+    return math.atan2(abs(cross), float(u @ v))
+
+
+class TriangleReference:
+    """Reference ``Triangle`` construction, as before the float screen: an
+    eager ``Simplex`` gates the vertices, each side length is the root of
+    ``d.dot(d)`` and each angle the atan2 of its edges' cross and dot, all
+    on numpy differences. ``Triangle`` must give the same bits in every
+    attribute, or raise the same error."""
+
+    def __init__(self, A, B, C):
+        self.simplex = Simplex(np.array([as_vector(A, 2, "vertex A"),
+                                         as_vector(B, 2, "vertex B"),
+                                         as_vector(C, 2, "vertex C")]))
+        A, B, C = self.A, self.B, self.C = self.simplex.vertices
+        self.a, self.b, self.c = (math.sqrt(d.dot(d)) for d in (B - C, A - C, A - B))
+        self.alpha = _interior_angle(B - A, C - A)
+        self.beta = _interior_angle(A - B, C - B)
+        self.gamma = _interior_angle(A - C, B - C)
+
+    n_a, n_b, n_c = (property(lambda self, i=i: self.simplex.facets.normals[i])
+                     for i in range(3))
+
+
+def triangle_outcome(build) -> tuple:
+    """The outcome of ``build()``, a triangle: its error's type and message,
+    or the bits of A, B, C, a, b, c, alpha, beta and gamma, and of the
+    side normals n_a, n_b, n_c (or what reading them raises)."""
+    try:
+        t = build()
+    except Exception as err:
+        return type(err), str(err)
+    try:
+        normals = np.array([t.n_a, t.n_b, t.n_c]).tobytes()
+    except Exception as err:
+        normals = type(err), str(err)
+    return (t.A.tobytes() + t.B.tobytes() + t.C.tobytes()
+            + struct.pack("6d", t.a, t.b, t.c, t.alpha, t.beta, t.gamma), normals)
+
+
+def triangle_mismatches(vertex_triples=(), seeds=(), kinds=("general", "right", "obtuse")):
+    """The cases where ``Triangle`` and ``TriangleReference`` differ in
+    outcome: each (A, B, C) of ``vertex_triples``, and each seed and kind
+    of ``random_triangle`` against the same generator building its draws
+    with ``TriangleReference``. Empty when every outcome is identical."""
+    mismatches = [
+        (A, B, C) for A, B, C in vertex_triples
+        if triangle_outcome(lambda: Triangle(A, B, C))
+        != triangle_outcome(lambda: TriangleReference(A, B, C))]
+    cases = [(seed, kind) for kind in kinds for seed in seeds]
+    new = [triangle_outcome(lambda: theorems.random_triangle(*case)) for case in cases]
+    with mock.patch.object(theorems, "Triangle", TriangleReference):
+        reference = [triangle_outcome(lambda: theorems.random_triangle(*case))
+                     for case in cases]
+    return mismatches + [case for case, a, b in zip(cases, new, reference) if a != b]

@@ -249,6 +249,51 @@ class TestExitCodes:
         path.write_text("{oops")
         assert main(["verify", "sines", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_non_utf8_file_is_two(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"dim": 2, "vertices": [[0, 3], [4, 0], [0, 0]], "é": 1}'
+                         .encode("latin-1"))
+        argv = (["verify", "sines", "--input", str(path)] if command == "verify" else
+                ["derive", "--input", str(path), "--field", "cosines"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapecalc: error: shape file is not UTF-8: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["document", "field", "density"])
+    def test_too_deeply_nested_json_is_two(self, shape_file, tmp_path, capsys, where):
+        # The decoder's RecursionError is a parse error, not a bug.
+        deep = '{"dim": ' + "[" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        argv = ["derive", "--input", str(path) if where == "document" else shape_file(T345),
+                "--field", deep if where == "field" else "cosines"]
+        if where == "density":
+            argv += ["--density", deep]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("shapecalc: error: invalid ") and "recursion" in err
+        assert err.count("\n") == 1
+
+    def test_dimension_out_of_range_is_two(self, capsys):
+        assert main(["verify", "nd-pythagoras", "--random", "--dim", "20"]) == 2
+        assert capsys.readouterr().err == "shapecalc: error: dim must be in 2..16, got 20\n"
+
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_internal_error_is_three(self, monkeypatch, tmp_path, capsys, error):
+        # Only a ShapeCalcError or an OSError is an input error; anything
+        # else, a plain ValueError included, is a bug in the program.
+        def broken(seed, kind="general"):
+            raise error("the generator broke")
+
+        monkeypatch.setattr("shapecalc.theorems.random_triangle", broken)
+        out = tmp_path / "report.json"
+        assert main(["verify", "sines", "--random", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"shapecalc: internal error: {error.__name__}: the generator broke\n")
+        assert not out.exists()
+
     def test_no_source_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "sines"])

@@ -2,13 +2,15 @@
 named field: no traced call is missing, a verify batch counts one instance
 per generated shape and proves the batch as one stack in one verifier
 span (one stacked ``Simplex``, one stack of fields and one boundary
-integral per field of the row), the stacked ``Simplex`` computes the
-call's only facets (building a ``Triangle`` computes none), every named
-derive field is built through its public constructor, and a derive
-evaluates its four finite-difference images in one ``perturbed_integral``
-call, building no ``Simplex`` beyond the input's. The benchmark's own
-tests run only a few of these calls, so a table row that stored a
-function object, and so bypassed the tracer, would slip past them.
+integral per field of the row), the stacked ``Simplex`` is a triangle
+batch's only one and computes the call's only facets (a ``Triangle`` that
+the float screen clears builds no ``Simplex``, and none computes facets),
+every named derive field is built through its public constructor, and a
+derive evaluates its four finite-difference images in one
+``perturbed_integral`` call, building no ``Simplex`` beyond the input's.
+The benchmark's own tests run only a few of these calls, so a table row
+that stored a function object, and so bypassed the tracer, would slip
+past them.
 
 The tracer is loaded from ``bench/tracer.py``; nothing under ``bench/`` is
 written.
@@ -98,8 +100,10 @@ def test_verify_batch_is_traced(theorem, options, tmp_path):
     assert proof == {"geometry.Simplex": 1, "geometry.facets": 1,
                      "fields.proof_field": fields, "hadamard.boundary_integral": fields}
     if theorem != "nd-pythagoras":
-        # The other Simplex spans are the generated Triangles' own.
-        assert spans["geometry.Simplex"][1] == spans["geometry.Triangle"][1] + 1 > count
+        # The proof stack's Simplex is the batch's only one: a generated
+        # Triangle that the float screen clears builds none of its own.
+        assert spans["geometry.Simplex"][1] == 1
+        assert spans["geometry.Triangle"][1] >= count
     # The stack's facets are the call's only ones: no Triangle computes its own.
     assert spans["geometry.facets"][1] == 1
     # One report per instance, directly under the root, after the last
@@ -108,6 +112,21 @@ def test_verify_batch_is_traced(theorem, options, tmp_path):
     reports = [(tracer.name[p], i) for n, p, i in zip(tracer.name, tracer.parent,
                                                       tracer.instance) if n == to_dict]
     assert reports == [(root, count - 1)] * count
+
+
+def test_verify_input_triangle_builds_two_simplices(tmp_path):
+    # The document's Simplex and the proof stack's: the Triangle of the
+    # document, cleared by the float screen, builds none.
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps(T345))
+    code, tracer = traced_main(["verify", "pythagoras", "--input", str(shape),
+                                "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert tracer.missing == []
+    spans = tracer.summary()
+    assert spans["geometry.Triangle"][1] == 1
+    assert spans["geometry.Simplex"][1] == 2
+    assert spans["geometry.facets"][1] == 1
 
 
 def test_every_named_field_is_tested():
