@@ -13,9 +13,10 @@ Subcommands
 Each theorem's row of ``theorems.THEOREMS`` gives verify its ``generate``,
 ``verify`` and ``document`` members and derive its named ``fields`` (of
 the row's ``field_document``). A shape file parses to a ``ShapeDocument``,
-whose ``simplex`` field is built once, at construction. The parser names
-each option after the ``run_verify`` / ``run_derive`` parameter it sets,
-so ``main`` passes the parsed options straight to the run function.
+whose ``simplex`` field is built once, at construction; its triangle reads
+that simplex, and its right simplex holds its rows, apex first. The parser
+names each option after the ``run_verify`` / ``run_derive`` parameter it
+sets, so ``main`` passes the parsed options straight to the run function.
 
 Exit codes: 0 all instances pass, 1 at least one verification failure,
 2 input / parse / precondition error or a report that cannot be written,
@@ -108,7 +109,7 @@ class ShapeDocument:
                 f"triangle theorems need dim = 2, document has dim = {self.dim}"
             )
         labels = self.labels or {"A": 0, "B": 1, "C": 2}
-        return Triangle(*(self.vertices[labels[k]] for k in "ABC"))
+        return Triangle.over(self.simplex, [labels[k] for k in "ABC"])
 
     def hypotenuse(self) -> tuple[Simplex, int]:
         """The simplex and ``hyp_index``, its hypotenuse facet."""
@@ -119,10 +120,11 @@ class ShapeDocument:
         return self.simplex, self.hyp_index
 
     def right_simplex(self) -> RightSimplexSpec:
+        """The document's own rows, apex first: the hypotenuse facet is
+        opposite the apex."""
         s, hyp = self.hypotenuse()
-        apex = s.vertices[hyp]  # the hypotenuse facet is opposite the apex
-        legs = np.delete(s.vertices, hyp, axis=0) - apex
-        return RightSimplexSpec(apex=apex, legs=legs)
+        order = [hyp] + [i for i in range(s.dim + 1) if i != hyp]
+        return RightSimplexSpec(s.vertices[order])
 
 
 def _require(condition: bool, message: str, parse: bool = False):

@@ -10,7 +10,8 @@ the facets on first read. Each item gets the bits it gets alone: stacked
 normals keep the lone column-major layout. A ``Triangle`` builds its
 simplex on first read unless its float screen cannot settle the gate,
 and its side normals are views of that simplex's facets, so building one
-computes none; the same properties read a stacked simplex's. Vertex,
+computes none; the same properties read a stacked simplex's.
+``Triangle.over`` reads a given simplex instead and builds none. Vertex,
 normal and measure arrays are read-only; ``Simplex``, ``Facets`` and
 ``Triangle`` are frozen dataclasses.
 """
@@ -191,9 +192,9 @@ def base_height_volume(s: Simplex, base_index: int) -> float:
 
 
 def _side_normal(i: int) -> property:
-    """Side i's outward unit normals, a read-only view of ``simplex.facets``,
-    which the simplex computes on first read and caches."""
-    return property(lambda self: self.simplex.facets.normals[..., i, :])
+    """Side i's outward unit normals: a read-only view of row ``sides[i]``
+    of ``simplex.facets``, which the simplex computes once, on first read."""
+    return property(lambda self: self.simplex.facets.normals[..., self.sides[i], :])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -203,8 +204,9 @@ class Triangle:
     Derived data follows the classical naming: side lengths ``a`` = |BC|,
     ``b`` = |AC|, ``c`` = |AB|; interior angles ``alpha``, ``beta``, ``gamma``
     at A, B, C; outward unit side normals ``n_a``, ``n_b``, ``n_c``; and
-    ``simplex``, whose facet order is (a, b, c): side x is the facet
-    opposite the like-named vertex. ``__post_init__`` sets the vertices as
+    ``simplex``, whose facets ``sides`` are (a, b, c): side x is the facet
+    opposite the like-named vertex, (0, 1, 2) unless the triangle is built
+    ``over`` a given simplex. ``__post_init__`` sets the vertices as
     read-only arrays and the lengths and angles once; ``simplex`` is built
     on first read, and the side normals are views of its facets.
 
@@ -221,10 +223,22 @@ class Triangle:
     C: np.ndarray
 
     n_a, n_b, n_c = map(_side_normal, range(3))
+    sides = (0, 1, 2)
 
     @cached_property
     def simplex(self) -> Simplex:
         return Simplex((self.A, self.B, self.C))
+
+    @classmethod
+    def over(cls, simplex: Simplex, sides: list[int]) -> Triangle:
+        """The triangle whose A, B, C are the rows ``sides`` of ``simplex``,
+        a triangle, and whose sides a, b, c are the facets opposite them.
+        Its ``simplex`` is set before ``__post_init__`` runs, so it builds
+        none of its own, even where the float screen cannot settle the gate."""
+        t = cls.__new__(cls)
+        vars(t).update(simplex=simplex, sides=tuple(sides))
+        t.__init__(*simplex.vertices[list(sides)])
+        return t
 
     def __post_init__(self):
         for k in "ABC":

@@ -18,8 +18,10 @@ a lone call does, dot products stay BLAS products in the lone layout,
 angles stay ``math`` calls on Python floats, and totals add in facet
 order. A report names its theorem by the row's key, with ``_`` for ``-``.
 The ``verify_*`` functions take one instance or a list, proved in stacks
-of at most ``PROOF_CHUNK`` so that its memory stays bounded. The CLI reads
-a row's ``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
+of at most ``PROOF_CHUNK`` so that its memory stays bounded. An instance
+is one vertex array: a ``Triangle``, or a ``RightSimplexSpec``, which
+holds only its vertices, apex first. The CLI reads a row's
+``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
 methods ``document`` (an instance) and ``field_document`` (what derive's
 named fields take). Rows call this module's functions by name at run
 time, so a tracer can rebind them. Tolerances are implementation choices
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +52,7 @@ from .fields import (
     pythagoras_field,
     sines_field,
 )
-from .geometry import Facets, Simplex, Triangle, as_vector
+from .geometry import Facets, Simplex, Triangle
 from .hadamard import boundary_integral
 
 DEFAULT_TOL_ABS = 1e-12
@@ -83,28 +85,27 @@ class TheoremReport:
 
 @dataclass(frozen=True, eq=False)
 class RightSimplexSpec:
-    """Right N-simplex: an apex plus N mutually orthogonal leg vectors
-    (rows of ``legs``). ``vertices`` lists the apex first, then apex + each
-    leg, so facet 0 of ``simplex``, the one opposite the apex, is the
-    hypotenuse."""
+    """Right N-simplex given by its N+1 vertices (rows), apex first; its
+    ``legs``, ``vertices[1:] - vertices[0]``, are mutually orthogonal, so
+    facet 0 of ``simplex``, the one opposite the apex, is the hypotenuse."""
 
-    apex: np.ndarray
-    legs: np.ndarray
+    vertices: np.ndarray
+    legs: np.ndarray = field(init=False, repr=False)
+    leg_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        legs = np.array(self.legs, dtype=float)
-        if legs.ndim != 2 or legs.shape[0] != legs.shape[1]:
+        v = np.array(self.vertices, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
             raise DimensionMismatchError(
-                f"expected (N, N) leg matrix, got shape {legs.shape}"
+                f"expected (N+1, N) vertex array, got shape {v.shape}"
             )
-        if not np.isfinite(legs).all():
-            raise ShapeValidationError("leg vectors have non-finite entries")
-        legs.flags.writeable = False
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(
-            self, "apex", as_vector(self.apex, legs.shape[0], "apex")
-        )
-        lengths = self.leg_lengths
+        if not np.isfinite(v).all():
+            raise ShapeValidationError("simplex vertices have non-finite entries")
+        legs = v[1:] - v[0]
+        lengths = np.sqrt((legs * legs).sum(axis=1))
+        for name, value in (("vertices", v), ("legs", legs), ("leg_lengths", lengths)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         dots = np.abs(legs @ legs.T)
         np.fill_diagonal(dots, 0.0)
         bound = LEG_ORTHOGONALITY_TOL * (lengths[:, None] * lengths)
@@ -114,17 +115,9 @@ class RightSimplexSpec:
                 f"legs not mutually orthogonal (worst excess {worst:.3e})"
             )
 
-    @cached_property
-    def leg_lengths(self) -> np.ndarray:
-        lengths = np.sqrt((self.legs * self.legs).sum(axis=1))
-        lengths.flags.writeable = False
-        return lengths
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        vertices = np.concatenate([self.apex[None], self.apex + self.legs])
-        vertices.flags.writeable = False
-        return vertices
+    @property
+    def apex(self) -> np.ndarray:
+        return self.vertices[0]
 
     @cached_property
     def simplex(self) -> Simplex:
@@ -145,7 +138,7 @@ class _Triangles:
     outward normals ``n_a``, ``n_b``, ``n_c`` (M, 2), read through the
     ``Triangle`` properties: the stack's facets are the proof's only ones."""
 
-    n_a, n_b, n_c = Triangle.n_a, Triangle.n_b, Triangle.n_c
+    n_a, n_b, n_c, sides = Triangle.n_a, Triangle.n_b, Triangle.n_c, Triangle.sides
 
     def __init__(self, triangles: list[Triangle]):
         self.items = triangles
@@ -217,7 +210,7 @@ class _RightSimplices:
     ``simplex``, one ``Simplex`` of the M vertex arrays, each apex first."""
 
     def __init__(self, specs: list[RightSimplexSpec]):
-        dims = sorted({r.legs.shape[0] for r in specs})
+        dims = sorted({r.vertices.shape[1] for r in specs})
         if len(dims) > 1:
             raise DimensionMismatchError(f"a proof stack needs one dimension, got {dims}")
         self.items = specs
@@ -529,7 +522,7 @@ def random_right_simplex(
     ``raw`` (columns sign-fixed so diag(R) >= 0), each scaled by its
     length; they are rotated by the sign-fixed Q factor of ``rotation``,
     with its first column negated where its determinant is -1, and the
-    simplex is placed at the apex.
+    vertices are the apex, then apex + each rotated leg.
     """
     if not 2 <= dim <= 16:
         raise ShapeValidationError(f"dim must be in 2..16, got {dim}")
@@ -546,7 +539,7 @@ def random_right_simplex(
         if np.linalg.det(rotation) < 0.0:
             rotation[:, 0] = -rotation[:, 0]
         apex = rng.uniform(-1.0, 1.0, size=dim)
-        return RightSimplexSpec(apex=apex, legs=legs @ rotation.T)
+        return RightSimplexSpec(np.vstack([apex, apex + legs @ rotation.T]))
     raise RuntimeError(
         f"no well-conditioned frame after {MAX_REJECTIONS} rejections"
     )

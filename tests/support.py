@@ -151,7 +151,7 @@ def random_right_simplex_reference(
 ) -> RightSimplexSpec:
     """Reference right-simplex generator: one QR per matrix, and the SVD
     condition number ``np.linalg.cond`` on every draw. The package's
-    generator must give the same legs and apex bit for bit."""
+    generator must give the same vertices bit for bit."""
     rng = np.random.default_rng(seed)
     while True:
         raw = rng.standard_normal((dim, dim))
@@ -164,7 +164,14 @@ def random_right_simplex_reference(
         if np.linalg.det(rotation) < 0.0:
             rotation[:, 0] = -rotation[:, 0]
         apex = rng.uniform(-1.0, 1.0, size=dim)
-        return RightSimplexSpec(apex=apex, legs=legs @ rotation.T)
+        return RightSimplexSpec(np.vstack([apex, apex + legs @ rotation.T]))
+
+
+def right_simplex(apex, legs) -> RightSimplexSpec:
+    """The right simplex at ``apex`` with the rows of ``legs`` as its leg
+    vectors: the vertices are the apex, then apex + each leg."""
+    apex = np.asarray(apex, dtype=float)
+    return RightSimplexSpec(np.vstack([apex, apex + legs]))
 
 
 def perturbed_integral_per_image(
@@ -418,6 +425,19 @@ class TriangleReference:
 
     n_a, n_b, n_c = (property(lambda self, i=i: self.simplex.facets.normals[i])
                      for i in range(3))
+
+
+def document_triangle_reference(doc) -> Triangle:
+    """Reference ``ShapeDocument.triangle``, as before it read the
+    document's simplex: a ``Triangle`` of the labelled rows, which builds
+    a simplex of its own. For an unlabelled document, derive must report
+    the same bits with the package's ``ShapeDocument.triangle``."""
+    if doc.dim != 2:
+        raise ShapeValidationError(
+            f"triangle theorems need dim = 2, document has dim = {doc.dim}"
+        )
+    labels = doc.labels or {"A": 0, "B": 1, "C": 2}
+    return Triangle(*(doc.vertices[labels[k]] for k in "ABC"))
 
 
 def triangle_outcome(build) -> tuple:

@@ -10,7 +10,6 @@ import numpy as np
 import support
 from shapecalc import (
     DegenerateSimplexError,
-    RightSimplexSpec,
     Simplex,
     Triangle,
     base_height_volume,
@@ -72,7 +71,7 @@ def test_criterion_2_nd_pythagoras_sweep():
                 if abs(report.residual) > 1e-10 * c2:
                     failures.append((dim, k, mode, report.residual))
     # Hand-derived cross-check: legs (2, 3, 6) give C^2 = 126.
-    spec = RightSimplexSpec(apex=np.zeros(3), legs=np.diag([2.0, 3.0, 6.0]))
+    spec = support.right_simplex(np.zeros(3), np.diag([2.0, 3.0, 6.0]))
     report = verify_nd_pythagoras(spec)
     c2 = report.summary["hyp_measure"] ** 2
     oracle = support.cayley_menger_measure(spec.simplex.vertices[1:]) ** 2
@@ -192,9 +191,8 @@ def test_criterion_7_rigid_motion_invariance():
         spec = random_right_simplex(seed, dim, "scaled")
         rotation = support.random_rotation(rng, dim)
         shift = rng.uniform(-2.0, 2.0, dim)
-        moved = RightSimplexSpec(
-            apex=rotation @ spec.apex + shift, legs=spec.legs @ rotation.T
-        )
+        moved = support.right_simplex(rotation @ spec.apex + shift,
+                                      spec.legs @ rotation.T)
         before = verify_nd_pythagoras(spec)
         after = verify_nd_pythagoras(moved)
         if abs(after.residual - before.residual) > 1e-12 * before.scale**2:

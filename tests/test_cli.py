@@ -1,6 +1,7 @@
 """CLI contract tests: parsing, exit codes, determinism, output formats."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -16,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapecalc
+import support
 from shapecalc import (
     AffineDensity,
     AffineField,
     DegenerateSimplexError,
+    RightSimplexSpec,
     Simplex,
     hadamard_derivative,
     random_right_simplex,
@@ -64,6 +67,17 @@ RIGHT_TETRA = {
         [0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0],
         [0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0],
+    ],
+    "hyp_index": 0,
+}
+# A tetrahedron whose legs from vertex 0 are not orthogonal.
+SKEWED_TETRA = {
+    "dim": 3,
+    "vertices": [
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [0.4, 1.0, 0.0],
         [0.0, 0.0, 1.0],
     ],
     "hyp_index": 0,
@@ -200,6 +214,47 @@ class TestParseShape:
         doc.right_simplex()
         assert len(built) == 1 and built[0] is doc.simplex
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_labelled_triangle_reads_the_document_simplex(self, order, scale):
+        # At 1e150 the Triangle's float screen cannot settle the gate.
+        labels = dict(zip("ABC", order))
+        vertices = [[x * scale for x in v] for v in GENERIC["vertices"]]
+        doc = parse_shape(json.dumps(dict(GENERIC, vertices=vertices, labels=labels)))
+        t = doc.triangle()
+        assert t.simplex is doc.simplex
+        normals = doc.simplex.facets.normals
+        for k, vertex, normal in zip("ABC", (t.A, t.B, t.C), (t.n_a, t.n_b, t.n_c)):
+            assert vertex.tobytes() == doc.simplex.vertices[labels[k]].tobytes()
+            assert normal.tobytes() == normals[labels[k]].tobytes()
+
+    @pytest.mark.parametrize("field", ["pythagoras", "sines:a", "sines:b", "sines:c",
+                                       "cosines"])
+    def test_unlabelled_derive_matches_a_triangle_with_its_own_simplex(
+            self, field, shape_file, monkeypatch):
+        documents = [T345, GENERIC, EQUILATERAL, UNIT_SIMPLEX_2] + [
+            {"dim": 2, "vertices": np.array([t.A, t.B, t.C]).tolist()}
+            for t in (random_triangle(seed, kind) for seed in range(20)
+                      for kind in ("general", "right"))]
+        documents += [
+            {"dim": 2, "vertices": [[x * scale for x in v] for v in d["vertices"]]}
+            for d in documents[:4] for scale in (1e-150, 1e150)]
+
+        def outcome(path):
+            try:
+                report, code = run_derive(path, field)
+            except ShapeValidationError as err:
+                return type(err), str(err)
+            return code, json.dumps(report.entries)
+
+        for document in documents:
+            path = shape_file(document)
+            with monkeypatch.context() as patch:
+                patch.setattr(ShapeDocument, "triangle",
+                              support.document_triangle_reference)
+                expected = outcome(path)
+            assert outcome(path) == expected, document
+
     def test_triangle_requires_dim_2(self):
         doc = parse_shape(json.dumps(RIGHT_TETRA))
         with pytest.raises(ShapeValidationError):
@@ -209,6 +264,30 @@ class TestParseShape:
         doc = parse_shape(json.dumps(UNIT_SIMPLEX_2))
         with pytest.raises(ShapeValidationError):
             doc.right_simplex()
+
+
+class TestRightSimplexDocuments:
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_verify_proves_the_file_rows_apex_first(self, dim, shape_file):
+        # Right simplices rotated, scaled and shifted, with the apex at every
+        # row: apex + (v - apex) is not v for most of their vertices.
+        rng = np.random.default_rng(dim)
+        for mode in ("orthonormal", "scaled"):
+            placed = (random_right_simplex(dim, dim, mode).vertices
+                      @ support.random_rotation(rng, dim).T * rng.uniform(0.5, 2.0)
+                      + rng.uniform(-1.0, 1.0, dim))
+            apex, *others = placed
+            for hyp in range(dim + 1):
+                rows = [*others[:hyp], apex, *others[hyp:]]
+                path = shape_file({"dim": dim, "vertices": np.array(rows).tolist(),
+                                   "hyp_index": hyp})
+                report, code = run_verify("nd-pythagoras", input_path=path)
+                assert code == 0
+                entry = report.entries[0]
+                vertices = np.array(entry["summary"]["vertices"])
+                assert vertices.tobytes() == placed.tobytes()
+                expected = verify_nd_pythagoras(RightSimplexSpec(placed)).to_dict()
+                assert json.dumps(entry) == json.dumps(dict(expected, seed=None))
 
 
 class TestExitCodes:
@@ -367,17 +446,13 @@ class TestExitCodes:
         assert main(["verify", "sines", "--input", shape_file(degenerate)]) == 2
 
     def test_nonorthogonal_nd_input_is_two(self, shape_file):
-        skewed = {
-            "dim": 3,
-            "vertices": [
-                [0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0],
-                [0.4, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-            ],
-            "hyp_index": 0,
-        }
-        assert main(["verify", "nd-pythagoras", "--input", shape_file(skewed)]) == 2
+        assert main(["verify", "nd-pythagoras", "--input", shape_file(SKEWED_TETRA)]) == 2
+
+    def test_nd_field_needs_no_orthogonal_legs(self, shape_file):
+        # derive's nd-pythagoras field reads the document's own simplex and
+        # hyp_index, not a right simplex: it takes any non-degenerate shape.
+        assert main(["derive", "--input", shape_file(SKEWED_TETRA),
+                     "--field", "nd-pythagoras", "--out", os.devnull]) == 0
 
     def test_unknown_theorem_is_argparse_error(self):
         with pytest.raises(SystemExit) as exc:

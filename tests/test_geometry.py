@@ -1,6 +1,7 @@
 """Geometry tests: worked examples, oracle equivalence, and invariants."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -525,6 +526,22 @@ class TestTriangleConstruction:
         # So does a triangle near the gate's threshold: 1.5 * DEGENERACY_EPS.
         near = Triangle([0.0, 0.0], [1.0, 0.0], [0.5, 1.5 * DEGENERACY_EPS])
         assert "simplex" in vars(near)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_over_a_simplex_matches_a_triangle_of_its_rows(self, scale):
+        # Vertices, lengths and angles are those of the triangle of the
+        # same rows; the side normals are the given simplex's facets.
+        # At 1e150 the float screen cannot settle the gate.
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            s = Simplex(support.random_simplex(rng, 2).vertices * scale)
+            for sides in map(list, itertools.permutations(range(3))):
+                t = Triangle.over(s, sides)
+                assert t.simplex is s
+                alone = support.triangle_outcome(lambda: Triangle(*s.vertices[sides]))
+                assert support.triangle_outcome(lambda: t)[0] == alone[0]
+                assert (np.array([t.n_a, t.n_b, t.n_c]).tobytes()
+                        == s.facets.normals[sides].tobytes())
 
     @pytest.mark.parametrize("kind", ["general", "right", "obtuse"])
     def test_random_triangles_match_reference(self, kind):

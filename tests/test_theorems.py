@@ -164,14 +164,14 @@ class TestOverflow:
 
     def test_overflowing_tolerance_raises(self):
         # A right tetrahedron scaled by 1e100: the volume fits, C^2 does not.
-        r = RightSimplexSpec(apex=np.zeros(3), legs=np.eye(3) * 1e100)
+        r = support.right_simplex(np.zeros(3), np.eye(3) * 1e100)
         with pytest.raises(FloatRangeError, match="nd-pythagoras proof overflows"):
             verify_nd_pythagoras(r)
 
 
 class TestNdPythagoras:
     def test_unit_tetrahedron(self):
-        r = RightSimplexSpec(apex=np.zeros(3), legs=np.eye(3))
+        r = support.right_simplex(np.zeros(3), np.eye(3))
         report = verify_nd_pythagoras(r)
         contributions = dict(report.per_facet)
         assert contributions[0] == pytest.approx(0.75, rel=1e-13)
@@ -181,7 +181,7 @@ class TestNdPythagoras:
         assert report.passed
 
     def test_n2_is_classical_pythagoras(self):
-        r = RightSimplexSpec(apex=np.zeros(2), legs=np.eye(2))
+        r = support.right_simplex(np.zeros(2), np.eye(2))
         report = verify_nd_pythagoras(r)
         contributions = dict(report.per_facet)
         assert contributions[0] == pytest.approx(2.0, rel=1e-13)
@@ -189,7 +189,7 @@ class TestNdPythagoras:
         assert contributions[2] == pytest.approx(-1.0, rel=1e-13)
 
     def test_scaled_legs_2_3_6(self):
-        r = RightSimplexSpec(apex=np.zeros(3), legs=np.diag([2.0, 3.0, 6.0]))
+        r = support.right_simplex(np.zeros(3), np.diag([2.0, 3.0, 6.0]))
         report = verify_nd_pythagoras(r)
         hyp = report.summary["hyp_measure"]
         # Hypotenuse area from the independent Cayley-Menger oracle.
@@ -205,18 +205,23 @@ class TestNdPythagoras:
     def test_orthogonality_violation_rejected(self):
         legs = np.array([[1.0, 0.0], [0.5, 1.0]])
         with pytest.raises(LegOrthogonalityError):
-            RightSimplexSpec(apex=np.zeros(2), legs=legs)
+            support.right_simplex(np.zeros(2), legs)
 
-    def test_malformed_legs_rejected(self):
-        with pytest.raises(DimensionMismatchError, match="expected \\(N, N\\) leg matrix"):
-            RightSimplexSpec(apex=np.zeros(2), legs=np.ones((2, 3)))
+    def test_malformed_vertices_rejected(self):
+        for vertices in (np.ones((2, 2)), np.ones((3, 3)), np.ones((2, 3, 2))):
+            with pytest.raises(DimensionMismatchError,
+                               match="expected \\(N\\+1, N\\) vertex array"):
+                RightSimplexSpec(vertices)
         with pytest.raises(ValueError, match="non-finite"):
-            RightSimplexSpec(apex=np.zeros(2), legs=np.diag([1.0, np.inf]))
+            RightSimplexSpec([[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]])
 
-    def test_vertices_are_apex_then_apex_plus_legs(self):
-        r = RightSimplexSpec(apex=[1.0, 2.0], legs=np.diag([3.0, 4.0]))
-        assert r.vertices.tolist() == [[1.0, 2.0], [4.0, 2.0], [1.0, 6.0]]
-        assert not r.vertices.flags.writeable
+    def test_apex_and_legs_are_read_from_the_vertices(self):
+        r = RightSimplexSpec([[1.0, 2.0], [4.0, 2.0], [1.0, 6.0]])
+        assert r.apex.tolist() == [1.0, 2.0]
+        assert r.legs.tolist() == [[3.0, 0.0], [0.0, 4.0]]
+        assert r.leg_lengths.tolist() == [3.0, 4.0]
+        for array in (r.vertices, r.apex, r.legs, r.leg_lengths):
+            assert not array.flags.writeable
         assert np.array_equal(r.simplex.vertices, r.vertices)
 
     @given(st.integers(0, 10_000))
@@ -241,7 +246,7 @@ class TestNdPythagoras:
 
 class TestFaceNormalIdentity:
     def test_unit_tetrahedron_values(self):
-        r = RightSimplexSpec(apex=np.zeros(3), legs=np.eye(3))
+        r = support.right_simplex(np.zeros(3), np.eye(3))
         s = r.simplex
         # A_1 = 1/2, C = sqrt(3)/2, n_C . n_1 = -1/sqrt(3).
         measures, normals = s.facets.measures, s.facets.normals
@@ -254,7 +259,7 @@ class TestFaceNormalIdentity:
             assert residual <= 1e-14
 
     def test_triangle_case(self):
-        r = RightSimplexSpec(apex=np.zeros(2), legs=np.eye(2))
+        r = support.right_simplex(np.zeros(2), np.eye(2))
         for residual in face_normal_identity(r):
             assert residual <= 1e-13
 
@@ -347,8 +352,7 @@ class TestRandomRightSimplex:
     def assert_matches_reference(seed, dim, leg_mode):
         r = random_right_simplex(seed, dim, leg_mode)
         expected = support.random_right_simplex_reference(seed, dim, leg_mode)
-        assert np.array_equal(r.legs, expected.legs)
-        assert np.array_equal(r.apex, expected.apex)
+        assert np.array_equal(r.vertices, expected.vertices)
         assert (verify_nd_pythagoras(r).to_dict()
                 == verify_nd_pythagoras(expected).to_dict())
 
@@ -380,12 +384,12 @@ class TestRandomRightSimplex:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
-    def test_lengths_and_vertices_match_norm_and_vstack(self, dim):
+    def test_legs_and_lengths_match_vertices_and_norm(self, dim):
         for seed in range(20):
             r = random_right_simplex(seed, dim, "scaled")
+            assert np.array_equal(r.legs, r.vertices[1:] - r.vertices[0])
             assert np.array_equal(r.leg_lengths, np.linalg.norm(r.legs, axis=1))
-            assert np.array_equal(r.simplex.vertices,
-                                  np.vstack([r.apex, r.apex + r.legs]))
+            assert np.array_equal(r.simplex.vertices, r.vertices)
 
 
 def svd_matrix(seed: int, dim: int, log_cond: float, exponent: int, kind: str):
@@ -474,9 +478,7 @@ class TestConsistencyAndInvariance:
         r = random_right_simplex(seed, 4, "scaled")
         rotation = support.random_rotation(rng, 4)
         shift = rng.uniform(-2.0, 2.0, 4)
-        moved = RightSimplexSpec(
-            apex=rotation @ r.apex + shift, legs=r.legs @ rotation.T
-        )
+        moved = support.right_simplex(rotation @ r.apex + shift, r.legs @ rotation.T)
         before = verify_nd_pythagoras(r)
         after = verify_nd_pythagoras(moved)
         assert abs(after.residual - before.residual) <= 1e-12 * before.scale**2
@@ -502,7 +504,7 @@ def scaled_345(k: float) -> Triangle:
 
 
 def right_tetrahedron(legs) -> RightSimplexSpec:
-    return RightSimplexSpec(apex=np.zeros(3), legs=np.diag(legs))
+    return support.right_simplex(np.zeros(3), np.diag(legs))
 
 
 class TestStackedProof:

@@ -7,7 +7,9 @@ batch's only one and computes the call's only facets (a ``Triangle`` that
 the float screen clears builds no ``Simplex``, and none computes facets),
 every named derive field is built through its public constructor, and a
 derive evaluates its four finite-difference images in one
-``perturbed_integral`` call, building no ``Simplex`` beyond the input's.
+``perturbed_integral`` call, building no ``Simplex`` and computing no
+facets beyond the input document's, also for a labelled triangle and one
+that the float screen cannot settle.
 The benchmark's own tests run only a few of these calls, so a table row
 that stored a function object, and so bypassed the tracer, would slip
 past them.
@@ -115,8 +117,10 @@ def test_verify_batch_is_traced(theorem, options, tmp_path):
 
 
 def test_verify_input_triangle_builds_two_simplices(tmp_path):
-    # The document's Simplex and the proof stack's: the Triangle of the
-    # document, cleared by the float screen, builds none.
+    # The document's Simplex, which gates the shape when the file is parsed
+    # (a degenerate file is an input error before any theorem runs), and the
+    # proof stack's, which gates the batch the proof runs on. The document's
+    # Triangle reads the document's Simplex and builds none.
     shape = tmp_path / "shape.json"
     shape.write_text(json.dumps(T345))
     code, tracer = traced_main(["verify", "pythagoras", "--input", str(shape),
@@ -133,13 +137,29 @@ def test_every_named_field_is_tested():
     assert sorted(cli.NAMED_FIELDS) == sorted(NAMED_FIELDS)
 
 
-@pytest.mark.parametrize("field", NAMED_FIELDS)
-def test_named_field_is_traced(field, tmp_path):
+# The triangle documents of each named triangle field: the 3-4-5 triangle,
+# the same with its vertices labelled out of order, and the same scaled by
+# 1e150, where the Triangle's float screen cannot settle the gate.
+TRIANGLE_DOCUMENTS = {
+    "T345": T345,
+    "labelled": dict(T345, labels={"A": 1, "B": 2, "C": 0}),
+    "T345x1e150": dict(T345, vertices=[[x * 1e150 for x in v] for v in T345["vertices"]]),
+}
+NAMED_FIELD_CASES = [pytest.param(field, document, id=f"{field}-{name}")
+                     for field in NAMED_FIELDS if field != "nd-pythagoras"
+                     for name, document in TRIANGLE_DOCUMENTS.items()] + [
+    pytest.param("nd-pythagoras", RIGHT_TETRA, id="nd-pythagoras")]
+
+
+@pytest.mark.parametrize("field, document", NAMED_FIELD_CASES)
+def test_named_field_is_traced(field, document, tmp_path):
     shape = tmp_path / "shape.json"
-    shape.write_text(json.dumps(RIGHT_TETRA if field == "nd-pythagoras" else T345))
+    shape.write_text(json.dumps(document))
     code, tracer = traced_main(["derive", "--input", str(shape), "--field", field,
                                 "--out", str(tmp_path / "report.json")])
-    assert code == 0
+    scaled = document is TRIANGLE_DOCUMENTS["T345x1e150"]
+    # A verdict either way at 1e150: derive's pass rule is not scale-free.
+    assert code in ((0, 1) if scaled else (0,))
     assert tracer.missing == []
     assert tracer.instances == 1
     spans = tracer.summary()
@@ -147,8 +167,10 @@ def test_named_field_is_traced(field, tmp_path):
     assert spans["hadamard.derivative"][1] == 1
     # The four fd images are one stack, gated without a Simplex each.
     assert spans["hadamard.perturbed_integral"][1] == 1
-    if field == "nd-pythagoras":
-        assert spans["geometry.Simplex"][1] == 1
+    # The document's Simplex is the call's only one, and its facets the
+    # only facets: the document's Triangle reads both.
+    assert spans["geometry.Simplex"][1] == 1
+    assert spans["geometry.facets"][1] == 1
 
 
 @pytest.mark.parametrize("density", [None, '{"gradient": [1, 2], "constant": 3}'])
