@@ -48,7 +48,6 @@ from .hadamard import (
 from .theorems import (
     RightSimplexSpec,
     TheoremReport,
-    face_normal_identity,
     random_right_simplex,
     random_triangle,
     verify_law_of_cosines,
@@ -81,7 +80,6 @@ __all__ = [
     "cosines_field",
     "default_fd_step",
     "div_density_field",
-    "face_normal_identity",
     "facet_measure",
     "fd_derivative",
     "hadamard_derivative",

@@ -111,20 +111,20 @@ class ShapeDocument:
         labels = self.labels or {"A": 0, "B": 1, "C": 2}
         return Triangle.over(self.simplex, [labels[k] for k in "ABC"])
 
-    def hypotenuse(self) -> tuple[Simplex, int]:
-        """The simplex and ``hyp_index``, its hypotenuse facet."""
+    def hypotenuse(self) -> ShapeDocument:
+        """The document, checked to have the ``hyp_index`` that the field reads."""
         if self.hyp_index is None:
             raise ShapeValidationError(
                 "nd-pythagoras needs 'hyp_index' in the shape document"
             )
-        return self.simplex, self.hyp_index
+        return self
 
     def right_simplex(self) -> RightSimplexSpec:
         """The document's own rows, apex first: the hypotenuse facet is
         opposite the apex."""
-        s, hyp = self.hypotenuse()
-        order = [hyp] + [i for i in range(s.dim + 1) if i != hyp]
-        return RightSimplexSpec(s.vertices[order])
+        hyp = self.hypotenuse().hyp_index
+        order = [hyp] + [i for i in range(self.dim + 1) if i != hyp]
+        return RightSimplexSpec(self.simplex.vertices[order])
 
 
 def _require(condition: bool, message: str, parse: bool = False):
@@ -142,13 +142,19 @@ def _read_shape(path: str) -> ShapeDocument:
     return parse_shape(text)
 
 
+def _load_json(text: str, name: str):
+    """``json.loads(text)``, or ``ShapeParseError`` for JSON that is invalid,
+    nested too deep, or holds an integer past Python's int-string digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
+        raise ShapeParseError(f"invalid {name}: {err}") from err
+
+
 def parse_shape(text: str) -> ShapeDocument:
     """Parse and validate a JSON shape document; the document builds its
     simplex, which surfaces degeneracy early."""
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:  # or nested too deep
-        raise ShapeParseError(f"invalid JSON: {err}") from err
+    raw = _load_json(text, "JSON")
     _require(isinstance(raw, dict), "shape document must be a JSON object", parse=True)
     _require("dim" in raw and "vertices" in raw,
              "shape document needs 'dim' and 'vertices'", parse=True)
@@ -302,10 +308,7 @@ def run_verify(
 
 def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
     if spec.lstrip().startswith("{"):
-        try:
-            raw = json.loads(spec)
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise ShapeParseError(f"invalid field JSON: {err}") from err
+        raw = _load_json(spec, "field JSON")
         _require(isinstance(raw, dict) and "matrix" in raw and "offset" in raw,
                  "field spec needs 'matrix' and 'offset'", parse=True)
         field = AffineField(_float_array(raw["matrix"], "field 'matrix'"),
@@ -323,10 +326,7 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
 def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:
     if spec is None:
         return AffineDensity.one(dim)
-    try:
-        raw = json.loads(spec)
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise ShapeParseError(f"invalid density JSON: {err}") from err
+    raw = _load_json(spec, "density JSON")
     _require(isinstance(raw, dict) and "gradient" in raw and "constant" in raw,
              "density spec needs 'gradient' and 'constant'", parse=True)
     constant = raw["constant"]

@@ -206,9 +206,10 @@ class Triangle:
     at A, B, C; outward unit side normals ``n_a``, ``n_b``, ``n_c``; and
     ``simplex``, whose facets ``sides`` are (a, b, c): side x is the facet
     opposite the like-named vertex, (0, 1, 2) unless the triangle is built
-    ``over`` a given simplex. ``__post_init__`` sets the vertices as
-    read-only arrays and the lengths and angles once; ``simplex`` is built
-    on first read, and the side normals are views of its facets.
+    ``over`` a given simplex. ``__post_init__`` checks the vertices as one
+    (3, 2) array, whose read-only rows they become, and sets the lengths
+    and angles once; ``simplex`` is built on first read, and the side
+    normals are views of its facets.
 
     The gate is screened in floats (Shewchuk's static filter): cross =
     (B - A) x (C - A) and LAPACK's det of the same float edges both lie
@@ -241,9 +242,15 @@ class Triangle:
         return t
 
     def __post_init__(self):
-        for k in "ABC":
-            object.__setattr__(self, k, as_vector(getattr(self, k), 2, f"vertex {k}"))
-        (ax, ay), (bx, by), (cx, cy) = self.A.tolist(), self.B.tolist(), self.C.tolist()
+        try:
+            v = np.array((self.A, self.B, self.C), dtype=float)
+            if v.shape != (3, 2) or not np.isfinite(v).all():
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):  # as_vector names the bad vertex
+            v = np.array([as_vector(getattr(self, k), 2, f"vertex {k}") for k in "ABC"])
+        v.flags.writeable = False
+        vars(self).update(zip("ABC", v))
+        (ax, ay), (bx, by), (cx, cy) = v.tolist()
         # The sides BC, AC and AB, and the edges (u, v) of the angles at A, B and C.
         bc, ac, ab = (bx - cx, by - cy), (ax - cx, ay - cy), (ax - bx, ay - by)
         us, vs = ((bx - ax, by - ay), ab, ac), ((cx - ax, cy - ay), (cx - bx, cy - by), bc)

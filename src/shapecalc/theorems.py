@@ -8,15 +8,15 @@ every row on a list of instances as one stack: it checks ``precondition``
 on each, builds the row's ``stack`` (one stacked ``Simplex``, so one gate
 and one facet inverse, the proof's only one: the triangle rows read their
 side normals through the ``Triangle`` properties on it), builds each of
-``fields`` ("" or a side -> builder, the ones derive names) from
-``shape(stack)`` as one stack of fields and decomposes it with one
-``boundary_integral`` call, then reports ``summary``, ``scale``,
-``auxiliary`` (of the stack and the decompositions, key -> (total,
-per-facet terms)) and ``residual``, one per instance. Each instance gets
-the bits it gets alone: stacked ``det`` and ``inv`` round each matrix as
-a lone call does, dot products stay BLAS products in the lone layout,
-angles stay ``math`` calls on Python floats, and totals add in facet
-order. A report names its theorem by the row's key, with ``_`` for ``-``.
+``fields`` ("" or a side -> builder, the ones derive names) from the
+stack as one stack of fields and decomposes it with one
+``boundary_integral`` call, then reads each instance's (summary, scale,
+auxiliary, residual) off ``entries(stack, decompositions)``, the row's
+one per-instance hook (decompositions: key -> (total, per-facet terms)).
+Each instance gets the bits it gets alone: stacked ``det`` and ``inv``
+round each matrix as a lone call does, dot products stay BLAS products
+in the lone layout, angles stay ``math`` calls on Python floats, and
+totals add in facet order. A report names its theorem by the row's key, with ``_`` for ``-``.
 The ``verify_*`` functions take one instance or a list, proved in stacks
 of at most ``PROOF_CHUNK`` so that its memory stays bounded. An instance
 is one vertex array: a ``Triangle``, or a ``RightSimplexSpec``, which
@@ -52,7 +52,7 @@ from .fields import (
     pythagoras_field,
     sines_field,
 )
-from .geometry import Facets, Simplex, Triangle
+from .geometry import Simplex, Triangle
 from .hadamard import boundary_integral
 
 DEFAULT_TOL_ABS = 1e-12
@@ -147,30 +147,25 @@ class _Triangles:
         self.a, self.b, self.c = np.array([(t.a, t.b, t.c) for t in triangles]).T[..., None]
 
 
-def _each(member: Callable) -> Callable:
-    """A row member on a stack from one on an instance: ``member`` on each
-    item, with the item's entry of each list the row passes, such as its
-    decompositions."""
-    return lambda stack, *per_item: [member(*args) for args in zip(stack.items, *per_item)]
+def _triangle_entries(auxiliary: Callable, residual: Callable = lambda d, _: d[""][0]):
+    """A triangle row's ``entries``, the longest side its scale. ``auxiliary``
+    gets each triangle's (n_a, n_b, n_c) as its row of the stack's normals,
+    laid out as a lone triangle's, so every dot rounds as it does alone."""
 
+    def entries(ts: _Triangles, decompositions: list[dict]):
+        for t, normals, d in zip(ts.items, ts.simplex.facets.normals, decompositions):
+            extra = auxiliary(t, normals, d)
+            yield {
+                "vertices": [t.A.tolist(), t.B.tolist(), t.C.tolist()],
+                "a": t.a,
+                "b": t.b,
+                "c": t.c,
+                "alpha": t.alpha,
+                "beta": t.beta,
+                "gamma": t.gamma,
+            }, max(t.a, t.b, t.c), extra, residual(d, extra)
 
-def _each_with_normals(member: Callable) -> Callable:
-    """``_each(member)`` with each triangle's (n_a, n_b, n_c) passed second:
-    its row of the stack's normals, laid out as a lone triangle's, so every
-    dot rounds as it does alone."""
-    return lambda ts, ds: _each(member)(ts, ts.simplex.facets.normals, ds)
-
-
-def _triangle_summary(t: Triangle) -> dict:
-    return {
-        "vertices": [t.A.tolist(), t.B.tolist(), t.C.tolist()],
-        "a": t.a,
-        "b": t.b,
-        "c": t.c,
-        "alpha": t.alpha,
-        "beta": t.beta,
-        "gamma": t.gamma,
-    }
+    return entries
 
 
 def _pythagoras_auxiliary(t: Triangle, normals: np.ndarray, decompositions: dict) -> dict:
@@ -186,7 +181,7 @@ def _pythagoras_auxiliary(t: Triangle, normals: np.ndarray, decompositions: dict
     }
 
 
-def _sines_auxiliary(t: Triangle, decompositions: dict) -> dict:
+def _sines_auxiliary(t: Triangle, _, decompositions: dict) -> dict:
     return {
         "ratios": {
             "a": t.a / math.sin(t.alpha),
@@ -207,7 +202,10 @@ def _sines_auxiliary(t: Triangle, decompositions: dict) -> dict:
 
 class _RightSimplices:
     """A stack of right simplices of one dimension: ``items`` and their
-    ``simplex``, one ``Simplex`` of the M vertex arrays, each apex first."""
+    ``simplex``, one ``Simplex`` of the M vertex arrays, each apex first,
+    so that facet ``hyp_index`` = 0 of each is its hypotenuse."""
+
+    hyp_index = 0
 
     def __init__(self, specs: list[RightSimplexSpec]):
         dims = sorted({r.vertices.shape[1] for r in specs})
@@ -217,18 +215,29 @@ class _RightSimplices:
         self.simplex = Simplex(np.array([r.vertices for r in specs]))
 
 
-def _nd_auxiliaries(rs: _RightSimplices, _) -> list[dict]:
-    facets = rs.simplex.facets
-    auxiliaries = []
-    for measures, residuals in zip(facets.measures.tolist(),
-                                   _face_normal_residuals(facets).tolist()):
-        expected = [measures[0] ** 2] + [-m**2 for m in measures[1:]]
-        auxiliaries.append({
-            "leg_face_measures": measures[1:],
+def _nd_entries(rs: _RightSimplices, decompositions: list[dict]):
+    """The nd row's ``entries``, the hypotenuse measure C its scale, with
+    |A_i + C * (n_C . n_i)| for each leg facet i (ascending) as the
+    ``face_normal_residuals``."""
+    s = rs.simplex
+    normals, measures = s.facets.normals, s.facets.measures
+    # One (1, N) @ (N, 1) product per leg facet: the same dot as n_C . n_i.
+    dots = (normals[:, 1:, None, :] @ normals[:, None, 0, :, None])[..., 0, 0]
+    face_normal = np.abs(measures[:, 1:] + measures[:, :1] * dots)
+    for r, vertices, (hyp, *legs), residuals, d in zip(
+            rs.items, s.vertices.tolist(), measures.tolist(), face_normal.tolist(),
+            decompositions):
+        expected = [hyp**2] + [-m**2 for m in legs]
+        yield {
+            "dim": s.dim,
+            "vertices": vertices,
+            "leg_lengths": r.leg_lengths.tolist(),
+            "hyp_measure": hyp,
+        }, hyp, {
+            "leg_face_measures": legs,
             "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
             "face_normal_residuals": residuals,
-        })
-    return auxiliaries
+        }, d[""][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,17 +250,11 @@ class Theorem:
     field_document: str
     fields: dict[str, Callable]
     stack: Callable
-    summary: Callable
-    scale: Callable
-    auxiliary: Callable
-    residual: Callable = lambda decompositions, auxiliary: decompositions[""][0]
+    entries: Callable
     precondition: Callable = lambda instance: None
-    shape: Callable = lambda stack: stack
 
 
-_TRIANGLE = dict(document="triangle", field_document="triangle", stack=_Triangles,
-                 summary=_each(_triangle_summary),
-                 scale=_each(lambda t: max(t.a, t.b, t.c)))
+_TRIANGLE = dict(document="triangle", field_document="triangle", stack=_Triangles)
 
 THEOREMS = {
     # Right angle at C, field c * n_c: side c contributes c^2, and sides a and
@@ -261,7 +264,7 @@ THEOREMS = {
         verify=lambda *args: verify_pythagoras(*args),
         fields={"": lambda t: pythagoras_field(t)},
         precondition=_right_angle_at_c,
-        auxiliary=_each_with_normals(_pythagoras_auxiliary),
+        entries=_triangle_entries(_pythagoras_auxiliary),
         **_TRIANGLE,
     ),
     # A unit field along each side: along side a, facet a contributes ~0 and
@@ -271,9 +274,8 @@ THEOREMS = {
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_sines(*args),
         fields={side: lambda t, side=side: sines_field(t, side) for side in "abc"},
-        residual=lambda _, auxiliary: (max(auxiliary["ratios"].values())
-                                       - min(auxiliary["ratios"].values())),
-        auxiliary=_each(_sines_auxiliary),
+        entries=_triangle_entries(_sines_auxiliary, residual=lambda _, auxiliary: (
+            max(auxiliary["ratios"].values()) - min(auxiliary["ratios"].values()))),
         **_TRIANGLE,
     ),
     # Field c n_c - a n_a - b n_b: the terms add up to
@@ -282,7 +284,7 @@ THEOREMS = {
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_cosines(*args),
         fields={"": lambda t: cosines_field(t)},
-        auxiliary=_each_with_normals(lambda t, normals, _: {
+        entries=_triangle_entries(lambda t, normals, _: {
             "law_value": t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma),
             "na_dot_nb_plus_cos_gamma": float(normals[0] @ normals[1] + math.cos(t.gamma)),
         }),
@@ -290,25 +292,16 @@ THEOREMS = {
     ),
     # Right N-simplex, field C * n_C with C the hypotenuse-facet measure: the
     # hypotenuse contributes C^2, leg facet i -A_i^2 (A_i = -C n_C . n_i).
-    # The field takes a simplex and its hypotenuse facet: facet 0 here, the
-    # document's own simplex and hyp_index in derive.
+    # The field reads a simplex and its hypotenuse facet, ``simplex`` and
+    # ``hyp_index``: of the stack here, of the document in derive.
     "nd-pythagoras": Theorem(
         generate=lambda *args: random_right_simplex(*args),
         verify=lambda *args: verify_nd_pythagoras(*args),
         document="right_simplex",
         field_document="hypotenuse",
-        fields={"": lambda shape: nd_pythagoras_field(*shape)},
+        fields={"": lambda shape: nd_pythagoras_field(shape.simplex, shape.hyp_index)},
         stack=_RightSimplices,
-        shape=lambda rs: (rs.simplex, 0),
-        summary=lambda rs: [{
-            "dim": rs.simplex.dim,
-            "vertices": vertices,
-            "leg_lengths": r.leg_lengths.tolist(),
-            "hyp_measure": hyp,
-        } for r, vertices, hyp in zip(rs.items, rs.simplex.vertices.tolist(),
-                                      rs.simplex.facets.measures[:, 0].tolist())],
-        scale=lambda rs: rs.simplex.facets.measures[:, 0].tolist(),
-        auxiliary=_nd_auxiliaries,
+        entries=_nd_entries,
     ),
 }
 
@@ -327,18 +320,17 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
         for instance in instances:
             row.precondition(instance)
         stack = row.stack(instances)
-        s, shape = stack.simplex, row.shape(stack)
+        s = stack.simplex
         one = AffineDensity.one(s.dim)
         with float_range(f"the {theorem} proof overflows the float range") as finite:
-            per_key = {key: boundary_integral(s, one, build(shape))
+            per_key = {key: boundary_integral(s, one, build(stack))
                        for key, build in row.fields.items()}
             decompositions = [dict(zip(per_key, d)) for d in zip(*per_key.values())]
-            auxiliaries = row.auxiliary(stack, decompositions)
-            residuals = [row.residual(d, a) for d, a in zip(decompositions, auxiliaries)]
-            for residual, d in zip(residuals, decompositions):
+            reports = []
+            for d, (summary, scale, auxiliary, residual) in zip(
+                    decompositions, row.entries(stack, decompositions)):
                 finite(residual, *(total for total, _ in d.values()))
-            return [
-                TheoremReport(
+                reports.append(TheoremReport(
                     theorem=theorem.replace("-", "_"),
                     summary=summary,
                     per_facet=next(iter(d.values()))[1],
@@ -348,11 +340,8 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
                     scale=scale,
                     passed=abs(residual) <= tol_abs + tol_rel * scale**2,
                     auxiliary=auxiliary,
-                )
-                for d, auxiliary, residual, scale, summary in zip(
-                    decompositions, auxiliaries, residuals, row.scale(stack),
-                    row.summary(stack))
-            ]
+                ))
+            return reports
     except ValueError:
         if len(instances) > 1:
             # Some instance failed, not necessarily the first: proved alone
@@ -409,21 +398,6 @@ def verify_nd_pythagoras(
     measure, A_i the leg-facet measures); for a list of them, all of one
     dimension, one report each."""
     return _verify("nd-pythagoras", r, tol_abs, tol_rel)
-
-
-def _face_normal_residuals(facets: Facets) -> np.ndarray:
-    """|A_i + C * (n_C . n_i)| for each leg facet i (ascending) of one
-    simplex's facets, or of a stack's along its leading axis."""
-    normals, measures = facets.normals, facets.measures
-    # One (1, N) @ (N, 1) product per leg facet: the same dot as n_C . n_i.
-    dots = (normals[..., 1:, None, :] @ normals[..., None, 0, :, None])[..., 0, 0]
-    return np.abs(measures[..., 1:] + measures[..., :1] * dots)
-
-
-def face_normal_identity(r: RightSimplexSpec) -> tuple[float, ...]:
-    """Residuals |A_i + C * (n_C . n_i)| of the leg-facet area identity,
-    one per leg facet (ascending facet index)."""
-    return tuple(_face_normal_residuals(r.simplex.facets).tolist())
 
 
 def _translate_into_box(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,6 @@ from shapecalc import (
     Simplex,
     Triangle,
     base_height_volume,
-    face_normal_identity,
     hadamard_derivative,
     random_right_simplex,
     random_triangle,
@@ -127,7 +126,8 @@ def test_criterion_5_face_normal_identity():
             for mode in ("orthonormal", "scaled"):
                 spec = random_right_simplex(2000 * dim + k, dim, mode)
                 c = spec.simplex.facets.measures[0]
-                for i, residual in enumerate(face_normal_identity(spec)):
+                residuals = verify_nd_pythagoras(spec).auxiliary["face_normal_residuals"]
+                for i, residual in enumerate(residuals):
                     if residual > 1e-12 * c:
                         failures.append((dim, k, mode, i, residual))
     _conclude("5 face-normal-identity", failures)

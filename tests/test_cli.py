@@ -1,5 +1,6 @@
 """CLI contract tests: parsing, exit codes, determinism, output formats."""
 
+import contextlib
 import io
 import itertools
 import json
@@ -353,6 +354,36 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("shapecalc: error: invalid ") and "recursion" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where, text", [
+        ("document", '{"dim": BIG, "vertices": [[0, 3], [4, 0], [0, 0]]}'),
+        ("document", '{"dim": 2, "vertices": [[0, 3], [4, -BIG], [0, 0]]}'),
+        ("document", '{"dim": 2, "vertices": [[0, 3], [4, 0], [0, 0]], "hyp_index": BIG}'),
+        ("document", '{"dim": 2, "vertices": [[0, 3], [4, 0], [0, 0]], '
+                     '"labels": {"A": 0, "B": BIG, "C": 2}}'),
+        ("field", '{"matrix": [[1, 0], [0, 1]], "offset": [0, BIG]}'),
+        ("field", '{"matrix": [[1, 0], [0, -BIG]], "offset": [0, 0]}'),
+        ("density", '{"gradient": [0, 0], "constant": BIG}'),
+        ("density", '{"gradient": [BIG, 0], "constant": 1}'),
+    ])
+    def test_oversized_integer_is_two(self, shape_file, tmp_path, capsys, where, text):
+        # An integer literal past Python's int-string digit limit: json.loads
+        # raises a plain ValueError, which is a parse error, not a bug.
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter has no int-string digit limit")
+        text = text.replace("BIG", "7" * (limit + 1))
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        argv = ["derive", "--input", str(path) if where == "document" else shape_file(T345),
+                "--field", text if where == "field" else "cosines"]
+        if where == "density":
+            argv += ["--density", text]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        name = "JSON" if where == "document" else f"{where} JSON"
+        assert err.startswith(f"shapecalc: error: invalid {name}: Exceeds the limit ")
         assert err.count("\n") == 1
 
     def test_dimension_out_of_range_is_two(self, capsys):
@@ -1124,3 +1155,86 @@ class TestStreamedRender:
             finally:
                 tracemalloc.stop()
         assert peak < 2_000_000
+
+
+# Stand-ins that json.dumps cannot write, spelled out in the document text
+# afterwards: an integer literal past the int-string digit limit, and
+# nesting deeper than the decoder's recursion limit.
+BIG_INT, DEEP = "<big int>", "<deep>"
+FUZZ_KEYS = ["dim", "vertices", "labels", "hyp_index", "A", "B", "C", "D",
+             "matrix", "offset", "gradient", "constant"]
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([BIG_INT, DEEP, math.nan, math.inf, -math.inf, None, True, False,
+                     "", "A", 0, 1, 2, 3, -1, 0.5, 1e308, -5e-324, HUGE_INT]),
+    st.floats(),
+    st.integers(-4, 20),
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3)), max_size=4),
+    st.dictionaries(st.sampled_from(FUZZ_KEYS), st.integers(-1, 4), max_size=4),
+)
+
+
+def _locations(value, path=()):
+    """Every path into ``value``'s nested dicts and lists, the root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _locations(item, path + (key,))
+
+
+@st.composite
+def mutated_json(draw, base):
+    """The JSON text of ``base`` after up to three mutations: a value
+    replaced, a key or item deleted, or a key added."""
+    value = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_locations(value))))
+        if not path:
+            value = draw(FUZZ_VALUES)
+            continue
+        *parents, last = path
+        parent = value
+        for key in parents:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete":
+            del parent[last]
+        elif action == "add" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(FUZZ_KEYS))] = draw(FUZZ_VALUES)
+        else:
+            parent[last] = draw(FUZZ_VALUES)
+    digits = draw(st.sampled_from(["9", "-1", "1"])) + "0" * draw(st.integers(4300, 6000))
+    depth = draw(st.sampled_from([2_000, 100_000]))
+    return (json.dumps(value).replace(json.dumps(BIG_INT), digits)
+            .replace(json.dumps(DEEP), "[" * depth + "]" * depth))
+
+
+class TestFuzz:
+    """``main`` on mutated shape documents, fields and densities exits 0, 1
+    or 2, never with an internal error, and writes strict JSON."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, data):
+        base = data.draw(st.sampled_from([T345, GENERIC, UNIT_SIMPLEX_2, RIGHT_TETRA,
+                                          SKEWED_TETRA]))
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(data.draw(mutated_json(base)))
+        if data.draw(st.booleans()):
+            argv = ["verify", data.draw(st.sampled_from(list(THEOREMS))), "--input", str(path)]
+        else:
+            n = base["dim"]
+            field = data.draw(st.one_of(
+                st.sampled_from([*cli.NAMED_FIELDS, "sines:d", "nope"]),
+                mutated_json({"matrix": np.eye(n).tolist(), "offset": [0.5] * n})))
+            # --field=TEXT: a spec such as -1e+16 is a value, not a flag.
+            argv = ["derive", "--input", str(path), f"--field={field}"]
+            if data.draw(st.booleans()):
+                argv.append("--density=" + data.draw(mutated_json(
+                    {"gradient": [1.0] * n, "constant": 2})))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue(), argv
+        if code != 2:  # a report that a strict JSON parser reads: no NaN or Infinity
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

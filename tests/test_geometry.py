@@ -562,6 +562,29 @@ class TestTriangleConstruction:
                         (p, q, p + t * (q - p))]  # repeated and collinear points
         assert support.triangle_mismatches(triples) == []
 
+    def test_bad_vertices_raise_the_reference_error(self):
+        # The one-array check fails on each of these, and the per-vertex
+        # check raises the error that names the first bad vertex.
+        good = (0.0, 1.0)
+        bad = [None, "x", ("x", 1.0), 1.0, (1.0,), (1.0, 2.0, 3.0), ((1.0, 2.0),),
+               (1.0, (2.0, 3.0)), (10**400, 0.0), (np.inf, 0.0), (0.0, -np.nan), {}]
+        triples = [tuple(value if i == k else good for i in range(3))
+                   for value in bad for k in range(3)]
+        triples += [(bad[0], bad[5], good), (good, bad[4], bad[2]), (bad[9], bad[8], bad[3])]
+        assert support.triangle_mismatches(triples) == []
+
+    def test_vertices_are_read_only_rows_of_one_array(self):
+        points = np.array([[0.0, 3.0], [4.0, 0.0], [0.0, 0.0]])
+        for args in ([*points], points.tolist(), [tuple(p) for p in points]):
+            t = Triangle(*args)
+            assert t.A.base is t.B.base is t.C.base is not None
+            assert t.A.base.shape == (3, 2)
+            assert not any(v.flags.writeable for v in (t.A, t.B, t.C, t.A.base))
+            assert np.array_equal(np.array([t.A, t.B, t.C]), points)
+        t = Triangle(*points)
+        points[0, 0] = 7.0  # a copy: the caller's array does not move the triangle
+        assert t.A.tolist() == [0.0, 3.0]
+
     @pytest.mark.parametrize("level", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_near_the_gate_matches_reference(self, level):
         # |det| = level * DEGENERACY_EPS * scale**2 up to the rounding of the

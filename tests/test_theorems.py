@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,6 @@ from shapecalc import (
     NotRightTriangleError,
     RightSimplexSpec,
     Triangle,
-    face_normal_identity,
     random_right_simplex,
     random_triangle,
     verify_law_of_cosines,
@@ -244,6 +248,10 @@ class TestNdPythagoras:
             assert verify_nd_pythagoras(r, tol_abs=0.0).passed, seed
 
 
+def face_normal_residuals(r):
+    return verify_nd_pythagoras(r).auxiliary["face_normal_residuals"]
+
+
 class TestFaceNormalIdentity:
     def test_unit_tetrahedron_values(self):
         r = support.right_simplex(np.zeros(3), np.eye(3))
@@ -255,18 +263,18 @@ class TestFaceNormalIdentity:
         assert float(normals[0] @ normals[1]) == pytest.approx(
             -1.0 / SQRT3, rel=1e-13
         )
-        for residual in face_normal_identity(r):
+        for residual in face_normal_residuals(r):
             assert residual <= 1e-14
 
     def test_triangle_case(self):
         r = support.right_simplex(np.zeros(2), np.eye(2))
-        for residual in face_normal_identity(r):
+        for residual in face_normal_residuals(r):
             assert residual <= 1e-13
 
     def test_seeded_frame_dimension_5(self):
         r = random_right_simplex(123, 5, "orthonormal")
         c = r.simplex.facets.measures[0]
-        for residual in face_normal_identity(r):
+        for residual in face_normal_residuals(r):
             assert residual <= 1e-12 * c
 
     @given(st.integers(0, 10_000))
@@ -277,7 +285,7 @@ class TestFaceNormalIdentity:
         mode = "scaled" if seed % 2 else "orthonormal"
         r = random_right_simplex(seed, dim, mode)
         c = r.simplex.facets.measures[0]
-        for residual in face_normal_identity(r):
+        for residual in face_normal_residuals(r):
             assert residual <= 1e-12 * c
 
 
@@ -595,6 +603,36 @@ class TestStackedProof:
 
     def test_empty_list(self):
         assert theorems.prove("sines", [], 1e-12, 1e-12) == []
+
+    def test_reference_match_on_a_second_kernel(self):
+        # Every row's comparison under OpenBLAS's Prescott kernels, in a fresh
+        # interpreter: 50 triangles per triangle row and 20 right simplices at
+        # each of dims 3, 8 and 16. Builds without DYNAMIC_ARCH ignore it.
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent("""
+            import json, support
+            from shapecalc import theorems
+            cases = [(name, [theorems.random_triangle(k, kind) for k in range(50)])
+                     for name, kind in [("pythagoras", "right"), ("sines", "general"),
+                                        ("cosines", "obtuse")]]
+            cases += [("nd-pythagoras", [theorems.random_right_simplex(
+                k, dim, "scaled" if k % 2 else "orthonormal") for k in range(20)])
+                for dim in (3, 8, 16)]
+            mismatches = []
+            for theorem, instances in cases:
+                stacked = theorems.prove(theorem, instances, 1e-12, 1e-12)
+                alone = [support.prove_alone(theorem, instance, 1e-12, 1e-12)
+                         for instance in instances]
+                mismatches += [(theorem, k) for k, (a, b) in enumerate(zip(stacked, alone))
+                               if json.dumps(a.to_dict()) != json.dumps(b.to_dict())]
+            print([len(instances) for _, instances in cases], mismatches)
+        """)
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "[50, 50, 50, 20, 20, 20] []\n"
 
     def test_one_dimension_per_stack(self):
         mixed = [random_right_simplex(0, 3), random_right_simplex(0, 4)]
