@@ -153,7 +153,7 @@ def _load_json(text: str, name: str):
 
 def parse_shape(text: str) -> ShapeDocument:
     """Parse and validate a JSON shape document; the document builds its
-    simplex, which surfaces degeneracy early."""
+    simplex, which checks the vertex count, finiteness and degeneracy."""
     raw = _load_json(text, "JSON")
     _require(isinstance(raw, dict), "shape document must be a JSON object", parse=True)
     _require("dim" in raw and "vertices" in raw,
@@ -165,8 +165,6 @@ def parse_shape(text: str) -> ShapeDocument:
     _require(isinstance(vertices, list)
              and all(isinstance(v, list) for v in vertices),
              "'vertices' must be a list of coordinate lists", parse=True)
-    _require(len(vertices) == dim + 1,
-             f"expected {dim + 1} vertices for dim {dim}, got {len(vertices)}")
     for v in vertices:
         _require(len(v) == dim,
                  f"every vertex needs {dim} coordinates, got {len(v)}")
@@ -174,7 +172,6 @@ def parse_shape(text: str) -> ShapeDocument:
     _require({type(x) for v in vertices for x in v} <= {int, float},
              "vertex coordinates must be numbers", parse=True)
     coords = _float_array(vertices, "vertex coordinates")
-    _require(np.isfinite(coords).all(), "vertex coordinates must be finite")
 
     labels = raw.get("labels")
     if labels is not None:

@@ -39,11 +39,11 @@ _EPS = float(np.finfo(float).eps)
 class DerivativeReport:
     """The three derivative evaluations and their reconciliation.
 
-    ``per_facet`` lists (facet index, boundary contribution) in ascending
+    ``per_facet`` lists [facet index, boundary contribution] in ascending
     facet order; ``boundary_total`` is their sum in exactly that order.
     """
 
-    per_facet: tuple[tuple[int, float], ...]
+    per_facet: list[list]
     boundary_total: float
     volume_total: float
     fd_estimate: float
@@ -52,8 +52,7 @@ class DerivativeReport:
     residual_bf: float
 
     def to_dict(self) -> dict:
-        # The fields in declaration order, with the pairs as lists.
-        return {**vars(self), "per_facet": [[i, v] for i, v in self.per_facet]}
+        return dict(vars(self))  # the fields in declaration order
 
 
 def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):
@@ -66,11 +65,11 @@ def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):
                                      f"needs as many simplices, got {s.vertices.shape[:-2]}")
 
 
-def _decomposition(values: list[float]) -> tuple[float, tuple[tuple[int, float], ...]]:
+def _decomposition(values: list[float]) -> tuple[float, list[list]]:
     total = 0.0
     for value in values:  # not sum(): it compensates from Python 3.12 on
         total += value
-    return total, tuple(enumerate(values))
+    return total, [[i, value] for i, value in enumerate(values)]
 
 
 def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
@@ -87,9 +86,9 @@ def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
     which on the SkylakeX and Sandybridge OpenBLAS kernels (not always on
     Haswell or Prescott) gives the bits of evaluating it on those points.
 
-    Returns (total, per-facet contributions); the total is accumulated in
-    ascending facet-index order. For a stacked ``Simplex`` and a stack of
-    fields, one per simplex, returns the list of those pairs.
+    Returns (total, [facet index, contribution] lists); the total is
+    accumulated in ascending facet-index order. For a stacked ``Simplex``
+    and a stack of fields, one per simplex, returns the list of those pairs.
     """
     _check_dims(s, f, xi)
     n = s.dim

@@ -70,7 +70,7 @@ class TheoremReport:
 
     theorem: str
     summary: dict
-    per_facet: tuple[tuple[int, float], ...]
+    per_facet: list[list]
     residual: float
     tol_abs: float
     tol_rel: float
@@ -79,18 +79,16 @@ class TheoremReport:
     auxiliary: dict
 
     def to_dict(self) -> dict:
-        # The fields in declaration order, with the pairs as lists.
-        return {**vars(self), "per_facet": [[i, v] for i, v in self.per_facet]}
+        return dict(vars(self))  # the fields in declaration order
 
 
 @dataclass(frozen=True, eq=False)
 class RightSimplexSpec:
-    """Right N-simplex given by its N+1 vertices (rows), apex first; its
-    ``legs``, ``vertices[1:] - vertices[0]``, are mutually orthogonal, so
-    facet 0 of ``simplex``, the one opposite the apex, is the hypotenuse."""
+    """Right N-simplex given by its N+1 vertices (rows), apex first, with
+    mutually orthogonal legs ``vertices[1:] - vertices[0]`` of lengths
+    ``leg_lengths``; facet 0 of ``simplex``, opposite the apex, is its hypotenuse."""
 
     vertices: np.ndarray
-    legs: np.ndarray = field(init=False, repr=False)
     leg_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -103,7 +101,7 @@ class RightSimplexSpec:
             raise ShapeValidationError("simplex vertices have non-finite entries")
         legs = v[1:] - v[0]
         lengths = np.sqrt((legs * legs).sum(axis=1))
-        for name, value in (("vertices", v), ("legs", legs), ("leg_lengths", lengths)):
+        for name, value in (("vertices", v), ("leg_lengths", lengths)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         dots = np.abs(legs @ legs.T)
@@ -114,10 +112,6 @@ class RightSimplexSpec:
             raise LegOrthogonalityError(
                 f"legs not mutually orthogonal (worst excess {worst:.3e})"
             )
-
-    @property
-    def apex(self) -> np.ndarray:
-        return self.vertices[0]
 
     @cached_property
     def simplex(self) -> Simplex:
@@ -189,7 +183,7 @@ def _sines_auxiliary(t: Triangle, _, decompositions: dict) -> dict:
             "c": t.c / math.sin(t.gamma),
         },
         "directions": {
-            side: {"total": total, "per_facet": [[i, v] for i, v in per_facet]}
+            side: {"total": total, "per_facet": per_facet}
             for side, (total, per_facet) in decompositions.items()
         },
         "expected_per_facet_a": [

@@ -8,6 +8,7 @@ import math
 import struct
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -143,7 +144,90 @@ def boundary_integral_per_facet_vertex(s: Simplex, f: AffineDensity, xi: AffineF
     total = 0.0
     for value in values:
         total += value
-    return total, tuple(enumerate(values))
+    return total, [[i, value] for i, value in enumerate(values)]
+
+
+def _scaled_inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(R, d) with inv(m) = R / d for a nonsingular integer matrix ``m``, by
+    fraction-free Gauss-Jordan elimination (Bareiss), whose divisions are
+    exact; d is det(m) up to sign. Checked exactly: m @ R == d * I."""
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    previous = 1
+    for k in range(n):
+        p = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        for i in range(n):
+            if i != k:
+                factor = rows[i][k]
+                rows[i] = [(pivot * a - factor * b) // previous
+                           for a, b in zip(rows[i], rows[k])]
+        previous = pivot
+    inverse = [row[n:] for row in rows]
+    for i in range(n):
+        for j in range(n):
+            assert sum(a * inverse[k][j] for k, a in enumerate(m[i])) == previous * (i == j)
+    return inverse, previous
+
+
+def exact_area_vectors(vertices) -> tuple[list[list[Fraction]], Fraction]:
+    """The area vectors S_i = A_i n_i = -N vol grad(lambda_i) of the simplex
+    with these (N+1, N) float vertices, exactly, and its exact volume.
+
+    Floats are dyadic rationals, so the edge matrix E = V[1:] - V[0] is
+    M / D exactly for an integer matrix M and a power of two D. The rows of
+    inv(E)^T are grad(lambda_1..N), and grad(lambda_0) is minus their sum;
+    with inv(M) = R / d, S_j = -sign(d) R[:, j] / (D^(N-1) (N-1)!) and
+    vol = |d| / (D^N N!)."""
+    v = [[Fraction(x) for x in row] for row in np.asarray(vertices, dtype=float).tolist()]
+    n = len(v) - 1
+    edges = [[a - b for a, b in zip(row, v[0])] for row in v[1:]]
+    scale = max(x.denominator for row in edges for x in row)
+    inverse, d = _scaled_inverse([[int(x * scale) for x in row] for row in edges])
+    weight = Fraction(-1 if d > 0 else 1, scale ** (n - 1) * math.factorial(n - 1))
+    areas = [[weight * inverse[k][j] for k in range(n)] for j in range(n)]
+    return ([[-sum(column) for column in zip(*areas)]] + areas,
+            Fraction(abs(d), scale**n * math.factorial(n)))
+
+
+def _exact_affine(vertices, f: AffineDensity, xi: AffineField):
+    """The exact vertices, and f and xi as exact functions of exact points."""
+    points = [[Fraction(x) for x in row] for row in np.asarray(vertices).tolist()]
+    gradient = [Fraction(g) for g in f.gradient.tolist()]
+    matrix = [[Fraction(a) for a in row] for row in xi.matrix.tolist()]
+    offset = [Fraction(b) for b in xi.offset.tolist()]
+    return (points,
+            lambda x: sum(g * c for g, c in zip(gradient, x)) + Fraction(float(f.constant)),
+            lambda x: [sum(a * c for a, c in zip(row, x)) + b for row, b in zip(matrix, offset)])
+
+
+def exact_boundary_terms(vertices, f: AffineDensity, xi: AffineField) -> list[Fraction]:
+    """The boundary route's per-facet terms on float vertices, f and xi,
+    exactly: facet i's term is int_F f (xi . n_i) = (sum(u) sum(w) +
+    sum(u w)) / (N (N+1)), with u = f and w = xi . S_i at its N vertices."""
+    points, f_at, xi_at = _exact_affine(vertices, f, xi)
+    areas, _ = exact_area_vectors(vertices)
+    n = len(points) - 1
+    terms = []
+    for i, area in enumerate(areas):
+        facet = points[:i] + points[i + 1:]
+        u = [f_at(x) for x in facet]
+        w = [sum(a * b for a, b in zip(xi_at(x), area)) for x in facet]
+        terms.append((sum(u) * sum(w) + sum(a * b for a, b in zip(u, w))) / (n * (n + 1)))
+    return terms
+
+
+def exact_volume_route(vertices, f: AffineDensity, xi: AffineField) -> Fraction:
+    """vol * div(f xi)(centroid) exactly: the volume route's exact value,
+    div(f xi) = grad f . xi + f tr(matrix) being affine."""
+    points, f_at, xi_at = _exact_affine(vertices, f, xi)
+    _, volume = exact_area_vectors(vertices)
+    centroid = [sum(column) / len(points) for column in zip(*points)]
+    trace = sum(Fraction(x) for x in np.diag(xi.matrix).tolist())
+    gradient = [Fraction(g) for g in f.gradient.tolist()]
+    return volume * (sum(g * x for g, x in zip(gradient, xi_at(centroid)))
+                     + f_at(centroid) * trace)
 
 
 def random_right_simplex_reference(
@@ -165,6 +249,12 @@ def random_right_simplex_reference(
             rotation[:, 0] = -rotation[:, 0]
         apex = rng.uniform(-1.0, 1.0, size=dim)
         return RightSimplexSpec(np.vstack([apex, apex + legs @ rotation.T]))
+
+
+def apex_and_legs(r: RightSimplexSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A right simplex's apex, ``vertices[0]``, and its legs, the rows of
+    ``vertices[1:] - vertices[0]``."""
+    return r.vertices[0], r.vertices[1:] - r.vertices[0]
 
 
 def right_simplex(apex, legs) -> RightSimplexSpec:
@@ -253,7 +343,7 @@ def _boundary_integral_alone(s: Simplex, f: AffineDensity, xi: AffineField):
     total = 0.0
     for value in values:
         total += value
-    return total, tuple(enumerate(values))
+    return total, [[i, value] for i, value in enumerate(values)]
 
 
 def _sines_direction(t, side):

@@ -191,8 +191,8 @@ def test_criterion_7_rigid_motion_invariance():
         spec = random_right_simplex(seed, dim, "scaled")
         rotation = support.random_rotation(rng, dim)
         shift = rng.uniform(-2.0, 2.0, dim)
-        moved = support.right_simplex(rotation @ spec.apex + shift,
-                                      spec.legs @ rotation.T)
+        apex, legs = support.apex_and_legs(spec)
+        moved = support.right_simplex(rotation @ apex + shift, legs @ rotation.T)
         before = verify_nd_pythagoras(spec)
         after = verify_nd_pythagoras(moved)
         if abs(after.residual - before.residual) > 1e-12 * before.scale**2:

@@ -23,6 +23,7 @@ from shapecalc import (
     AffineDensity,
     AffineField,
     DegenerateSimplexError,
+    DimensionMismatchError,
     RightSimplexSpec,
     Simplex,
     hadamard_derivative,
@@ -147,9 +148,23 @@ class TestParseShape:
         with pytest.raises(ShapeParseError):
             parse_shape('{"dim": "2", "vertices": [[0,0],[1,0],[0,1]]}')
 
-    def test_vertex_count_mismatch(self):
-        with pytest.raises(ShapeValidationError):
-            parse_shape('{"dim": 2, "vertices": [[0,0],[1,0]]}')
+    @pytest.mark.parametrize("vertices, shape", [
+        ([[0, 0], [1, 0]], (2, 2)),
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], (4, 2)),
+        ([], (0,)),
+    ])
+    def test_vertex_count_mismatch(self, vertices, shape):
+        # The document's Simplex checks the count.
+        with pytest.raises(DimensionMismatchError) as err:
+            parse_shape(json.dumps({"dim": 2, "vertices": vertices}))
+        assert str(err.value) == f"expected (N+1, N) vertex array, got shape {shape}"
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_coordinate(self, value):
+        # The document's Simplex checks finiteness.
+        with pytest.raises(ShapeValidationError) as err:
+            parse_shape(f'{{"dim": 2, "vertices": [[0, 3], [4, {value}], [0, 0]]}}')
+        assert str(err.value) == "simplex vertices have non-finite entries"
 
     def test_coordinate_count_mismatch(self):
         with pytest.raises(ShapeValidationError):
@@ -385,6 +400,28 @@ class TestExitCodes:
         name = "JSON" if where == "document" else f"{where} JSON"
         assert err.startswith(f"shapecalc: error: invalid {name}: Exceeds the limit ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([[0, 3], [4, 0], [0, 0]], "every vertex needs {dim} coordinates, got 2"),
+        ([], "expected (N+1, N) vertex array, got shape (0,)"),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_dim_at_the_digit_limit_is_two(self, tmp_path, capsys, command, vertices,
+                                           message):
+        # A dim of exactly the limit's digits loads, and no check formats a
+        # number past the limit from it, as "dim + 1 vertices" once did.
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter has no int-string digit limit")
+        dim = "9" * limit
+        path = tmp_path / "dim.json"
+        path.write_text(f'{{"dim": {dim}, "vertices": {json.dumps(vertices)}}}')
+        argv = (["verify", "sines", "--input", str(path)] if command == "verify" else
+                ["derive", "--input", str(path), "--field", "cosines"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"shapecalc: error: {message.format(dim=dim)}\n"
+        assert "internal error" not in err and err.count("\n") == 1
 
     def test_dimension_out_of_range_is_two(self, capsys):
         assert main(["verify", "nd-pythagoras", "--random", "--dim", "20"]) == 2
@@ -1238,3 +1275,49 @@ class TestFuzz:
         assert "internal error" not in err.getvalue(), argv
         if code != 2:  # a report that a strict JSON parser reads: no NaN or Infinity
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flag_values_exit_cleanly(self, tmp_path_factory, data):
+        # verify on a random batch or a document, or derive, with each flag
+        # left out or given a drawn value. --count stays small: run_verify
+        # holds every instance and entry of a call in memory.
+        base = tmp_path_factory.getbasetemp()
+        command = data.draw(st.sampled_from([*THEOREMS, "derive"]))
+        document = base / "flags.json"
+        document.write_text(json.dumps(RIGHT_TETRA if command == "nd-pythagoras" else T345))
+        if command == "derive":
+            argv = ["derive", "--input", str(document), "--field=cosines"]
+        elif data.draw(st.booleans()):
+            argv = ["verify", command, "--random"]
+        else:
+            argv = ["verify", command, "--input", str(document)]
+        junk = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e400", "-1e400", "abc",
+                                "", "1.5", "0x10", "9" * 5000, "-" + "9" * 5000])
+        values = {
+            "count": st.integers(-2, 4).map(str) | junk,
+            "seed": st.integers(-2, 10**30).map(str) | junk,
+            "dim": st.integers(-2, 20).map(str) | junk,
+            "legs": st.sampled_from(["orthonormal", "scaled", "skewed"]) | junk,
+            "tol-abs": st.sampled_from(["0", "1e-300", "1e-12", "1"]) | junk,
+            "tol-rel": st.sampled_from(["0", "5e-324", "1e-12", "1e300"]) | junk,
+            "format": st.sampled_from(["json", "csv", "xml"]) | junk,
+            "out": st.sampled_from([str(base / "report.out"), str(base),
+                                    str(base / "missing" / "report.out")]),
+        }
+        for flag, strategy in values.items():
+            if data.draw(st.booleans()):
+                argv.append(f"--{flag}={data.draw(strategy)}")  # =: "-inf" is a value
+        out_file = base / "report.out"
+        out_file.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a value
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue(), argv
+        written = out_file.read_text() if out_file.exists() else out.getvalue()
+        if code != 2 and "--format=csv" not in argv:  # strict JSON: no NaN or Infinity
+            json.loads(written, parse_constant=_reject_constant)

@@ -219,12 +219,11 @@ class TestNdPythagoras:
         with pytest.raises(ValueError, match="non-finite"):
             RightSimplexSpec([[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]])
 
-    def test_apex_and_legs_are_read_from_the_vertices(self):
+    def test_leg_lengths_are_read_from_the_vertices(self):
         r = RightSimplexSpec([[1.0, 2.0], [4.0, 2.0], [1.0, 6.0]])
-        assert r.apex.tolist() == [1.0, 2.0]
-        assert r.legs.tolist() == [[3.0, 0.0], [0.0, 4.0]]
         assert r.leg_lengths.tolist() == [3.0, 4.0]
-        for array in (r.vertices, r.apex, r.legs, r.leg_lengths):
+        assert not hasattr(r, "legs") and not hasattr(r, "apex")
+        for array in (r.vertices, r.leg_lengths):
             assert not array.flags.writeable
         assert np.array_equal(r.simplex.vertices, r.vertices)
 
@@ -321,8 +320,8 @@ class TestRandomTriangle:
 
 class TestRandomRightSimplex:
     def test_orthonormal_leg_dots(self):
-        r = random_right_simplex(3, 3, "orthonormal")
-        dots = r.legs @ r.legs.T
+        _, legs = support.apex_and_legs(random_right_simplex(3, 3, "orthonormal"))
+        dots = legs @ legs.T
         off_diag = dots - np.diag(np.diag(dots))
         assert np.abs(off_diag).max() <= 1e-14
 
@@ -348,8 +347,7 @@ class TestRandomRightSimplex:
     def test_deterministic(self):
         first = random_right_simplex(8, 4, "scaled")
         second = random_right_simplex(8, 4, "scaled")
-        assert np.array_equal(first.legs, second.legs)
-        assert np.array_equal(first.apex, second.apex)
+        assert np.array_equal(first.vertices, second.vertices)
 
     def test_dim8_scaled_verifies(self):
         report = verify_nd_pythagoras(random_right_simplex(2, 8, "scaled"))
@@ -395,8 +393,8 @@ class TestRandomRightSimplex:
     def test_legs_and_lengths_match_vertices_and_norm(self, dim):
         for seed in range(20):
             r = random_right_simplex(seed, dim, "scaled")
-            assert np.array_equal(r.legs, r.vertices[1:] - r.vertices[0])
-            assert np.array_equal(r.leg_lengths, np.linalg.norm(r.legs, axis=1))
+            _, legs = support.apex_and_legs(r)
+            assert np.array_equal(r.leg_lengths, np.linalg.norm(legs, axis=1))
             assert np.array_equal(r.simplex.vertices, r.vertices)
 
 
@@ -486,7 +484,8 @@ class TestConsistencyAndInvariance:
         r = random_right_simplex(seed, 4, "scaled")
         rotation = support.random_rotation(rng, 4)
         shift = rng.uniform(-2.0, 2.0, 4)
-        moved = support.right_simplex(rotation @ r.apex + shift, r.legs @ rotation.T)
+        apex, legs = support.apex_and_legs(r)
+        moved = support.right_simplex(rotation @ apex + shift, legs @ rotation.T)
         before = verify_nd_pythagoras(r)
         after = verify_nd_pythagoras(moved)
         assert abs(after.residual - before.residual) <= 1e-12 * before.scale**2
