@@ -7,10 +7,11 @@ one stacked inverse, raising ``FloatRangeError`` where they overflow;
 ``Simplex`` runs both, on one simplex or on a stack of them, and computes
 the facets on first read. Each item gets the bits it gets alone: stacked
 ``det`` and ``inv`` round each matrix as a lone call does, and each item's
-normals keep the lone column-major layout. A ``Triangle`` builds its
-simplex on first read unless its float screen cannot settle the gate,
-and its side normals are views of that simplex's facets, so building one
-computes none; the same properties read a stacked simplex's.
+normals keep the lone column-major layout. A ``Triangle`` holds its
+read-only (3, 2) ``vertices``, rows A, B and C, and builds its simplex on
+first read unless its float screen cannot settle the gate; its side
+normals are views of that simplex's facets, so building one computes
+none; the same properties read a stacked simplex's.
 ``Triangle.over`` reads a given simplex instead and builds none. Vertex,
 normal and measure arrays are read-only; ``Simplex``, ``Facets`` and
 ``Triangle`` are frozen dataclasses.
@@ -207,9 +208,10 @@ class Triangle:
     ``simplex``, whose facets ``sides`` are (a, b, c): side x is the facet
     opposite the like-named vertex, (0, 1, 2) unless the triangle is built
     ``over`` a given simplex. ``__post_init__`` checks the vertices as one
-    (3, 2) array, whose read-only rows they become, and sets the lengths
-    and angles once; ``simplex`` is built on first read, and the side
-    normals are views of its facets.
+    (3, 2) array, ``vertices``, whose read-only rows A, B and C become
+    (finite on its ``tolist()``; else a per-vertex check names the bad
+    one), and sets every attribute in one update; ``simplex`` is built on
+    first read, and the side normals are views of its facets.
 
     The gate is screened in floats (Shewchuk's static filter): cross =
     (B - A) x (C - A) and LAPACK's det of the same float edges both lie
@@ -228,7 +230,7 @@ class Triangle:
 
     @cached_property
     def simplex(self) -> Simplex:
-        return Simplex((self.A, self.B, self.C))
+        return Simplex(self.vertices)
 
     @classmethod
     def over(cls, simplex: Simplex, sides: list[int]) -> Triangle:
@@ -244,32 +246,33 @@ class Triangle:
     def __post_init__(self):
         try:
             v = np.array((self.A, self.B, self.C), dtype=float)
-            if v.shape != (3, 2) or not np.isfinite(v).all():
+            rows = v.tolist()
+            if v.shape != (3, 2) or not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
                 raise ValueError
         except (TypeError, ValueError, OverflowError):  # as_vector names the bad vertex
             v = np.array([as_vector(getattr(self, k), 2, f"vertex {k}") for k in "ABC"])
+            rows = v.tolist()
         v.flags.writeable = False
-        vars(self).update(zip("ABC", v))
-        (ax, ay), (bx, by), (cx, cy) = v.tolist()
-        # The sides BC, AC and AB, and the edges (u, v) of the angles at A, B and C.
+        (ax, ay), (bx, by), (cx, cy) = rows
+        # The sides BC, AC, AB; the angles at A, B, C are (BA, CA), (AB, CB), (AC, BC).
         bc, ac, ab = (bx - cx, by - cy), (ax - cx, ay - cy), (ax - bx, ay - by)
-        us, vs = ((bx - ax, by - ay), ab, ac), ((cx - ax, cy - ay), (cx - bx, cy - by), bc)
-        cross = [u[0] * v[1] - u[1] * v[0] for u, v in zip(us, vs)]
+        ba, ca, cb = (bx - ax, by - ay), (cx - ax, cy - ay), (cx - bx, cy - by)
+        cross = [u[0] * w[1] - u[1] * w[0] for u, w in ((ba, ca), (ab, cb), (ac, bc))]
         peak = max(x * x + y * y for x, y in (bc, ac, ab))
-        if not (1e-200 < peak < 1e200 and abs(cross[0]) > 2 * DEGENERACY_EPS * peak):
-            self.simplex  # the exact gate; past it, the product cannot overflow
+        screened = 1e-200 < peak < 1e200 and abs(cross[0]) > 2 * DEGENERACY_EPS * peak
+        if not screened and "simplex" not in vars(self):
+            vars(self)["simplex"] = Simplex(v)  # the exact gate; past it, no dot overflows
         # One (1, 2) @ (2, 1) product per dot, the BLAS dot that d.dot(d) and
-        # u @ v take: the squared sides, then u . v at A, B and C.
-        rows = np.array([(bc, ac, ab, *us), (bc, ac, ab, *vs)])
-        dots = (rows[0, :, None] @ rows[1, :, :, None]).ravel().tolist()
+        # u @ w take: the squared sides, then u . w at A, B and C. The flat
+        # list reshaped is the C layout of a (2, 6, 2) array of the pairs.
+        pairs = np.array((*bc, *ac, *ab, *ba, *ab, *ac,
+                          *bc, *ac, *ab, *ca, *cb, *bc)).reshape(2, 6, 2)
+        dots = (pairs[0, :, None] @ pairs[1, :, :, None]).ravel().tolist()
+        a, b, c = map(math.sqrt, dots[:3])
         # atan2 of (rejection, projection) magnitudes; stable near 0 and pi.
-        angles = [math.atan2(abs(x), dot) for x, dot in zip(cross, dots[3:])]
-        for name, value in zip(("a", "b", "c", "alpha", "beta", "gamma"),
-                               [*map(math.sqrt, dots[:3]), *angles]):
-            object.__setattr__(self, name, value)
+        alpha, beta, gamma = (math.atan2(abs(x), dot) for x, dot in zip(cross, dots[3:]))
+        vars(self).update(zip("ABC", v), vertices=v, a=a, b=b, c=c,
+                          alpha=alpha, beta=beta, gamma=gamma)
 
     def __repr__(self):
-        return (
-            f"Triangle(A={self.A.tolist()}, B={self.B.tolist()}, "
-            f"C={self.C.tolist()})"
-        )
+        return "Triangle(A={}, B={}, C={})".format(*self.vertices.tolist())

@@ -13,11 +13,14 @@ stack as one stack of fields and decomposes it with one
 ``boundary_integral`` call, then reads each instance's (summary, scale,
 auxiliary, residual) off ``entries(stack, decompositions)``, the row's
 one per-instance hook (decompositions: key -> (total, per-facet terms)).
-Each instance gets the bits it gets alone: stacked ``det`` and ``inv``
-round each matrix as a lone call does, dot products stay BLAS products
-in the lone layout, angles stay ``math`` calls on Python floats, and
-totals add in facet order. A report names its theorem by the row's key, with ``_`` for ``-``.
-The ``verify_*`` functions take one instance or a list, proved in stacks
+The triangle rows stack each ``Triangle.vertices`` and take their
+auxiliary dots of side normals as one stacked product per pair, over
+views of the stack's normals. Each instance gets the bits it gets alone:
+stacked ``det`` and ``inv`` round each matrix as a lone call does, dot
+products stay BLAS products in the lone layout, angles stay ``math``
+calls on Python floats, and totals add in facet order. A report names
+its theorem by the row's key, with ``_`` for ``-``. The ``verify_*``
+functions take one instance or a list, proved in stacks
 of at most ``PROOF_CHUNK`` so that its memory stays bounded. An instance
 is one vertex array: a ``Triangle``, or a ``RightSimplexSpec``, which
 holds only its vertices, apex first. The CLI reads a row's
@@ -136,42 +139,40 @@ class _Triangles:
 
     def __init__(self, triangles: list[Triangle]):
         self.items = triangles
-        self.simplex = Simplex(np.array([(t.A, t.B, t.C) for t in triangles]))
+        self.simplex = Simplex(np.array([t.vertices for t in triangles]))
         self.A, self.B, self.C = self.simplex.vertices.swapaxes(0, 1)
         self.a, self.b, self.c = np.array([(t.a, t.b, t.c) for t in triangles]).T[..., None]
 
 
 def _triangle_entries(auxiliary: Callable, residual: Callable = lambda d, _: d[""][0]):
     """A triangle row's ``entries``, the longest side its scale. ``auxiliary``
-    gets each triangle's (n_a, n_b, n_c) as its row of the stack's normals,
-    laid out as a lone triangle's, so every dot rounds as it does alone."""
+    gets each triangle, its dots (n_c . n_a, n_c . n_b, n_a . n_b) and its
+    decompositions. Each dot n_i . n_j is one (M, 1, 2) @ (M, 2, 1) product
+    over views of the stack's normals, with a lone triangle's strides: each
+    is the BLAS ddot of a lone ``n_i @ n_j``."""
 
     def entries(ts: _Triangles, decompositions: list[dict]):
-        for t, normals, d in zip(ts.items, ts.simplex.facets.normals, decompositions):
-            extra = auxiliary(t, normals, d)
-            yield {
-                "vertices": [t.A.tolist(), t.B.tolist(), t.C.tolist()],
-                "a": t.a,
-                "b": t.b,
-                "c": t.c,
-                "alpha": t.alpha,
-                "beta": t.beta,
-                "gamma": t.gamma,
-            }, max(t.a, t.b, t.c), extra, residual(d, extra)
+        normals = ts.simplex.facets.normals
+        dots = zip(*((normals[:, i, None] @ normals[:, j, :, None]).ravel().tolist()
+                     for i, j in ((2, 0), (2, 1), (0, 1))))
+        for t, vertices, t_dots, d in zip(ts.items, ts.simplex.vertices.tolist(), dots,
+                                          decompositions):
+            extra = auxiliary(t, t_dots, d)
+            yield {"vertices": vertices, "a": t.a, "b": t.b, "c": t.c, "alpha": t.alpha,
+                   "beta": t.beta, "gamma": t.gamma}, max(t.a, t.b, t.c), extra, residual(d, extra)
 
     return entries
 
 
-def _pythagoras_auxiliary(t: Triangle, normals: np.ndarray, decompositions: dict) -> dict:
-    n_a, n_b, n_c = normals
+def _pythagoras_auxiliary(t: Triangle, dots: tuple, decompositions: dict) -> dict:
     expected = (-t.a**2, -t.b**2, t.c**2)
     return {
         "expected_per_facet": [[i, e] for i, e in enumerate(expected)],
         "per_facet_deviation": max(
             abs(value - expected[i]) for i, value in decompositions[""][1]
         ),
-        "c_nc_dot_na_plus_a": float(t.c * (n_c @ n_a) + t.a),
-        "c_nc_dot_nb_plus_b": float(t.c * (n_c @ n_b) + t.b),
+        "c_nc_dot_na_plus_a": t.c * dots[0] + t.a,
+        "c_nc_dot_nb_plus_b": t.c * dots[1] + t.b,
     }
 
 
@@ -278,9 +279,9 @@ THEOREMS = {
         generate=lambda seed, dim, legs: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_cosines(*args),
         fields={"": lambda t: cosines_field(t)},
-        entries=_triangle_entries(lambda t, normals, _: {
+        entries=_triangle_entries(lambda t, dots, _: {
             "law_value": t.c**2 - t.a**2 - t.b**2 + 2.0 * t.a * t.b * math.cos(t.gamma),
-            "na_dot_nb_plus_cos_gamma": float(normals[0] @ normals[1] + math.cos(t.gamma)),
+            "na_dot_nb_plus_cos_gamma": dots[2] + math.cos(t.gamma),
         }),
         **_TRIANGLE,
     ),
@@ -394,22 +395,19 @@ def verify_nd_pythagoras(
     return _verify("nd-pythagoras", r, tol_abs, tol_rel)
 
 
-def _translate_into_box(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # Center, then draw a translation keeping every coordinate in [-1, 1].
-    centered = points - points.mean(axis=0)
-    low = centered.min(axis=0)
-    high = centered.max(axis=0)
-    shift = rng.uniform(-1.0 - low, 1.0 - high)
-    return centered + shift
-
-
 def random_triangle(seed: int, kind: str = "general") -> Triangle:
     """Deterministic random triangle with vertices in [-1, 1]^2 and all
-    angles at least MIN_ANGLE.
+    angles at least MIN_ANGLE: "general", "right" (right angle at C) or
+    "obtuse" (largest angle above pi/2).
 
-    ``kind``: "general" (uniform vertices), "right" (legs on a random
-    orthonormal frame, then a random rigid motion; right angle at C), or
-    "obtuse" (largest angle exceeds pi/2).
+    Determinism contract: each attempt draws from ``default_rng(seed)``
+    the vertices A, B, C as one (3, 2) uniform in [-1, 1] ("general",
+    "obtuse"), or ("right") in order the frame angle theta in [0, 2 pi],
+    the legs a, b as one size-2 uniform in [0.2, 0.9], and per axis, x
+    then y, one uniform in [-1 - low, 1 - high]: the shift of A = b (-sin,
+    cos), B = a (cos, sin) and C = 0 less their mean ((A + B) + C) / 3, low
+    and high the extremes of the centred values. Degenerate draws, angles
+    below MIN_ANGLE and, for "obtuse", non-obtuse draws are redrawn.
     """
     if kind not in ("general", "right", "obtuse"):
         raise ShapeValidationError(f"unknown triangle kind {kind!r}")
@@ -417,32 +415,28 @@ def random_triangle(seed: int, kind: str = "general") -> Triangle:
     for _ in range(MAX_REJECTIONS):
         if kind == "right":
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            frame = np.array(
-                [
-                    [math.cos(theta), math.sin(theta)],
-                    [-math.sin(theta), math.cos(theta)],
-                ]
-            )
-            leg_a, leg_b = rng.uniform(0.2, 0.9, size=2)
-            # Right angle at C: B - C and A - C along orthogonal frame rows.
-            points = _translate_into_box(
-                np.array([leg_b * frame[1], leg_a * frame[0], np.zeros(2)]), rng
-            )
+            cos, sin = math.cos(theta), math.sin(theta)
+            leg_a, leg_b = rng.uniform(0.2, 0.9, size=2).tolist()
+            # Right angle at C: B - C and A - C along orthogonal frame rows. Python
+            # floats give the bits of the same arithmetic on numpy arrays.
+            axes = []
+            for axis in zip((leg_b * -sin, leg_b * cos), (leg_a * cos, leg_a * sin), (0.0, 0.0)):
+                mean = (axis[0] + axis[1] + axis[2]) / 3
+                centred = [x - mean for x in axis]
+                shift = rng.uniform(-1.0 - min(centred), 1.0 - max(centred))
+                axes.append([x + shift for x in centred])
+            points = zip(*axes)
         else:
             points = rng.uniform(-1.0, 1.0, size=(3, 2))
         try:
-            tri = Triangle(points[0], points[1], points[2])
+            tri = Triangle(*points)
         except DegenerateSimplexError:
             continue
         angles = (tri.alpha, tri.beta, tri.gamma)
-        if min(angles) < MIN_ANGLE:
-            continue
-        if kind == "obtuse" and max(angles) <= math.pi / 2.0:
+        if min(angles) < MIN_ANGLE or kind == "obtuse" and max(angles) <= math.pi / 2.0:
             continue
         return tri
-    raise RuntimeError(
-        f"no acceptable {kind!r} triangle after {MAX_REJECTIONS} rejections"
-    )
+    raise RuntimeError(f"no acceptable {kind!r} triangle after {MAX_REJECTIONS} rejections")
 
 
 def _well_conditioned(raw: np.ndarray) -> bool:

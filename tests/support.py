@@ -29,7 +29,7 @@ from shapecalc import (
 )
 from shapecalc.errors import float_range
 from shapecalc.geometry import _facet_index, as_vector
-from shapecalc.theorems import RIGHT_ANGLE_TOL
+from shapecalc.theorems import MAX_REJECTIONS, MIN_ANGLE, RIGHT_ANGLE_TOL
 
 _EPS = float(np.finfo(float).eps)
 
@@ -272,6 +272,70 @@ def random_right_simplex_reference(
             rotation[:, 0] = -rotation[:, 0]
         apex = rng.uniform(-1.0, 1.0, size=dim)
         return RightSimplexSpec(np.vstack([apex, apex + legs @ rotation.T]))
+
+
+def _translate_into_box(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # Center, then draw a translation keeping every coordinate in [-1, 1].
+    centered = points - points.mean(axis=0)
+    low = centered.min(axis=0)
+    high = centered.max(axis=0)
+    shift = rng.uniform(-1.0 - low, 1.0 - high)
+    return centered + shift
+
+
+def random_triangle_reference(seed: int, kind: str = "general") -> Triangle:
+    """Reference triangle generator, a copy of ``theorems.random_triangle``
+    as it was before its right triangles were computed in Python floats:
+    the package's generator must give the same outcome bit for bit.
+
+    Deterministic random triangle with vertices in [-1, 1]^2 and all
+    angles at least MIN_ANGLE.
+
+    ``kind``: "general" (uniform vertices), "right" (legs on a random
+    orthonormal frame, then a random rigid motion; right angle at C), or
+    "obtuse" (largest angle exceeds pi/2).
+    """
+    if kind not in ("general", "right", "obtuse"):
+        raise ShapeValidationError(f"unknown triangle kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_REJECTIONS):
+        if kind == "right":
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            frame = np.array(
+                [
+                    [math.cos(theta), math.sin(theta)],
+                    [-math.sin(theta), math.cos(theta)],
+                ]
+            )
+            leg_a, leg_b = rng.uniform(0.2, 0.9, size=2)
+            # Right angle at C: B - C and A - C along orthogonal frame rows.
+            points = _translate_into_box(
+                np.array([leg_b * frame[1], leg_a * frame[0], np.zeros(2)]), rng
+            )
+        else:
+            points = rng.uniform(-1.0, 1.0, size=(3, 2))
+        try:
+            tri = Triangle(points[0], points[1], points[2])
+        except DegenerateSimplexError:
+            continue
+        angles = (tri.alpha, tri.beta, tri.gamma)
+        if min(angles) < MIN_ANGLE:
+            continue
+        if kind == "obtuse" and max(angles) <= math.pi / 2.0:
+            continue
+        return tri
+    raise RuntimeError(
+        f"no acceptable {kind!r} triangle after {MAX_REJECTIONS} rejections"
+    )
+
+
+def generator_mismatches(seeds, kinds=("general", "right", "obtuse")) -> list:
+    """The (seed, kind) cases where ``theorems.random_triangle`` and
+    ``random_triangle_reference`` differ in ``triangle_outcome``: empty
+    when every triangle has the same bits, normals included."""
+    return [(seed, kind) for kind in kinds for seed in seeds
+            if triangle_outcome(lambda: theorems.random_triangle(seed, kind))
+            != triangle_outcome(lambda: random_triangle_reference(seed, kind))]
 
 
 def apex_and_legs(r: RightSimplexSpec) -> tuple[np.ndarray, np.ndarray]:

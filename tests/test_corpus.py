@@ -101,26 +101,42 @@ def _scaled(doc: dict, scale: float) -> dict:
     return dict(doc, vertices=[[x * scale for x in v] for v in doc["vertices"]])
 
 
-def _rotation(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+def _rotation(rng, n: int) -> list[list[float]]:
+    """The rows of a random orthogonal matrix: the columns of a standard
+    normal matrix, orthonormalized by modified Gram-Schmidt in Python
+    floats, so that no BLAS or LAPACK kernel touches its bits. Sums are
+    ``math.fsum``, correctly rounded, so no Python version changes them."""
+    columns = []
+    for g in rng.standard_normal((n, n)).T.tolist():
+        for q in columns:
+            d = math.fsum(a * b for a, b in zip(g, q))
+            g = [a - d * b for a, b in zip(g, q)]
+        norm = math.sqrt(math.fsum(a * a for a in g))
+        columns.append([a / norm for a in g])
+    return [list(row) for row in zip(*columns)]
 
 
 def _general_simplex(rng, n: int) -> dict:
-    """A jittered standard simplex, rotated, scaled and shifted."""
+    """A jittered standard simplex, rotated, scaled and shifted, in Python
+    floats from the draws on."""
     points = np.vstack([np.zeros(n), np.eye(n)]) + rng.uniform(-0.25, 0.25, (n + 1, n))
-    points = (points - points.mean(axis=0)) @ _rotation(rng, n).T * rng.uniform(0.5, 2.0)
-    return {"dim": n, "vertices": (points + rng.uniform(-1.0, 1.0, n)).tolist()}
+    centred = (points - points.mean(axis=0)).tolist()
+    rotation, scale = _rotation(rng, n), rng.uniform(0.5, 2.0)
+    shift = rng.uniform(-1.0, 1.0, n).tolist()
+    return {"dim": n, "vertices": [
+        [math.fsum(x * r for x, r in zip(p, row)) * scale + s for row, s in zip(rotation, shift)]
+        for p in centred]}
 
 
 def _right_simplex(rng, n: int, hyp_index: int) -> dict:
     """A right simplex with legs of lengths in [0.5, 2], its apex at row
     ``hyp_index``, so that the hypotenuse is facet ``hyp_index``."""
-    legs = _rotation(rng, n) * rng.uniform(0.5, 2.0, n)[:, None]
-    apex = rng.uniform(-1.0, 1.0, n)
-    others = list(apex + legs)
+    rotation, lengths = _rotation(rng, n), rng.uniform(0.5, 2.0, n).tolist()
+    apex = rng.uniform(-1.0, 1.0, n).tolist()
+    others = [[a + x * length for a, x in zip(apex, row)]
+              for row, length in zip(rotation, lengths)]
     rows = [*others[:hyp_index], apex, *others[hyp_index:]]
-    return {"dim": n, "vertices": np.array(rows).tolist(), "hyp_index": hyp_index}
+    return {"dim": n, "vertices": rows, "hyp_index": hyp_index}
 
 
 def _inline_field(rng, n: int) -> str:

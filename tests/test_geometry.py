@@ -21,6 +21,7 @@ from shapecalc import (
     DegenerateSimplexError,
     DimensionMismatchError,
     FloatRangeError,
+    ShapeValidationError,
     Simplex,
     Triangle,
     base_height_volume,
@@ -631,6 +632,60 @@ class TestTriangleConstruction:
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+class TestTriangleVertices:
+    """``Triangle.vertices`` is the read-only (3, 2) array whose rows are A, B
+    and C; the vertices are checked as that one array, finiteness on its
+    list, and a bad vertex still raises the error that names it."""
+
+    def test_read_only_rows_with_the_bits_of_the_vertices(self):
+        rows = [(0.1, -0.0), (5e-324, 0.7), (-0.55, 1e-300)]
+        t = Triangle(*rows)
+        assert t.vertices.shape == (3, 2) and not t.vertices.flags.writeable
+        assert t.vertices.tobytes() == np.array(rows).tobytes()
+        for name, row in zip("ABC", t.vertices):
+            assert getattr(t, name).base is t.vertices
+            assert getattr(t, name).tobytes() == row.tobytes()
+        assert t.simplex.vertices.tobytes() == t.vertices.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            t.vertices[0, 0] = 1.0
+
+    def test_over_gives_the_labelled_rows(self):
+        s = Simplex([[0.1, 0.7], [0.93, -0.31], [-0.55, 0.2]])
+        for sides in map(list, itertools.permutations(range(3))):
+            t = Triangle.over(s, sides)
+            assert t.simplex is s
+            assert t.vertices.tobytes() == s.vertices[sides].tobytes()
+            assert not t.vertices.flags.writeable
+
+    @pytest.mark.parametrize("vertices, error, message", [
+        (((0.0, 1.0), (1.0, np.nan), (1.0, 0.0)), ShapeValidationError,
+         "vertex B has non-finite entries"),
+        (((np.inf, 0.0), (0.0, 1.0), (1.0, 0.0)), ShapeValidationError,
+         "vertex A has non-finite entries"),
+        (((0.0, 1.0), (1.0, 0.0), (0.0, -np.inf)), ShapeValidationError,
+         "vertex C has non-finite entries"),
+        (((0.0, np.nan), (np.inf, 1.0), (1.0, 0.0)), ShapeValidationError,
+         "vertex A has non-finite entries"),
+        (((1.0, 2.0, 3.0), (0.0, 1.0), (1.0, 0.0)), DimensionMismatchError,
+         "vertex A must have dimension 2, got 3"),
+        (((0.0, 1.0), (1.0, 0.0), (1.0,)), DimensionMismatchError,
+         "vertex C must have dimension 2, got 1"),
+        (((0.0, 1.0), ((1.0, 2.0),), (1.0, 0.0)), DimensionMismatchError,
+         "vertex B must be 1-D, got shape (1, 2)"),
+        ((1.0, (0.0, 1.0), (1.0, 0.0)), DimensionMismatchError,
+         "vertex A must be 1-D, got shape ()"),
+        (((0.0, 1.0), "x", (1.0, 0.0)), ValueError, "could not convert string to float: 'x'"),
+        (((0.0, 1.0), (1.0, 0.0), (10**400, 0.0)), OverflowError,
+         "int too large to convert to float"),
+        (((0.0, 1.0), {}, (1.0, 0.0)), TypeError,
+         "float() argument must be a string or a real number, not 'dict'"),
+    ])
+    def test_bad_vertices_keep_their_error(self, vertices, error, message):
+        with pytest.raises(error) as info:
+            Triangle(*vertices)
+        assert type(info.value) is error and str(info.value) == message
 
 
 class TestBaseHeightVolume:

@@ -317,6 +317,23 @@ class TestRandomTriangle:
         with pytest.raises(ValueError):
             random_triangle(0, "acute")
 
+    @pytest.mark.parametrize("kind", ["general", "right", "obtuse"])
+    def test_matches_reference_generator(self, kind):
+        # The right kind's frame, centring and shift in Python floats, and
+        # one scalar draw per axis, give the bits of the array arithmetic.
+        assert support.generator_mismatches(range(5000), (kind,)) == []
+
+    def test_matches_reference_generator_on_a_second_kernel(self):
+        # The same comparison under OpenBLAS's Prescott kernels, in a fresh
+        # interpreter. Builds without DYNAMIC_ARCH ignore the variable.
+        root = Path(__file__).resolve().parents[1]
+        script = "import support; print(support.generator_mismatches(range(5000)))\n"
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
 
 class TestRandomRightSimplex:
     def test_orthonormal_leg_dots(self):
@@ -559,6 +576,17 @@ class TestStackedProof:
         instances = [random_right_simplex(700 + k, dim, legs) for k in range(30)]
         stacked, alone = stacked_and_alone("nd-pythagoras", instances)
         assert stacked == alone
+
+    @pytest.mark.parametrize("theorem, kind", [
+        ("pythagoras", "right"), ("sines", "general"), ("cosines", "obtuse")])
+    def test_triangle_batch_across_a_chunk_boundary(self, theorem, kind):
+        # PROOF_CHUNK + 1 instances: two stacks, of 256 and of 1, each
+        # taking its auxiliary dots as stacked products over its normals.
+        instances = [random_triangle(900 + k, kind) for k in range(theorems.PROOF_CHUNK + 1)]
+        reports = theorems.THEOREMS[theorem].verify(instances, 1e-12, 1e-12)
+        assert [json.dumps(r.to_dict()) for r in reports] == [
+            json.dumps(support.prove_alone(theorem, t, 1e-12, 1e-12).to_dict())
+            for t in instances]
 
     @pytest.mark.parametrize("theorem", ["pythagoras", "sines", "cosines"])
     def test_axis_aligned_triangles(self, theorem):
