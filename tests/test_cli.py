@@ -560,6 +560,21 @@ class TestExitCodes:
             if "[0, 1, 0]" in spec:
                 assert "field matrix must be square, got shape (2, 3)" in err, err
 
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("mismatched", ["field", "density"])
+    def test_mismatched_derive_dimension_is_two(self, shape_file, capsys, n, mismatched):
+        # derive checks the field's and the density's dimension against the
+        # document's before it evaluates either of them.
+        doc = {"dim": n, "vertices": np.vstack([np.zeros(n), np.eye(n)]).tolist()}
+        field_dim, density_dim = (3, n) if mismatched == "field" else (n, 3)
+        field = json.dumps({"matrix": np.eye(field_dim).tolist(), "offset": [0.5] * field_dim})
+        density = json.dumps({"gradient": [1.0] * density_dim, "constant": 2})
+        code = main(["derive", "--input", shape_file(doc), "--field", field,
+                     "--density", density])
+        assert (code, capsys.readouterr().err) == (2, (
+            f"shapecalc: error: simplex dim {n}, density dim {density_dim}, "
+            f"field dim {field_dim}\n"))
+
     def test_field_help_lists_the_named_fields(self, capsys):
         with pytest.raises(SystemExit):
             main(["derive", "--help"])
@@ -1331,13 +1346,16 @@ class TestFuzz:
         if data.draw(st.booleans()):
             argv = ["verify", data.draw(st.sampled_from(list(THEOREMS))), "--input", str(path)]
         else:
-            n = base["dim"]
+            # The field and the density take the document's dimension or another.
+            dims = st.sampled_from([base["dim"], 2, 3, 5])
+            n = data.draw(dims)
             field = data.draw(st.one_of(
                 st.sampled_from([*cli.NAMED_FIELDS, "sines:d", "nope"]),
                 mutated_json({"matrix": np.eye(n).tolist(), "offset": [0.5] * n})))
             # --field=TEXT: a spec such as -1e+16 is a value, not a flag.
             argv = ["derive", "--input", str(path), f"--field={field}"]
             if data.draw(st.booleans()):
+                n = data.draw(dims)
                 argv.append("--density=" + data.draw(mutated_json(
                     {"gradient": [1.0] * n, "constant": 2})))
         out, err = io.StringIO(), io.StringIO()

@@ -1,9 +1,10 @@
 """A committed corpus of CLI calls and their outcomes.
 
-``tests/data/cli_corpus.json`` holds 84 ``cli.main`` calls: the
+``tests/data/cli_corpus.json`` holds 94 ``cli.main`` calls: the
 triangle theorems and nd-pythagoras on random batches, ``verify --input``
 on triangle and right-simplex documents, ``derive`` at dims 2 to 16 with
-named fields, inline fields and densities, and the calls that exit 2.
+named fields, inline fields and densities, on the 3-4-5 triangle
+with signed zeros, and the calls that exit 2, mismatched dimensions among them.
 Each call is stored as its argv, with a shape document inline in place
 of its path, and its exit code, stderr and report (JSON without
 ``wall_time_s``, or the CSV text). The file also records the numpy
@@ -204,6 +205,13 @@ def corpus_calls() -> list[list]:
     calls += [["derive", "--input", _document(T345), "--field", IDENTITY, "--format", "csv"],
               ["derive", "--input", _document(_scaled(T345, 1e-150)), "--field", IDENTITY,
                "--density", DENSITY]]
+    # The 3-4-5 triangle with -0.0 for each zero coordinate: the signs of
+    # zero that the proof values and the named fields carry into a report.
+    signed = {"dim": 2, "vertices": [[x or -0.0 for x in v] for v in T345["vertices"]]}
+    calls += [["verify", theorem, "--input", _document(signed)]
+              for theorem in ("sines", "cosines", "pythagoras")]
+    calls += [["derive", "--input", _document(signed), "--field", field]
+              for field in ("pythagoras", "sines:a", "sines:b", "sines:c", "cosines")]
     # Calls that exit 2.
     degenerate = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}
     oversized = '{"dim": ' + "9" * 4300 + ', "vertices": [[0, 3], [4, 0], [0, 0]]}'
@@ -227,6 +235,10 @@ def corpus_calls() -> list[list]:
         ["derive", "--input", _document(T345), "--field", "sines:d"],
         ["derive", "--input", _document(T345), "--field",
          '{"matrix": [[1, 0, 0], [0, 1, 0]], "offset": [0, 0]}'],
+        ["derive", "--input", _document(T345), "--field",
+         '{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, 0]}'],
+        ["derive", "--input", _document(T345), "--field", IDENTITY,
+         "--density", '{"gradient": [1, 2, 3], "constant": 3}'],
         ["derive", "--input", _document(T345), "--field", "pythagoras",
          "--density", '{"gradient": [0, 0], "constant": "1"}'],
         ["verify", "pythagoras", "--input", _document(_scaled(T345, 1e-160))],
