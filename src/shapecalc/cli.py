@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .errors import ShapeCalcError, ShapeParseError, ShapeValidationError
 from .fields import AffineDensity, AffineField
-from .geometry import Simplex, Triangle, as_vector
+from .geometry import Simplex, Triangle
 from .hadamard import hadamard_derivative
 from .theorems import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec
 
@@ -384,16 +384,14 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
         raw = _load_json(spec, "field JSON")
         _require(isinstance(raw, dict) and "matrix" in raw and "offset" in raw,
                  "field spec needs 'matrix' and 'offset'", parse=True)
-        field = AffineField(_float_array(raw["matrix"], "field 'matrix'"),
-                            _float_array(raw["offset"], "field 'offset'"))
-        as_vector(field.offset, name="field offset")  # one field, not a stack
-        return field
+        return AffineField(_float_array(raw["matrix"], "field 'matrix'"),
+                           _float_array(raw["offset"], "field 'offset'"))
     if spec not in NAMED_FIELDS:
         raise ShapeValidationError(
             f"unknown field spec {spec!r}; use inline JSON or one of {FIELD_NAMES}"
         )
     row, key = NAMED_FIELDS[spec]
-    return row.fields[key](getattr(doc, row.field_document)())
+    return AffineField.constant(row.fields[key](getattr(doc, row.field_document)()))
 
 
 def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:

@@ -1,9 +1,9 @@
 """Affine perturbation fields xi(x) = A x + b and affine densities
-f(x) = g . x + c0, plus the four translation fields used by the theorem
-proofs. Constant fields are the A = 0 case; f == 1 is g = 0, c0 = 1. A
-stack of fields shares A and stacks b; each translation field takes one
-shape, or a stack of shapes with the same attributes stacked, as the
-proofs give it.
+f(x) = g . x + c0, plus the four translations that the theorem proofs
+move a shape along. Constant fields are the A = 0 case; f == 1 is g = 0,
+c0 = 1. Each translation builder returns one shape's (N,) vector, or, on
+a stack of shapes (their attributes stacked, as the proofs give them),
+one (M, N) row per shape.
 """
 
 from __future__ import annotations
@@ -27,35 +27,26 @@ class AffineField:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(
-                f"field matrix must be square, got shape {m.shape}"
-            )
+            raise DimensionMismatchError(f"field matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ShapeValidationError("field matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        b = np.array(self.offset, dtype=float)
-        if b.ndim > 1 and b.shape[-1] == m.shape[0] and np.isfinite(b).all():
-            b.flags.writeable = False  # a stack of fields, one offset per row
-        else:
-            b = as_vector(b, m.shape[0], "field offset")
-        object.__setattr__(self, "offset", b)
+        object.__setattr__(self, "offset", as_vector(self.offset, m.shape[0], "field offset"))
 
     @classmethod
     def constant(cls, offset) -> "AffineField":
-        """The constant field ``offset``, or a stack of them: (..., N) rows."""
-        b = np.array(offset, dtype=float)
-        n = b.shape[-1] if b.ndim else 0
-        return cls(np.zeros((n, n)), b)
+        """The constant field ``offset``: a translation."""
+        b = as_vector(offset, name="field offset")
+        return cls(np.zeros((b.size, b.size)), b)
 
     @property
     def dim(self) -> int:
-        return self.offset.shape[-1]
+        return self.offset.shape[0]
 
     def at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on a (..., K, N) stack of points, returning (..., K, N)
-        values; a stack of fields takes one (K, N) point array per field."""
-        return points @ self.matrix.T + self.offset[..., None, :]
+        """Evaluate on a (..., N) stack of points, returning (..., N) values."""
+        return points @ self.matrix.T + self.offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +95,13 @@ def div_density_field(f: AffineDensity, xi: AffineField) -> AffineDensity:
     return AffineDensity(gradient, constant)
 
 
-def pythagoras_field(t: Triangle) -> AffineField:
-    """Constant translation field c * n_c (along the hypotenuse normal)."""
-    return AffineField.constant(t.c * t.n_c)
+def pythagoras_field(t: Triangle) -> np.ndarray:
+    """The translation c * n_c (along the hypotenuse normal)."""
+    return t.c * t.n_c
 
 
-def sines_field(t: Triangle, side: str) -> AffineField:
-    """Constant unit field parallel to the chosen side.
+def sines_field(t: Triangle, side: str) -> np.ndarray:
+    """The unit translation parallel to the chosen side.
 
     Orientations: side ``a`` points C -> B, side ``b`` points A -> C,
     side ``c`` points B -> A.
@@ -118,20 +109,17 @@ def sines_field(t: Triangle, side: str) -> AffineField:
     if side not in ("a", "b", "c"):
         raise ShapeValidationError(f"side must be 'a', 'b', or 'c', got {side!r}")
     head, tail = {"a": "BC", "b": "CA", "c": "AB"}[side]
-    return AffineField.constant((getattr(t, head) - getattr(t, tail)) / getattr(t, side))
+    return (getattr(t, head) - getattr(t, tail)) / getattr(t, side)
 
 
-def cosines_field(t: Triangle) -> AffineField:
-    """Constant translation field c * n_c - a * n_a - b * n_b."""
-    return AffineField.constant(t.c * t.n_c - t.a * t.n_a - t.b * t.n_b)
+def cosines_field(t: Triangle) -> np.ndarray:
+    """The translation c * n_c - a * n_a - b * n_b."""
+    return t.c * t.n_c - t.a * t.n_a - t.b * t.n_b
 
 
-def nd_pythagoras_field(s: Simplex, hyp_index: int) -> AffineField:
-    """Constant translation field (hypotenuse measure) * (hypotenuse normal)."""
+def nd_pythagoras_field(s: Simplex, hyp_index: int) -> np.ndarray:
+    """The translation (hypotenuse measure) * (hypotenuse normal)."""
     if not 0 <= hyp_index <= s.dim:
-        raise ShapeValidationError(
-            f"hyp_index must be in 0..{s.dim}, got {hyp_index}"
-        )
+        raise ShapeValidationError(f"hyp_index must be in 0..{s.dim}, got {hyp_index}")
     facets = s.facets
-    return AffineField.constant(
-        facets.measures[..., hyp_index, None] * facets.normals[..., hyp_index, :])
+    return facets.measures[..., hyp_index, None] * facets.normals[..., hyp_index, :]

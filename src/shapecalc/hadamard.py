@@ -4,20 +4,21 @@ affine field xi:
 
 * boundary route: exact facet-wise quadrature of f * (xi . n), one stacked
                   product over all facets: ``boundary_integral`` on one
-                  simplex and one field, or on a stack of simplices
-                  (a stacked ``Simplex``) and a stack of fields, one each,
+                  simplex or a stacked ``Simplex``,
 * volume route:   centroid rule on the (affine) divergence density,
 * fd route:       Richardson-extrapolated central differences of exact
                   integrals over the four perturbed images: one
                   ``perturbed_integral`` call, which gates the images as
                   one stack and returns one float per step.
 
-All quadrature is exact for the affine f and xi handled here, so the
-boundary/volume residual reflects geometry and rounding only. The boundary
-route evaluates all facets with stacked ``matmul`` products; unlike
-``einsum``, these round each facet as a lone per-facet product does, so the
-per-facet values match a facet-by-facet loop bit for bit, and each item of
-a stack gets the bits it gets alone.
+The boundary and fd routes take ``values``, xi at the vertices, in their
+shape: ``hadamard_derivative`` evaluates xi once for both. All quadrature
+is exact for the affine f and xi handled here, so the boundary/volume
+residual reflects geometry and rounding only. The boundary route evaluates
+all facets with stacked ``matmul`` products; unlike ``einsum``, these
+round each facet as a lone per-facet product does, so the per-facet values
+match a facet-by-facet loop bit for bit, and each item of a stack gets the
+bits it gets alone.
 ``hadamard_derivative`` raises ``FloatRangeError`` when a route overflows.
 """
 
@@ -58,11 +59,15 @@ class DerivativeReport:
 def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):
     if f.dim != s.dim or xi.dim != s.dim:
         raise DimensionMismatchError(
-            f"simplex dim {s.dim}, density dim {f.dim}, field dim {xi.dim}"
-        )
-    if xi.offset.ndim > 1 and xi.offset.shape[:-1] != s.vertices.shape[:-2]:
-        raise DimensionMismatchError(f"a stack of fields {xi.offset.shape[:-1]} "
-                                     f"needs as many simplices, got {s.vertices.shape[:-2]}")
+            f"simplex dim {s.dim}, density dim {f.dim}, field dim {xi.dim}")
+
+
+def _check_values(s: Simplex, values, f: AffineDensity | None = None):
+    if np.shape(values) != s.vertices.shape:
+        raise DimensionMismatchError(f"field values of shape {np.shape(values)} need "
+                                     f"the vertices' shape {s.vertices.shape}")
+    if f is not None and f.dim != s.dim:
+        raise DimensionMismatchError(f"simplex dim {s.dim}, density dim {f.dim}")
 
 
 def _decomposition(values: list[float]) -> tuple[float, list[list]]:
@@ -72,8 +77,9 @@ def _decomposition(values: list[float]) -> tuple[float, list[list]]:
     return total, [[i, value] for i, value in enumerate(values)]
 
 
-def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
-    """Integral of f * (xi . n) over the boundary of ``s``.
+def boundary_integral(s: Simplex, f: AffineDensity, values):
+    """Integral of f * (xi . n) over the boundary of ``s``, xi at its vertices
+    being ``values``.
 
     On each facet the integrand is a product of two affine functions, so the
     degree-2 barycentric moment rule
@@ -83,15 +89,15 @@ def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
     with u = f and v = xi . n at the facet's N vertices. All N+1 facets are
     evaluated at once, as stacked products over facet points gathered for
     this call only, unless f is a nonzero constant, which is its value on
-    every point; xi is evaluated once per simplex vertex and gathered,
-    which on the SkylakeX and Sandybridge OpenBLAS kernels (not always on
-    Haswell or Prescott) gives the bits of evaluating it on those points.
+    every point; xi's values at the vertices are gathered, which on the
+    SkylakeX and Sandybridge OpenBLAS kernels (not always on Haswell or
+    Prescott) gives the bits of evaluating xi on those points.
 
     Returns (total, [facet index, contribution] lists); the total is
-    accumulated in ascending facet-index order. For a stacked ``Simplex``
-    and a stack of fields, one per simplex, returns the list of those pairs.
+    accumulated in ascending facet-index order. For a stacked ``Simplex``,
+    returns the list of those pairs.
     """
-    _check_dims(s, f, xi)
+    _check_values(s, values, f)
     n = s.dim
     facets, index = s.facets, _facet_index(n)
     if f.constant and not f.gradient.any():
@@ -103,12 +109,12 @@ def boundary_integral(s: Simplex, f: AffineDensity, xi: AffineField):
         # gathered, its dot products take another BLAS kernel and round
         # differently.
         u = f.at(np.take(s.vertices, index, axis=-2))
-    x = np.take(xi.at(s.vertices), index, axis=-2)
+    x = np.take(values, index, axis=-2)
     v = np.matmul(x, facets.normals[..., None])[..., 0]
-    values = (facets.measures / (n * (n + 1)) * (
+    terms = (facets.measures / (n * (n + 1)) * (
         u.sum(axis=-1) * v.sum(axis=-1) + (u * v).sum(axis=-1)
     )).tolist()
-    return [_decomposition(v) for v in values] if s.vertices.ndim == 3 else _decomposition(values)
+    return [_decomposition(t) for t in terms] if s.vertices.ndim == 3 else _decomposition(terms)
 
 
 def volume_integral(s: Simplex, f: AffineDensity, xi: AffineField) -> float:
@@ -120,17 +126,17 @@ def volume_integral(s: Simplex, f: AffineDensity, xi: AffineField) -> float:
 
 
 def perturbed_integral(
-    s: Simplex, f: AffineDensity, xi: AffineField, steps: Sequence[float]
+    s: Simplex, f: AffineDensity, values, steps: Sequence[float]
 ) -> list[float]:
     """Integral of f over the image of ``s`` under x -> x + t * xi(x), for
-    each step t of ``steps``, as a list of floats.
+    each step t of ``steps``, as a list of floats; xi at the vertices is ``values``.
 
     Exact: an affine map sends the simplex to a simplex, and the centroid
     rule integrates the affine f exactly on each image of the one stack.
     """
-    _check_dims(s, f, xi)
+    _check_values(s, values, f)
     steps = np.asarray(steps, dtype=float)
-    moved = s.vertices + steps[:, None, None] * xi.at(s.vertices)
+    moved = s.vertices + steps[:, None, None] * values
     try:
         volumes, _ = gated_volumes(moved)
     except DegenerateSimplexError as err:
@@ -140,22 +146,24 @@ def perturbed_integral(
     return [v * float(f.at(c)) for v, c in zip(volumes, moved.mean(axis=1))]
 
 
-def default_fd_step(s: Simplex, xi: AffineField) -> float:
-    """cbrt(machine eps) * scale(s) / max(1, field magnitude over vertices):
+def default_fd_step(s: Simplex, values) -> float:
+    """cbrt(machine eps) * scale(s) / max(1, field magnitude over ``values``):
     the usual truncation/rounding balance for central differences."""
-    field_scale = float(np.linalg.norm(xi.at(s.vertices), axis=1).max())
+    _check_values(s, values)
+    field_scale = float(np.linalg.norm(values, axis=1).max())
     return _EPS ** (1.0 / 3.0) * s.scale / max(1.0, field_scale)
 
 
 def fd_derivative(
-    s: Simplex, f: AffineDensity, xi: AffineField, step: float | None = None
+    s: Simplex, f: AffineDensity, values, step: float | None = None
 ) -> float:
     """Central-difference estimate of the shape derivative at t = 0, with one
-    Richardson extrapolation level (steps h and h/2)."""
-    h = default_fd_step(s, xi) if step is None else float(step)
+    Richardson extrapolation level (steps h and h/2), xi at the vertices
+    being ``values``."""
+    h = default_fd_step(s, values) if step is None else float(step)
     half = h / 2.0
     plus, minus, half_plus, half_minus = perturbed_integral(
-        s, f, xi, [h, -h, half, -half])
+        s, f, values, [h, -h, half, -half])
     coarse = (plus - minus) / (2.0 * h)
     fine = (half_plus - half_minus) / (2.0 * half)
     return (4.0 * fine - coarse) / 3.0
@@ -164,15 +172,16 @@ def fd_derivative(
 def hadamard_derivative(
     s: Simplex, f: AffineDensity, xi: AffineField
 ) -> DerivativeReport:
-    """Evaluate all three routes and report their residuals.
-
-    Raises ``FloatRangeError`` if any route overflows the float range.
-    """
+    """Evaluate all three routes and report their residuals; f and xi are
+    checked before xi is evaluated, once, at the vertices. Raises
+    ``FloatRangeError`` if any route overflows the float range."""
+    _check_dims(s, f, xi)
     with float_range("the shape derivative overflows the float range") as finite:
-        boundary_total, per_facet = boundary_integral(s, f, xi)
+        values = xi.at(s.vertices)
+        boundary_total, per_facet = boundary_integral(s, f, values)
         volume_total = volume_integral(s, f, xi)
-        step = default_fd_step(s, xi)
-        fd_estimate = fd_derivative(s, f, xi, step)
+        step = default_fd_step(s, values)
+        fd_estimate = fd_derivative(s, f, values, step)
         residual_bv = abs(boundary_total - volume_total)
         residual_bf = abs(boundary_total - fd_estimate)
         finite(boundary_total, volume_total, fd_estimate, residual_bv, residual_bf)

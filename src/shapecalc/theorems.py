@@ -1,34 +1,36 @@
 """Executable reconstructions of four classical proofs.
 
-Every proof translates the simplex along a constant field xi, splits the
-boundary derivative sum_i A_i (xi . n_i) = 0 into one term per facet, and
-reads the theorem off those terms. So each theorem is one ``Theorem`` row
-of ``THEOREMS``, keyed by its CLI name, and one routine, ``prove``, runs
+Every proof translates the simplex along a vector xi, splits the boundary
+derivative sum_i A_i (xi . n_i) = 0 into one term per facet, and reads
+the theorem off those terms. So each theorem is one ``Theorem`` row of
+``THEOREMS``, keyed by its CLI name, and one routine, ``prove``, runs
 every row on a list of instances as one stack: it checks ``precondition``
 on each, builds the row's ``stack`` (one stacked ``Simplex``, so one gate
 and one facet inverse, the proof's only one: the triangle rows read their
 side normals through the ``Triangle`` properties on it), builds each of
-``fields`` ("" or a side -> builder, the ones derive names) from the
-stack as one stack of fields and decomposes it with one
-``boundary_integral`` call, then reads each instance's (summary, scale,
-auxiliary, residual) off ``entries(stack, decompositions)``, the row's
-one per-instance hook (decompositions: key -> (total, per-facet terms)).
-The triangle rows stack each ``Triangle.vertices`` and take their
-auxiliary dots of side normals as one stacked product per pair, over
-views of the stack's normals. Each instance gets the bits it gets alone:
-stacked ``det`` and ``inv`` round each matrix as a lone call does, dot
-products stay BLAS products in the lone layout, angles stay ``math``
-calls on Python floats, and totals add in facet order. A report names
-its theorem by the row's key, with ``_`` for ``-``. The ``verify_*``
-functions take one instance or a list, proved in stacks
-of at most ``PROOF_CHUNK`` so that its memory stays bounded. An instance
-is one vertex array: a ``Triangle``, or a ``RightSimplexSpec``, which
-holds only its vertices, apex first. The CLI reads a row's
+``fields`` ("" or a side -> builder, the ones derive names) on the stack,
+one translation row per instance, and decomposes them with one
+``boundary_integral`` call on their values at the vertices, 0.0 + xi (the
+bits of the constant field's x @ 0 + xi), then reads each instance's
+(summary, scale, auxiliary, residual) off ``entries(stack,
+decompositions)``, the row's one per-instance hook (decompositions: key
+-> (total, per-facet terms)). The triangle rows stack each
+``Triangle.vertices`` and take their auxiliary dots of side normals as one
+stacked product per pair, over views of the stack's normals. Each
+instance gets the bits it gets alone: stacked ``det`` and ``inv`` round
+each matrix as a lone call does, dot products stay BLAS products in the
+lone layout, angles stay ``math`` calls on Python floats, and totals add
+in facet order. A report names its theorem by the row's key, with ``_``
+for ``-``. The ``verify_*`` functions take one instance or a list, proved
+in stacks of at most ``PROOF_CHUNK`` so that its memory stays bounded. An
+instance is one vertex array: a ``Triangle``, or a ``RightSimplexSpec``,
+which holds only its vertices, apex first. The CLI reads a row's
 ``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
 methods ``document`` (an instance) and ``field_document`` (what derive's
-named fields take). Rows call this module's functions by name at run
-time, so a tracer can rebind them. Tolerances are implementation choices
-(the underlying mathematics is exact).
+named fields take, which it wraps in a constant ``AffineField``). Rows
+call this module's functions by name at run time, so a tracer can rebind
+them. Tolerances are implementation choices (the underlying mathematics
+is exact).
 """
 
 from __future__ import annotations
@@ -318,8 +320,9 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
         s = stack.simplex
         one = AffineDensity.one(s.dim)
         with float_range(f"the {theorem} proof overflows the float range") as finite:
-            per_key = {key: boundary_integral(s, one, build(stack))
-                       for key, build in row.fields.items()}
+            per_key = {key: boundary_integral(s, one, np.broadcast_to(
+                0.0 + build(stack)[:, None], s.vertices.shape))
+                for key, build in row.fields.items()}
             decompositions = [dict(zip(per_key, d)) for d in zip(*per_key.values())]
             reports = []
             for d, (summary, scale, auxiliary, residual) in zip(

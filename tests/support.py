@@ -147,15 +147,15 @@ def boundary_integral_per_facet_vertex(s: Simplex, f: AffineDensity, xi: AffineF
     return total, [[i, value] for i, value in enumerate(values)]
 
 
-def boundary_integral_gathered(s: Simplex, f: AffineDensity, xi: AffineField):
+def boundary_integral_gathered(s: Simplex, f: AffineDensity, values: np.ndarray):
     """Reference boundary route that always evaluates the density on the
     gathered facet points, ``f.at(facet_vertices(s))``; otherwise the same
     products and sums in the same order as ``boundary_integral``, for a lone
-    or a stacked ``Simplex``."""
+    or a stacked ``Simplex`` and the field's values at its vertices."""
     n = s.dim
     facets = s.facets
     u = f.at(facet_vertices(s))
-    x = np.take(xi.at(s.vertices), _facet_index(n), axis=-2)
+    x = np.take(values, _facet_index(n), axis=-2)
     v = np.matmul(x, facets.normals[..., None])[..., 0]
     values = (facets.measures / (n * (n + 1)) * (
         u.sum(axis=-1) * v.sum(axis=-1) + (u * v).sum(axis=-1)

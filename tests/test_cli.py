@@ -916,6 +916,36 @@ class TestDeriveRuns:
             run_derive(shape_file(doc), "nd-pythagoras")
 
 
+class TestFieldEvaluations:
+    """derive evaluates its field once, at the vertices, for every route
+    that reads it there; verify passes the proofs' translations as values
+    and evaluates no field."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        shapes, at = [], AffineField.at
+
+        def counted(self, points):
+            shapes.append(points.shape)
+            return at(self, points)
+
+        monkeypatch.setattr(AffineField, "at", counted)
+        return shapes
+
+    @pytest.mark.parametrize("field", ["pythagoras", "sines:a", IDENTITY])
+    @pytest.mark.parametrize("density", [None, DENSITY])
+    def test_derive_evaluates_its_field_once(self, shape_file, evaluations, field, density):
+        argv = ["derive", "--input", shape_file(T345), "--field", field, "--out", os.devnull]
+        assert main(argv + (["--density", density] if density else [])) == 0
+        assert evaluations == [(3, 2)]
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_verify_evaluates_no_field(self, evaluations, theorem):
+        argv = ["verify", theorem, "--random", "--count", "5", "--out", os.devnull]
+        assert main(argv) == 0
+        assert evaluations == []
+
+
 class TestOutputFormats:
     def test_json_report_structure(self, shape_file, capsys):
         code = main(["verify", "pythagoras", "--input", shape_file(T345)])

@@ -1,6 +1,7 @@
 """Field and density tests, including the four proof-field constructors."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,27 +118,32 @@ class TestDivergenceDensity:
 
 
 class TestFieldStacks:
-    def test_each_field_of_a_stack_evaluates_as_alone(self):
-        # Signed zeros included: the zero matrix product adds +0.0 either way.
+    def test_proof_values_are_the_constant_fields_values(self):
+        # A proof passes 0.0 + t, broadcast to the vertices, as the values of
+        # the constant field t: the zero matrix product adds +0.0 either
+        # way. Signed zeros included.
         rng = np.random.default_rng(5)
         for dim in (2, 3, 8, 16):
             offsets = rng.choice([0.0, -0.0, 1.5, -2.0, 1e-300], (7, dim))
             points = rng.choice([0.0, -0.0, -1.0, 3.0], (7, dim + 1, dim))
-            values = AffineField.constant(offsets).at(points)
-            assert values.shape == points.shape
+            values = np.broadcast_to(0.0 + offsets[:, None], points.shape)
             for b, p, row in zip(offsets, points, values):
                 assert row.tobytes() == AffineField.constant(b).at(p).tobytes()
 
-    def test_bad_stacks_are_rejected(self):
+    def test_bad_offsets_are_rejected(self):
         with pytest.raises(DimensionMismatchError, match="must have dimension 2"):
             AffineField(np.zeros((2, 2)), [1.0, 2.0, 3.0])
-        for offsets in (np.zeros((4, 3)), np.full((4, 2), np.inf)):
-            with pytest.raises(ValueError, match="field offset must be 1-D"):
+        for offsets in (np.zeros((4, 3)), np.full((4, 2), np.inf), np.zeros((4, 2))):
+            # The message that derive prints for an inline field's 2-D offset.
+            message = f"field offset must be 1-D, got shape {offsets.shape}"
+            with pytest.raises(DimensionMismatchError, match=re.escape(message)):
                 AffineField(np.zeros((2, 2)), offsets)
+            with pytest.raises(DimensionMismatchError, match="field offset must be 1-D"):
+                AffineField.constant(offsets)
 
     def test_proof_fields_of_a_stack_match_the_lone_fields(self):
-        # One builder per translation: on a stack, each row of the offsets
-        # is the offset of that triangle's or simplex's own field.
+        # One builder per translation: on a stack, each row is the
+        # translation of that triangle or simplex alone.
         triangles = [triangle_345(), equilateral(),
                      Triangle([0.3, -0.2], [-0.9, 0.4], [0.6, 0.8])]
         stack = SimpleNamespace(**{
@@ -148,31 +154,29 @@ class TestFieldStacks:
         builds = [pythagoras_field, cosines_field] + [
             lambda t, side=side: sines_field(t, side) for side in "abc"]
         for build in builds:
-            for t, row in zip(triangles, build(stack).offset):
-                assert row.tobytes() == build(t).offset.tobytes()
+            for t, row in zip(triangles, build(stack)):
+                assert row.tobytes() == build(t).tobytes()
         simplices = [support.random_simplex(np.random.default_rng(k), 4) for k in range(3)]
         stacked = Simplex(np.array([s.vertices for s in simplices]))
         for hyp in range(5):
-            offsets = nd_pythagoras_field(stacked, hyp).offset
-            for s, row in zip(simplices, offsets):
-                assert row.tobytes() == nd_pythagoras_field(s, hyp).offset.tobytes()
+            for s, row in zip(simplices, nd_pythagoras_field(stacked, hyp)):
+                assert row.tobytes() == nd_pythagoras_field(s, hyp).tobytes()
 
 
 class TestProofFields:
     def test_pythagoras_345_norm(self):
         field = pythagoras_field(triangle_345())
-        assert np.all(field.matrix == 0.0)
-        assert np.linalg.norm(field.offset) == pytest.approx(5.0, rel=1e-14)
+        assert np.linalg.norm(field) == pytest.approx(5.0, rel=1e-14)
 
     def test_pythagoras_unit_right_isoceles(self):
         t = Triangle([0.0, 1.0], [1.0, 0.0], [0.0, 0.0])
         field = pythagoras_field(t)
-        assert field.offset == pytest.approx([1.0, 1.0], abs=1e-14)
+        assert field == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_sines_345_side_a_direction(self):
         t = triangle_345()  # C = (0,0), B = (4,0)
         field = sines_field(t, "a")
-        assert field.offset == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert field == pytest.approx([1.0, 0.0], abs=1e-15)
 
     def test_sines_unit_norm_and_parallel_to_side(self):
         rng = np.random.default_rng(21)
@@ -183,14 +187,14 @@ class TestProofFields:
             except Exception:
                 continue
             for side, normal in (("a", t.n_a), ("b", t.n_b), ("c", t.n_c)):
-                e = sines_field(t, side).offset
+                e = sines_field(t, side)
                 assert abs(np.linalg.norm(e) - 1.0) <= 1e-14
                 assert abs(float(e @ normal)) <= 1e-14
 
     def test_sines_equilateral_paper_value(self):
         # e_x . n_b = -cos(pi/2 - gamma) = -sin(60 deg)
         t = equilateral()
-        e_x = sines_field(t, "a").offset
+        e_x = sines_field(t, "a")
         assert float(e_x @ t.n_b) == pytest.approx(-SQRT3 / 2.0, abs=1e-14)
         assert float(e_x @ t.n_c) == pytest.approx(SQRT3 / 2.0, abs=1e-14)
 
@@ -201,27 +205,26 @@ class TestProofFields:
     def test_cosines_equilateral_norm(self):
         # Outward normals are 120 degrees apart, so |n_c - n_a - n_b| = 2.
         field = cosines_field(equilateral())
-        assert np.all(field.matrix == 0.0)
-        assert np.linalg.norm(field.offset) == pytest.approx(2.0, rel=1e-13)
+        assert np.linalg.norm(field) == pytest.approx(2.0, rel=1e-13)
 
     def test_cosines_345_coordinate_oracle(self):
         # Direct coordinate arithmetic gives c n_c - a n_a - b n_b = (6, 8).
         t = triangle_345()
         oracle = t.c * t.n_c - t.a * t.n_a - t.b * t.n_b
         field = cosines_field(t)
-        assert field.offset == pytest.approx(oracle, rel=1e-14)
-        assert field.offset == pytest.approx([6.0, 8.0], abs=1e-13)
-        assert np.linalg.norm(field.offset) == pytest.approx(10.0, rel=1e-14)
+        assert field == pytest.approx(oracle, rel=1e-14)
+        assert field == pytest.approx([6.0, 8.0], abs=1e-13)
+        assert np.linalg.norm(field) == pytest.approx(10.0, rel=1e-14)
 
     def test_nd_field_unit_tetrahedron(self):
         s = Simplex(np.vstack([np.zeros(3), np.eye(3)]))
         field = nd_pythagoras_field(s, 0)
-        assert field.offset == pytest.approx([0.5, 0.5, 0.5], abs=1e-14)
+        assert field == pytest.approx([0.5, 0.5, 0.5], abs=1e-14)
 
     def test_nd_field_unit_triangle(self):
         s = Simplex(np.vstack([np.zeros(2), np.eye(2)]))
         field = nd_pythagoras_field(s, 0)
-        assert field.offset == pytest.approx([1.0, 1.0], abs=1e-14)
+        assert field == pytest.approx([1.0, 1.0], abs=1e-14)
 
     def test_nd_field_norm_equals_facet_measure(self):
         rng = np.random.default_rng(4)
@@ -229,7 +232,7 @@ class TestProofFields:
             s = support.random_simplex(rng, dim)
             for i in range(dim + 1):
                 field = nd_pythagoras_field(s, i)
-                assert np.linalg.norm(field.offset) == pytest.approx(
+                assert np.linalg.norm(field) == pytest.approx(
                     s.facets.measures[i], rel=1e-14
                 )
 
@@ -238,7 +241,7 @@ class TestProofFields:
         with pytest.raises(ValueError):
             nd_pythagoras_field(s, 5)
 
-    def test_every_proof_field_is_constant(self):
+    def test_every_proof_field_is_a_translation_vector(self):
         t = triangle_345()
         s = Simplex(np.vstack([np.zeros(3), np.eye(3)]))
         constructed = [
@@ -249,5 +252,5 @@ class TestProofFields:
             cosines_field(t),
             nd_pythagoras_field(s, 0),
         ]
-        for field in constructed:
-            assert np.all(field.matrix == 0.0)
+        for field, dim in zip(constructed, [2] * 5 + [3]):
+            assert field.shape == (dim,) and field.dtype == float

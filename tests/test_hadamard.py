@@ -35,6 +35,11 @@ def identity_field(dim: int) -> AffineField:
     return AffineField(np.eye(dim), np.zeros(dim))
 
 
+def identity_values(dim: int) -> np.ndarray:
+    """The identity field's values at the vertices of ``unit_simplex(dim)``."""
+    return identity_field(dim).at(unit_simplex(dim).vertices)
+
+
 def random_instance(rng):
     dim = int(rng.integers(2, 5))
     s = support.random_simplex(rng, dim)
@@ -47,21 +52,23 @@ class TestBoundaryIntegral:
         for _ in range(20):
             s, _, _ = random_instance(rng)
             xi = AffineField.constant(rng.uniform(-1.0, 1.0, s.dim))
-            total, per_facet = boundary_integral(s, AffineDensity.one(s.dim), xi)
+            total, per_facet = boundary_integral(s, AffineDensity.one(s.dim),
+                                                 xi.at(s.vertices))
             terms = sum(abs(v) for _, v in per_facet)
             assert abs(total) <= 1e-13 * max(terms, 1e-30)
 
     def test_identity_field_unit_simplex(self):
         total, _ = boundary_integral(
-            unit_simplex(2), AffineDensity.one(2), identity_field(2)
+            unit_simplex(2), AffineDensity.one(2), identity_values(2)
         )
         assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_coordinate_density_hand_value(self):
         # int over the boundary of x1 * (e1 . n) = area = 0.5 by divergence.
         f = AffineDensity(np.array([1.0, 0.0]), 0.0)
+        s = unit_simplex(2)
         xi = AffineField.constant([1.0, 0.0])
-        total, per_facet = boundary_integral(unit_simplex(2), f, xi)
+        total, per_facet = boundary_integral(s, f, xi.at(s.vertices))
         assert total == pytest.approx(0.5, abs=1e-14)
         contributions = dict(per_facet)
         assert contributions[0] == pytest.approx(0.5, abs=1e-14)  # hypotenuse
@@ -72,7 +79,7 @@ class TestBoundaryIntegral:
         rng = np.random.default_rng(8)
         for _ in range(20):
             s, f, xi = random_instance(rng)
-            total, per_facet = boundary_integral(s, f, xi)
+            total, per_facet = boundary_integral(s, f, xi.at(s.vertices))
             acc = 0.0
             for index, (i, v) in enumerate(per_facet):
                 assert i == index
@@ -86,7 +93,7 @@ class TestBoundaryIntegral:
             s = support.random_simplex(rng, dim, min_rel_det=1e-6)
             f = support.random_density(rng, dim)
             xi = support.random_field(rng, dim)
-            total, per_facet = boundary_integral(s, f, xi)
+            total, per_facet = boundary_integral(s, f, xi.at(s.vertices))
             values, bounds = support.boundary_integral_per_facet(s, f, xi)
             assert [i for i, _ in per_facet] == list(range(dim + 1))
             for (_, value), expected, bound in zip(per_facet, values, bounds):
@@ -106,22 +113,23 @@ class TestBoundaryIntegral:
         f = support.random_density(rng, dim)
         xi = support.random_field(rng, dim)
         expected = support.boundary_integral_per_facet_vertex(s, f, xi)
-        assert boundary_integral(s, f, xi) == expected
+        assert boundary_integral(s, f, xi.at(s.vertices)) == expected
 
     @given(dim=st.sampled_from([2, 3, 5, 8, 16]), m=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_stacked_simplex_and_fields_match_lone_integrals(self, dim, m, seed):
-        # What a proof passes: a stacked Simplex and a stack of constant
-        # fields, one each; every item gets the lone integral's bits.
+    def test_stacked_simplex_and_values_match_lone_integrals(self, dim, m, seed):
+        # What a proof passes: a stacked Simplex and the values of one
+        # constant field at each simplex's vertices; every item gets the
+        # lone integral's bits.
         rng = np.random.default_rng(seed)
         simplices = [support.random_simplex(rng, dim, min_rel_det=1e-6) for _ in range(m)]
-        offsets = rng.standard_normal((m, dim))
+        values = [AffineField.constant(b).at(s.vertices)
+                  for s, b in zip(simplices, rng.standard_normal((m, dim)))]
         f = support.random_density(rng, dim)
         stacked = boundary_integral(Simplex(np.array([s.vertices for s in simplices])), f,
-                                    AffineField.constant(offsets))
-        assert stacked == [boundary_integral(s, f, AffineField.constant(b))
-                           for s, b in zip(simplices, offsets)]
+                                    np.array(values))
+        assert stacked == [boundary_integral(s, f, v) for s, v in zip(simplices, values)]
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 16])
     @pytest.mark.parametrize("m", [None, 1, 5])
@@ -143,15 +151,12 @@ class TestBoundaryIntegral:
                  else Simplex(np.array([t.vertices for t in simplices])))
             # A constant field has one sign per facet, so a zero's sign can last.
             for matrix in (rng.standard_normal((dim, dim)), np.zeros((dim, dim))):
-                xi = AffineField(matrix, offsets[0] if m is None else offsets)
+                values = np.array([AffineField(matrix, b).at(t.vertices)
+                                   for t, b in zip(simplices, offsets)])
+                values = values[0] if m is None else values
                 # repr tells -0.0 from 0.0
-                assert (repr(boundary_integral(s, f, xi))
-                        == repr(support.boundary_integral_gathered(s, f, xi)))
-
-    def test_stack_of_fields_needs_as_many_simplices(self):
-        s = unit_simplex(2)
-        with pytest.raises(DimensionMismatchError, match="needs as many simplices"):
-            boundary_integral(s, AffineDensity.one(2), AffineField.constant(np.ones((3, 2))))
+                assert (repr(boundary_integral(s, f, values))
+                        == repr(support.boundary_integral_gathered(s, f, values)))
 
     def test_linearity_in_field_and_density(self):
         rng = np.random.default_rng(14)
@@ -164,17 +169,18 @@ class TestBoundaryIntegral:
             xi2 = support.random_field(rng, dim)
             f_sum = AffineDensity(f1.gradient + f2.gradient, f1.constant + f2.constant)
             xi_sum = AffineField(xi1.matrix + xi2.matrix, xi1.offset + xi2.offset)
-            lhs, _ = boundary_integral(s, f_sum, xi1)
-            rhs = boundary_integral(s, f1, xi1)[0] + boundary_integral(s, f2, xi1)[0]
+            v1, v2, v_sum = (xi.at(s.vertices) for xi in (xi1, xi2, xi_sum))
+            lhs, _ = boundary_integral(s, f_sum, v1)
+            rhs = boundary_integral(s, f1, v1)[0] + boundary_integral(s, f2, v1)[0]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
-            lhs, _ = boundary_integral(s, f1, xi_sum)
-            rhs = boundary_integral(s, f1, xi1)[0] + boundary_integral(s, f1, xi2)[0]
+            lhs, _ = boundary_integral(s, f1, v_sum)
+            rhs = boundary_integral(s, f1, v1)[0] + boundary_integral(s, f1, v2)[0]
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             boundary_integral(
-                unit_simplex(2), AffineDensity.one(3), identity_field(2)
+                unit_simplex(2), AffineDensity.one(3), identity_values(2)
             )
 
 
@@ -199,12 +205,12 @@ class TestPerturbedIntegral:
         rng = np.random.default_rng(6)
         s, f, xi = random_instance(rng)
         expected = s.volume * float(f.at(s.centroid))
-        (value,) = perturbed_integral(s, f, xi, [0.0])
+        (value,) = perturbed_integral(s, f, xi.at(s.vertices), [0.0])
         assert value == pytest.approx(expected, rel=1e-15)
 
     def test_dilation_by_one(self):
         (value,) = perturbed_integral(
-            unit_simplex(2), AffineDensity.one(2), identity_field(2), [1.0]
+            unit_simplex(2), AffineDensity.one(2), identity_values(2), [1.0]
         )
         assert value == pytest.approx(2.0, rel=1e-14)
 
@@ -214,20 +220,21 @@ class TestPerturbedIntegral:
             s, _, _ = random_instance(rng)
             xi = AffineField.constant(rng.uniform(-1.0, 1.0, s.dim))
             t = float(rng.uniform(-2.0, 2.0))
-            (value,) = perturbed_integral(s, AffineDensity.one(s.dim), xi, [t])
+            (value,) = perturbed_integral(s, AffineDensity.one(s.dim), xi.at(s.vertices), [t])
             assert value == pytest.approx(s.volume, rel=1e-13)
 
     def test_degenerate_perturbation_reports_step(self):
         s = unit_simplex(2)
         collapse = AffineField(-np.eye(2), np.zeros(2))  # x -> x - t x
         with pytest.raises(DegenerateSimplexError, match="t = 1.0"):
-            perturbed_integral(s, AffineDensity.one(2), collapse, [1.0])
+            perturbed_integral(s, AffineDensity.one(2), collapse.at(s.vertices), [1.0])
 
     def test_degenerate_image_in_a_stack_reports_its_step(self):
         s = unit_simplex(2)
         collapse = AffineField(-np.eye(2), np.zeros(2))  # collapses at t = 1
         with pytest.raises(DegenerateSimplexError, match=r"t = 1\.0$") as err:
-            perturbed_integral(s, AffineDensity.one(2), collapse, [0.5, 1.0, 0.25])
+            perturbed_integral(s, AffineDensity.one(2), collapse.at(s.vertices),
+                               [0.5, 1.0, 0.25])
         assert str(err.value.__cause__).startswith("degenerate simplex: |det| = ")
 
     def test_overflowing_image_is_screened(self):
@@ -242,14 +249,15 @@ class TestPerturbedIntegral:
                     match=r"^vertex coordinates overflow the float range "
                     r"\(overflow encountered in det\)$",
                 ):
-                    perturbed_integral(s, AffineDensity.one(2), identity_field(2), steps)
+                    perturbed_integral(s, AffineDensity.one(2),
+                                       identity_field(2).at(s.vertices), steps)
         assert [str(w.message) for w in caught] == []
 
     def test_one_python_float_per_step(self):
         s = unit_simplex(3)
-        f, xi = AffineDensity.one(3), identity_field(3)
+        f, at_vertices = AffineDensity.one(3), identity_values(3)
         for steps in ([0.5], (0.5, -0.5), np.array([0.5, -0.5, 0.25])):
-            values = perturbed_integral(s, f, xi, steps)
+            values = perturbed_integral(s, f, at_vertices, steps)
             assert type(values) is list and len(values) == len(steps)
             assert all(type(v) is float for v in values)
 
@@ -278,6 +286,7 @@ class TestStackedImages:
         rng = np.random.default_rng(seed)
         s = placed_simplex(rng, dim)
         f, xi = support.random_density(rng, dim), support.random_field(rng, dim)
+        values = xi.at(s.vertices)
         expected = []
         for t in steps:
             try:
@@ -286,23 +295,64 @@ class TestStackedImages:
                 # The stack names the first step whose image collapses.
                 with pytest.raises(DegenerateSimplexError,
                                    match=f"t = {re.escape(repr(t))}$"):
-                    perturbed_integral(s, f, xi, steps)
+                    perturbed_integral(s, f, values, steps)
                 return
-        assert perturbed_integral(s, f, xi, steps) == expected
-        assert [v for t in steps for v in perturbed_integral(s, f, xi, [t])] == expected
-        assert fd_derivative(s, f, xi) == support.fd_derivative_per_image(
-            s, f, xi, default_fd_step(s, xi)
+        assert perturbed_integral(s, f, values, steps) == expected
+        assert [v for t in steps for v in perturbed_integral(s, f, values, [t])] == expected
+        assert fd_derivative(s, f, values) == support.fd_derivative_per_image(
+            s, f, xi, default_fd_step(s, values)
         )
+
+
+# Each route that takes a field's values at the vertices, as a call on
+# (simplex, values).
+VALUES_ROUTES = {
+    "boundary_integral": lambda s, v: boundary_integral(s, AffineDensity.one(s.dim), v),
+    "perturbed_integral": lambda s, v: perturbed_integral(
+        s, AffineDensity.one(s.dim), v, [0.5]),
+    "default_fd_step": default_fd_step,
+    "fd_derivative": lambda s, v: fd_derivative(s, AffineDensity.one(s.dim), v),
+}
+
+
+class TestValuesShape:
+    @pytest.mark.parametrize("route", VALUES_ROUTES)
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_values_not_shaped_like_the_vertices_are_rejected(self, route, stacked):
+        lone = unit_simplex(3)
+        s = Simplex(np.array([lone.vertices] * 2)) if stacked else lone
+        if not stacked or route == "boundary_integral":  # the fd routes take one simplex
+            VALUES_ROUTES[route](s, np.ones(s.vertices.shape))  # the vertices' shape passes
+        bad = {
+            "stack or lone": np.ones((4, 3)) if stacked else np.ones((2, 4, 3)),
+            "extra row": np.ones(s.vertices.shape[:-2] + (5, 3)),
+            "wrong N": np.ones(s.vertices.shape[:-1] + (4,)),
+        }
+        if stacked:
+            bad["another stack size"] = np.ones((3, 4, 3))
+        for values in bad.values():
+            message = (f"field values of shape {values.shape} need the vertices' shape "
+                       f"{s.vertices.shape}")
+            with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+                VALUES_ROUTES[route](s, values)
+
+    @pytest.mark.parametrize("route", ["boundary_integral", "perturbed_integral"])
+    def test_density_of_another_dimension_is_rejected(self, route):
+        s = unit_simplex(2)
+        call = boundary_integral if route == "boundary_integral" else (
+            lambda *args: perturbed_integral(*args, [0.5]))
+        with pytest.raises(DimensionMismatchError, match="simplex dim 2, density dim 3$"):
+            call(s, AffineDensity.one(3), identity_values(2))
 
 
 class TestFiniteDifferences:
     def test_constant_field_near_zero(self):
         s = unit_simplex(2)
         xi = AffineField.constant([0.4, 0.7])
-        assert abs(fd_derivative(s, AffineDensity.one(2), xi)) <= 1e-9
+        assert abs(fd_derivative(s, AffineDensity.one(2), xi.at(s.vertices))) <= 1e-9
 
     def test_identity_field_unit_simplex(self):
-        value = fd_derivative(unit_simplex(2), AffineDensity.one(2), identity_field(2))
+        value = fd_derivative(unit_simplex(2), AffineDensity.one(2), identity_values(2))
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_default_step_scales(self):
@@ -310,16 +360,17 @@ class TestFiniteDifferences:
         cbrt_eps = float(np.finfo(float).eps) ** (1.0 / 3.0)
         small = AffineField.constant([0.1, 0.0])
         big = AffineField.constant([100.0, 0.0])
-        assert default_fd_step(s, small) == pytest.approx(cbrt_eps * s.scale)
-        assert default_fd_step(s, big) == pytest.approx(cbrt_eps * s.scale / 100.0)
+        assert default_fd_step(s, small.at(s.vertices)) == pytest.approx(cbrt_eps * s.scale)
+        assert default_fd_step(s, big.at(s.vertices)) == pytest.approx(
+            cbrt_eps * s.scale / 100.0)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)
     def test_matches_boundary_integral(self, seed):
         rng = np.random.default_rng(seed)
         s, f, xi = random_instance(rng)
-        exact, _ = boundary_integral(s, f, xi)
-        estimate = fd_derivative(s, f, xi)
+        exact, _ = boundary_integral(s, f, xi.at(s.vertices))
+        estimate = fd_derivative(s, f, xi.at(s.vertices))
         assert abs(estimate - exact) <= 1e-8 * (1.0 + abs(exact))
 
 

@@ -49,7 +49,7 @@ def test_routes_match_the_exact_values(dim):
         assert sum(exact) == volume, seed
         f_peak = np.abs(f.at(s.vertices))
         xi_peak = np.linalg.norm(xi.at(s.vertices), axis=1)
-        _, per_facet = boundary_integral(s, f, xi)
+        _, per_facet = boundary_integral(s, f, xi.at(s.vertices))
         for (i, value), term, measure in zip(per_facet, exact, s.facets.measures.tolist()):
             facet = np.arange(dim + 1) != i
             normalizer = measure * f_peak[facet].max() * xi_peak[facet].max()
@@ -69,7 +69,7 @@ def proof_ratios(theorem: str, instances: list) -> list[float]:
     for key, build in row.fields.items():
         for vertices, measures, xi, report in zip(
                 stack.simplex.vertices, stack.simplex.facets.measures,
-                build(stack).offset, reports):
+                build(stack), reports):
             areas, _ = support.exact_area_vectors(vertices)
             field = [Fraction(x) for x in xi.tolist()]
             terms = (report.auxiliary["directions"][key]["per_facet"] if theorem == "sines"
