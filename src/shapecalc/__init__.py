@@ -39,7 +39,6 @@ from .geometry import (
 from .hadamard import (
     DerivativeReport,
     boundary_integral,
-    default_fd_step,
     fd_derivative,
     hadamard_derivative,
     perturbed_integral,
@@ -78,7 +77,6 @@ __all__ = [
     "base_height_volume",
     "boundary_integral",
     "cosines_field",
-    "default_fd_step",
     "div_density_field",
     "facet_measure",
     "fd_derivative",

@@ -11,10 +11,10 @@ normals keep the lone column-major layout. A ``Triangle`` holds its
 read-only (3, 2) ``vertices``, rows A, B and C, and builds its simplex on
 first read unless its float screen cannot settle the gate; its side
 normals are views of that simplex's facets, so building one computes
-none; the same properties read a stacked simplex's.
-``Triangle.over`` reads a given simplex instead and builds none. Vertex,
-normal and measure arrays are read-only; ``Simplex``, ``Facets`` and
-``Triangle`` are frozen dataclasses.
+none; the same properties read a stacked simplex's. ``Triangle.over``
+reads a given simplex instead and builds none; ``base_height_volume``
+takes one simplex. Vertex, normal and measure arrays are read-only;
+``Simplex``, ``Facets`` and ``Triangle`` are frozen dataclasses.
 """
 
 from __future__ import annotations

@@ -3,23 +3,24 @@ d/dt integral_{Omega_t} f at t = 0, for a simplex Omega perturbed along an
 affine field xi:
 
 * boundary route: exact facet-wise quadrature of f * (xi . n), one stacked
-                  product over all facets: ``boundary_integral`` on one
-                  simplex or a stacked ``Simplex``,
+                  product over all facets: ``boundary_integral``, the one
+                  route that also takes a stacked ``Simplex``,
 * volume route:   centroid rule on the (affine) divergence density,
 * fd route:       Richardson-extrapolated central differences of exact
                   integrals over the four perturbed images: one
                   ``perturbed_integral`` call, which gates the images as
                   one stack and returns one float per step.
 
-The boundary and fd routes take ``values``, xi at the vertices, in their
-shape: ``hadamard_derivative`` evaluates xi once for both. All quadrature
-is exact for the affine f and xi handled here, so the boundary/volume
-residual reflects geometry and rounding only. The boundary route evaluates
-all facets with stacked ``matmul`` products; unlike ``einsum``, these
-round each facet as a lone per-facet product does, so the per-facet values
-match a facet-by-facet loop bit for bit, and each item of a stack gets the
-bits it gets alone.
-``hadamard_derivative`` raises ``FloatRangeError`` when a route overflows.
+Every other route raises ``DimensionMismatchError`` for a stack before any
+arithmetic. The boundary and fd routes take ``values``, xi at the vertices,
+in their shape: ``hadamard_derivative`` evaluates xi once for both. All
+quadrature is exact for the affine f and xi handled here, so the
+boundary/volume residual reflects geometry and rounding only. The boundary
+route evaluates all facets with stacked ``matmul`` products; unlike
+``einsum``, these round each facet as a lone per-facet product does, so the
+per-facet values match a facet-by-facet loop bit for bit, and each item of
+a stack gets the bits it gets alone. ``hadamard_derivative`` raises
+``FloatRangeError`` when a route overflows.
 """
 
 from __future__ import annotations
@@ -56,17 +57,24 @@ class DerivativeReport:
         return dict(vars(self))  # the fields in declaration order
 
 
+def _check_lone(s: Simplex):
+    if s.vertices.ndim != 2:
+        raise DimensionMismatchError(
+            f"this route takes one simplex, not a stack of shape {s.vertices.shape}")
+
+
 def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):
+    _check_lone(s)
     if f.dim != s.dim or xi.dim != s.dim:
         raise DimensionMismatchError(
             f"simplex dim {s.dim}, density dim {f.dim}, field dim {xi.dim}")
 
 
-def _check_values(s: Simplex, values, f: AffineDensity | None = None):
+def _check_values(s: Simplex, values, f: AffineDensity):
     if np.shape(values) != s.vertices.shape:
         raise DimensionMismatchError(f"field values of shape {np.shape(values)} need "
                                      f"the vertices' shape {s.vertices.shape}")
-    if f is not None and f.dim != s.dim:
+    if f.dim != s.dim:
         raise DimensionMismatchError(f"simplex dim {s.dim}, density dim {f.dim}")
 
 
@@ -134,6 +142,7 @@ def perturbed_integral(
     Exact: an affine map sends the simplex to a simplex, and the centroid
     rule integrates the affine f exactly on each image of the one stack.
     """
+    _check_lone(s)
     _check_values(s, values, f)
     steps = np.asarray(steps, dtype=float)
     moved = s.vertices + steps[:, None, None] * values
@@ -146,42 +155,33 @@ def perturbed_integral(
     return [v * float(f.at(c)) for v, c in zip(volumes, moved.mean(axis=1))]
 
 
-def default_fd_step(s: Simplex, values) -> float:
-    """cbrt(machine eps) * scale(s) / max(1, field magnitude over ``values``):
-    the usual truncation/rounding balance for central differences."""
-    _check_values(s, values)
+def fd_derivative(s: Simplex, f: AffineDensity, values) -> tuple[float, float]:
+    """(estimate, h): the central-difference estimate of the shape derivative
+    at t = 0, with one Richardson extrapolation level (steps h and h/2), xi
+    at the vertices being ``values``, and h = cbrt(machine eps) * scale(s) /
+    max(1, max_v |xi(v)|), the usual truncation/rounding balance."""
+    _check_lone(s)
+    _check_values(s, values, f)
     field_scale = float(np.linalg.norm(values, axis=1).max())
-    return _EPS ** (1.0 / 3.0) * s.scale / max(1.0, field_scale)
-
-
-def fd_derivative(
-    s: Simplex, f: AffineDensity, values, step: float | None = None
-) -> float:
-    """Central-difference estimate of the shape derivative at t = 0, with one
-    Richardson extrapolation level (steps h and h/2), xi at the vertices
-    being ``values``."""
-    h = default_fd_step(s, values) if step is None else float(step)
+    h = _EPS ** (1.0 / 3.0) * s.scale / max(1.0, field_scale)
     half = h / 2.0
     plus, minus, half_plus, half_minus = perturbed_integral(
         s, f, values, [h, -h, half, -half])
     coarse = (plus - minus) / (2.0 * h)
     fine = (half_plus - half_minus) / (2.0 * half)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * fine - coarse) / 3.0, h
 
 
-def hadamard_derivative(
-    s: Simplex, f: AffineDensity, xi: AffineField
-) -> DerivativeReport:
-    """Evaluate all three routes and report their residuals; f and xi are
-    checked before xi is evaluated, once, at the vertices. Raises
-    ``FloatRangeError`` if any route overflows the float range."""
+def hadamard_derivative(s: Simplex, f: AffineDensity, xi: AffineField) -> DerivativeReport:
+    """Evaluate all three routes on one simplex and report their residuals;
+    s, f and xi are checked before xi is evaluated, once, at the vertices.
+    Raises ``FloatRangeError`` if any route overflows the float range."""
     _check_dims(s, f, xi)
     with float_range("the shape derivative overflows the float range") as finite:
         values = xi.at(s.vertices)
         boundary_total, per_facet = boundary_integral(s, f, values)
         volume_total = volume_integral(s, f, xi)
-        step = default_fd_step(s, values)
-        fd_estimate = fd_derivative(s, f, values, step)
+        fd_estimate, step = fd_derivative(s, f, values)
         residual_bv = abs(boundary_total - volume_total)
         residual_bf = abs(boundary_total - fd_estimate)
         finite(boundary_total, volume_total, fd_estimate, residual_bv, residual_bf)

@@ -4,13 +4,16 @@ Loads the package under ``PARENT_SRC`` and this checkout's ``src`` package
 in one process, each copied under its own name (the modules import each
 other relatively), and runs every job of the benchmark workloads
 (``bench/workloads.py``, read only) plus the triangles-json memory jobs on
-both, at each workload seed. Prints every call whose exit code, stdout,
-stderr or report differs, the report's ``wall_time_s`` masked, and exits 1
-if any does::
+both, at each workload seed, then every call of ``tests/data/cli_corpus.json``
+once. Prints every call whose exit code, stdout, stderr or report differs,
+``wall_time_s`` masked in stdout and report, and exits 1 if any does::
 
     python tests/byte_sweep.py PARENT_SRC --seeds 1 2 3
 
-``--jobs K`` keeps the first K jobs of each workload.
+``--jobs K`` keeps the first K jobs of each workload; every corpus call runs.
+Both sources run on one BLAS kernel, so the corpus calls compare exactly on
+any kernel, where ``tests/test_corpus.py`` is exact only on the one that
+wrote the corpus.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import re
 import shutil
 import sys
@@ -29,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
+CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
 
 
 def _workloads():
@@ -57,11 +62,30 @@ def _forget(name: str) -> None:
         del sys.modules[module]
 
 
-def outcome(main, argv: list[str], out: str) -> tuple:
+def corpus_argvs(workdir: Path) -> list[list[str]]:
+    """The argv of every corpus call, each inline shape document written
+    to a file of its own in ``workdir``."""
+    calls = json.loads(CORPUS.read_text(encoding="utf-8"))["calls"]
+    argvs = []
+    for k, call in enumerate(calls):
+        argv = []
+        for item in call["argv"]:
+            if isinstance(item, dict):
+                path = workdir / f"shape-{k}.json"
+                path.write_text(item["file"], encoding="utf-8")
+                item = str(path)
+            argv.append(item)
+        argvs.append(argv)
+    return argvs
+
+
+def outcome(main, argv: list[str], out: str | None) -> tuple:
     """(exit code, stdout, stderr, report text) of ``main(argv)``, the
-    report read from ``out`` with ``wall_time_s`` masked."""
-    path = Path(out)
-    path.unlink(missing_ok=True)
+    report read from ``out`` (None without one), with ``wall_time_s``
+    masked in stdout and report."""
+    path = Path(out) if out else None
+    if path:
+        path.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings():
@@ -70,17 +94,27 @@ def outcome(main, argv: list[str], out: str) -> tuple:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    report = path.read_text(encoding="utf-8") if path.exists() else None
-    if report is not None:
-        report = WALL_TIME.sub('"wall_time_s": 0', report)
-    return code, stdout.getvalue(), stderr.getvalue(), report
+    report = path.read_text(encoding="utf-8") if path and path.exists() else None
+    return code, _masked(stdout.getvalue()), stderr.getvalue(), _masked(report)
+
+
+def _masked(text: str | None) -> str | None:
+    return None if text is None else WALL_TIME.sub('"wall_time_s": 0', text)
 
 
 def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[str]:
-    """The argv of every job whose outcome differs between the package
+    """The argv of every call whose outcome differs between the package
     under ``parent_src`` and this checkout's, with what differs."""
     workloads = _workloads()
     differences = []
+
+    def compare(label: str, argv: list[str], out: str | None) -> None:
+        parent, tree = (outcome(main, argv, out) for main in mains)
+        fields = [field for field, a, b in zip(
+            ("exit code", "stdout", "stderr", "report"), parent, tree) if a != b]
+        if fields:
+            differences.append(f"{label}: {' '.join(argv)}: {', '.join(fields)} differ")
+
     with tempfile.TemporaryDirectory() as scratch:
         packages = Path(scratch, "packages")
         mains = (load_main(parent_src, "shapecalc_parent", packages),
@@ -93,12 +127,11 @@ def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[s
                 if name == "triangles-json":
                     built += workloads.memory_jobs(name, seed, workdir, built)
                 for job in built:
-                    parent, tree = (outcome(main, job.argv, job.out) for main in mains)
-                    fields = [field for field, a, b in zip(
-                        ("exit code", "stdout", "stderr", "report"), parent, tree) if a != b]
-                    if fields:
-                        differences.append(f"{name} seed {seed}: {' '.join(job.argv)}: "
-                                           f"{', '.join(fields)} differ")
+                    compare(f"{name} seed {seed}", job.argv, job.out)
+        corpus = Path(scratch, "corpus")
+        corpus.mkdir()
+        for k, argv in enumerate(corpus_argvs(corpus)):
+            compare(f"corpus call {k}", argv, None)
     for name in ("shapecalc_parent", "shapecalc_tree"):
         _forget(name)
     return differences

@@ -21,6 +21,9 @@ def test_changed_version_differs_in_every_json_report(tmp_path, capsys):
     assert byte_sweep.main([str(tmp_path), "--seeds", "1", "--jobs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     # The first triangles-json and derive-mixed jobs and the three
-    # triangles-json memory jobs; a CSV report holds no version.
-    assert lines[-1] == "5 differences"
-    assert all(line.endswith(": report differ") for line in lines[:-1])
+    # triangles-json memory jobs, then the 66 corpus calls that print a
+    # JSON report; a CSV report holds no version.
+    assert lines[-1] == "71 differences"
+    assert all(line.endswith(": report differ") for line in lines[:5])
+    assert all(line.startswith("corpus call ") and line.endswith(": stdout differ")
+               for line in lines[5:-1])

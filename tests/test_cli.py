@@ -1192,6 +1192,10 @@ class TestJsonWriter:
     def test_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             json_text(value)
+        # The entries of a batch take their layouts by signature, on another path.
+        report = cli.RunReport("0.1.0", [], None, [{"x": value}, {"x": value}])
+        with pytest.raises(TypeError):
+            report.render("json", io.StringIO())
 
 
 class TestStreamedRender:

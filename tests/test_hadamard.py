@@ -18,7 +18,6 @@ from shapecalc import (
     FloatRangeError,
     Simplex,
     boundary_integral,
-    default_fd_step,
     fd_derivative,
     hadamard_derivative,
     perturbed_integral,
@@ -299,9 +298,8 @@ class TestStackedImages:
                 return
         assert perturbed_integral(s, f, values, steps) == expected
         assert [v for t in steps for v in perturbed_integral(s, f, values, [t])] == expected
-        assert fd_derivative(s, f, values) == support.fd_derivative_per_image(
-            s, f, xi, default_fd_step(s, values)
-        )
+        estimate, h = fd_derivative(s, f, values)
+        assert estimate == support.fd_derivative_per_image(s, f, xi, h)
 
 
 # Each route that takes a field's values at the vertices, as a call on
@@ -310,9 +308,14 @@ VALUES_ROUTES = {
     "boundary_integral": lambda s, v: boundary_integral(s, AffineDensity.one(s.dim), v),
     "perturbed_integral": lambda s, v: perturbed_integral(
         s, AffineDensity.one(s.dim), v, [0.5]),
-    "default_fd_step": default_fd_step,
     "fd_derivative": lambda s, v: fd_derivative(s, AffineDensity.one(s.dim), v),
 }
+
+
+def stack_message(s: Simplex) -> str:
+    """The error of a route that takes one simplex, given the stack ``s``."""
+    shape = re.escape(str(s.vertices.shape))
+    return f"^this route takes one simplex, not a stack of shape {shape}$"
 
 
 class TestValuesShape:
@@ -321,8 +324,6 @@ class TestValuesShape:
     def test_values_not_shaped_like_the_vertices_are_rejected(self, route, stacked):
         lone = unit_simplex(3)
         s = Simplex(np.array([lone.vertices] * 2)) if stacked else lone
-        if not stacked or route == "boundary_integral":  # the fd routes take one simplex
-            VALUES_ROUTES[route](s, np.ones(s.vertices.shape))  # the vertices' shape passes
         bad = {
             "stack or lone": np.ones((4, 3)) if stacked else np.ones((2, 4, 3)),
             "extra row": np.ones(s.vertices.shape[:-2] + (5, 3)),
@@ -330,29 +331,66 @@ class TestValuesShape:
         }
         if stacked:
             bad["another stack size"] = np.ones((3, 4, 3))
+        if stacked and route != "boundary_integral":
+            # The fd routes take one simplex: a stack fails first, whatever the values.
+            for values in [np.ones(s.vertices.shape), *bad.values()]:
+                with pytest.raises(DimensionMismatchError, match=stack_message(s)):
+                    VALUES_ROUTES[route](s, values)
+            return
+        VALUES_ROUTES[route](s, np.ones(s.vertices.shape))  # the vertices' shape passes
         for values in bad.values():
             message = (f"field values of shape {values.shape} need the vertices' shape "
                        f"{s.vertices.shape}")
             with pytest.raises(DimensionMismatchError, match=re.escape(message)):
                 VALUES_ROUTES[route](s, values)
 
-    @pytest.mark.parametrize("route", ["boundary_integral", "perturbed_integral"])
+    @pytest.mark.parametrize("route", VALUES_ROUTES)
     def test_density_of_another_dimension_is_rejected(self, route):
         s = unit_simplex(2)
-        call = boundary_integral if route == "boundary_integral" else (
-            lambda *args: perturbed_integral(*args, [0.5]))
+        call = {"boundary_integral": boundary_integral,
+                "perturbed_integral": lambda *args: perturbed_integral(*args, [0.5]),
+                "fd_derivative": fd_derivative}[route]
         with pytest.raises(DimensionMismatchError, match="simplex dim 2, density dim 3$"):
             call(s, AffineDensity.one(3), identity_values(2))
+
+
+class TestOneSimplex:
+    """Only ``boundary_integral`` takes a stacked ``Simplex``. Every other
+    route raises ``DimensionMismatchError`` for one, before any other check
+    and before any arithmetic."""
+
+    stack = Simplex(np.array([unit_simplex(2).vertices, 2.0 * unit_simplex(2).vertices]))
+
+    @pytest.mark.parametrize("route", ["volume_integral", "perturbed_integral",
+                                       "fd_derivative", "hadamard_derivative"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_is_rejected_first(self, route, dim):
+        # dim 3: a density, field and values that mismatch the stack as well.
+        s, f, xi = self.stack, AffineDensity.one(dim), identity_field(dim)
+        values = identity_field(2).at(s.vertices) if dim == 2 else np.ones((4, 3))
+        call = {"volume_integral": lambda: volume_integral(s, f, xi),
+                "perturbed_integral": lambda: perturbed_integral(s, f, values, [0.1]),
+                "fd_derivative": lambda: fd_derivative(s, f, values),
+                "hadamard_derivative": lambda: hadamard_derivative(s, f, xi)}[route]
+        with pytest.raises(DimensionMismatchError, match=stack_message(s)):
+            call()
+
+    def test_boundary_integral_takes_the_stack(self):
+        f, s = AffineDensity.one(2), self.stack
+        values = identity_field(2).at(s.vertices)
+        assert boundary_integral(s, f, values) == [
+            boundary_integral(Simplex(v), f, x) for v, x in zip(s.vertices, values)]
 
 
 class TestFiniteDifferences:
     def test_constant_field_near_zero(self):
         s = unit_simplex(2)
         xi = AffineField.constant([0.4, 0.7])
-        assert abs(fd_derivative(s, AffineDensity.one(2), xi.at(s.vertices))) <= 1e-9
+        estimate, _ = fd_derivative(s, AffineDensity.one(2), xi.at(s.vertices))
+        assert abs(estimate) <= 1e-9
 
     def test_identity_field_unit_simplex(self):
-        value = fd_derivative(unit_simplex(2), AffineDensity.one(2), identity_values(2))
+        value, _ = fd_derivative(unit_simplex(2), AffineDensity.one(2), identity_values(2))
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_default_step_scales(self):
@@ -360,9 +398,11 @@ class TestFiniteDifferences:
         cbrt_eps = float(np.finfo(float).eps) ** (1.0 / 3.0)
         small = AffineField.constant([0.1, 0.0])
         big = AffineField.constant([100.0, 0.0])
-        assert default_fd_step(s, small.at(s.vertices)) == pytest.approx(cbrt_eps * s.scale)
-        assert default_fd_step(s, big.at(s.vertices)) == pytest.approx(
-            cbrt_eps * s.scale / 100.0)
+        f = AffineDensity.one(2)
+        _, small_step = fd_derivative(s, f, small.at(s.vertices))
+        _, big_step = fd_derivative(s, f, big.at(s.vertices))
+        assert small_step == pytest.approx(cbrt_eps * s.scale)
+        assert big_step == pytest.approx(cbrt_eps * s.scale / 100.0)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)
@@ -370,7 +410,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(seed)
         s, f, xi = random_instance(rng)
         exact, _ = boundary_integral(s, f, xi.at(s.vertices))
-        estimate = fd_derivative(s, f, xi.at(s.vertices))
+        estimate, _ = fd_derivative(s, f, xi.at(s.vertices))
         assert abs(estimate - exact) <= 1e-8 * (1.0 + abs(exact))
 
 
@@ -410,6 +450,13 @@ class TestHadamardDerivative:
         terms = sum(abs(v) for _, v in report.per_facet)
         assert report.residual_bv <= 1e-12 * (1.0 + terms)
         assert report.residual_bf <= 1e-6 * (1.0 + abs(report.boundary_total))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=50, deadline=None)
+    def test_fd_step_is_the_fd_route_step(self, seed):
+        s, f, xi = random_instance(np.random.default_rng(seed))
+        report = hadamard_derivative(s, f, xi)
+        assert (report.fd_estimate, report.fd_step) == fd_derivative(s, f, xi.at(s.vertices))
 
     def test_report_round_trips_to_dict(self):
         report = hadamard_derivative(

@@ -35,6 +35,24 @@ from shapecalc import (
 SQRT3 = math.sqrt(3.0)
 
 
+COLLINEAR = [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]  # a triangle's draw that the gate rejects
+
+
+class DrawStub:
+    """A stand-in for ``np.random.default_rng(seed)``: each draw, uniform or
+    standard normal, returns the next of ``draws`` and then the last one
+    again; ``calls`` counts the draws."""
+
+    def __init__(self, *draws):
+        self.draws, self.calls = draws, 0
+
+    def draw(self, *args, **kwargs):
+        self.calls += 1
+        return np.array(self.draws[min(self.calls, len(self.draws)) - 1], dtype=float)
+
+    uniform = standard_normal = draw
+
+
 def triangle_345():
     return Triangle([0.0, 3.0], [4.0, 0.0], [0.0, 0.0])
 
@@ -317,6 +335,21 @@ class TestRandomTriangle:
         with pytest.raises(ValueError):
             random_triangle(0, "acute")
 
+    def test_degenerate_draw_is_redrawn(self, monkeypatch):
+        stub = DrawStub(COLLINEAR, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stub)
+        t = random_triangle(0)
+        assert t.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert stub.calls == 2
+
+    def test_gives_up_after_max_rejections(self, monkeypatch):
+        stub = DrawStub(COLLINEAR)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stub)
+        with pytest.raises(RuntimeError, match="^no acceptable 'general' triangle after "
+                                               f"{theorems.MAX_REJECTIONS} rejections$"):
+            random_triangle(0)
+        assert stub.calls == theorems.MAX_REJECTIONS
+
     @pytest.mark.parametrize("kind", ["general", "right", "obtuse"])
     def test_matches_reference_generator(self, kind):
         # The right kind's frame, centring and shift in Python floats, and
@@ -360,6 +393,15 @@ class TestRandomRightSimplex:
     def test_unknown_leg_mode(self):
         with pytest.raises(ValueError, match="unknown leg mode 'skewed'"):
             random_right_simplex(0, 3, "skewed")
+
+    def test_gives_up_after_max_rejections(self, monkeypatch):
+        # An all-zero raw is singular: np.linalg.cond gives inf, with no warning.
+        stub = DrawStub(np.zeros((3, 3)))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stub)
+        with pytest.raises(RuntimeError, match="^no well-conditioned frame after "
+                                               f"{theorems.MAX_REJECTIONS} rejections$"):
+            random_right_simplex(0, 3)
+        assert stub.calls == theorems.MAX_REJECTIONS
 
     def test_deterministic(self):
         first = random_right_simplex(8, 4, "scaled")
