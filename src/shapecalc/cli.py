@@ -10,13 +10,14 @@ Subcommands
     totals, residuals) for a shape file, a field spec, and an optional
     density spec.
 
-Each theorem's row of ``theorems.THEOREMS`` gives verify its ``generate``,
-``verify`` and ``document`` members and derive its named ``fields`` (of
-the row's ``field_document``). A shape file parses to a ``ShapeDocument``,
-whose ``simplex`` field is built once, at construction; its triangle reads
-that simplex, and its right simplex holds its rows, apex first. The parser
-names each option after the ``run_verify`` / ``run_derive`` parameter it
-sets, so ``main`` passes the parsed options straight to the run function.
+Each theorem's row of ``theorems.THEOREMS`` owns its inputs: verify reads
+its ``flags`` (the ``--random`` options besides ``--count`` and ``--seed``,
+with their defaults), ``generate``, ``verify`` and ``document`` reader, and
+derive its named ``fields`` (of its ``field_document`` reader). A shape file
+parses to a ``ShapeDocument``: its data and its ``simplex``, built once, at
+construction. The parser names each option after the ``run_verify`` /
+``run_derive`` parameter it sets, so ``main`` passes the parsed options
+straight to the run function.
 
 A JSON report is written one value at a time by ``json_text``, as a
 layout, the text between the numbers, joined with the numbers' reprs.
@@ -45,9 +46,9 @@ import numpy as np
 from . import __version__
 from .errors import ShapeCalcError, ShapeParseError, ShapeValidationError
 from .fields import AffineDensity, AffineField
-from .geometry import Simplex, Triangle
+from .geometry import Simplex
 from .hadamard import hadamard_derivative
-from .theorems import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS, RightSimplexSpec
+from .theorems import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, THEOREMS
 
 FD_REL_TOL = 1e-6  # finite differences vs boundary, for derive pass/fail
 
@@ -175,29 +176,6 @@ class ShapeDocument:
         s = self.simplex = Simplex(self.vertices)
         _require(s.dim == self.dim, f"document has dim = {self.dim} but {s.dim}-D vertices")
         self.vertices = s.vertices.tolist()
-
-    def triangle(self) -> Triangle:
-        if self.dim != 2:
-            raise ShapeValidationError(
-                f"triangle theorems need dim = 2, document has dim = {self.dim}"
-            )
-        labels = self.labels or {"A": 0, "B": 1, "C": 2}
-        return Triangle.over(self.simplex, [labels[k] for k in "ABC"])
-
-    def hypotenuse(self) -> ShapeDocument:
-        """The document, checked to have the ``hyp_index`` that the field reads."""
-        if self.hyp_index is None:
-            raise ShapeValidationError(
-                "nd-pythagoras needs 'hyp_index' in the shape document"
-            )
-        return self
-
-    def right_simplex(self) -> RightSimplexSpec:
-        """The document's own rows, apex first: the hypotenuse facet is
-        opposite the apex."""
-        hyp = self.hypotenuse().hyp_index
-        order = [hyp] + [i for i in range(self.dim + 1) if i != hyp]
-        return RightSimplexSpec(self.simplex.vertices[order])
 
 
 def _require(condition: bool, message: str, parse: bool = False):
@@ -341,9 +319,9 @@ def run_verify(
 ) -> tuple[RunReport, int]:
     """Run one verification command; returns (report, exit code 0/1).
 
-    Unset, ``count``, ``seed``, ``dim`` and ``legs`` read 1, 0, 3 and
-    "orthonormal"; one that is set but not read is an input error. Input
-    errors raise (the caller maps them to exit code 2).
+    Unset, ``count`` and ``seed`` read 1 and 0 and the row's ``flags`` their
+    defaults; an option set but not read (any, with a document) is an input
+    error. Input errors raise (the caller maps them to exit code 2).
     """
     if theorem not in THEOREMS:
         raise ShapeValidationError(f"unknown theorem {theorem!r}")
@@ -351,24 +329,21 @@ def run_verify(
     started = time.perf_counter()
     if input_path is not None and random_batch:
         raise ShapeValidationError("verify takes --input PATH or --random, not both")
-    # A document fixes all four options; a triangle has dim 2 and no legs.
     source = " --input" if input_path is not None else ""
-    options = {"count": (count, 1), "seed": (seed, 0), "dim": (dim, 3),
-               "legs": (legs, "orthonormal")}
-    read = () if source else ("count", "seed") if row.document == "triangle" else options
-    for name, (value, _) in options.items():
+    options = {"count": count, "seed": seed, "dim": dim, "legs": legs}
+    read = {} if source else {"count": 1, "seed": 0, **row.flags}
+    for name, value in options.items():
         if value is not None and name not in read:
             raise ShapeValidationError(f"verify {theorem}{source} does not read --{name}")
-    count, seed, dim, legs = (default if value is None else value
-                              for value, default in options.values())
     if input_path is not None:
-        doc = _read_shape(input_path)
-        seeds, instances = None, [getattr(doc, row.document)()]
+        seeds, instances = None, [row.document(_read_shape(input_path))]
     elif random_batch:
+        count, seed, *flags = (default if options[name] is None else options[name]
+                               for name, default in read.items())
         if count < 1:
             raise ShapeValidationError(f"--count must be positive, got {count}")
         seeds = [seed + k for k in range(count)]
-        instances = [row.generate(s, dim, legs) for s in seeds]
+        instances = [row.generate(s, *flags) for s in seeds]
     else:
         raise ShapeValidationError("verify needs --input PATH or --random")
     entries = []
@@ -391,7 +366,7 @@ def _parse_field_spec(spec: str, doc: ShapeDocument) -> AffineField:
             f"unknown field spec {spec!r}; use inline JSON or one of {FIELD_NAMES}"
         )
     row, key = NAMED_FIELDS[spec]
-    return AffineField.constant(row.fields[key](getattr(doc, row.field_document)()))
+    return AffineField.constant(row.fields[key](row.field_document(doc)))
 
 
 def _parse_density_spec(spec: str | None, dim: int) -> AffineDensity:

@@ -49,6 +49,12 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _check_lone(s: Simplex):
+    if s.vertices.ndim != 2:
+        raise DimensionMismatchError(
+            f"this route takes one simplex, not a stack of shape {s.vertices.shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class Facets:
     """All N+1 facets of an N-simplex, row i for the facet opposite vertex i,
@@ -186,6 +192,9 @@ def facet_measure(vertices: np.ndarray) -> float:
 def base_height_volume(s: Simplex, base_index: int) -> float:
     """Volume of ``s`` via the base-times-height rule (h / N) * measure(base),
     where h is the distance from the opposite vertex to the base's hull."""
+    _check_lone(s)
+    if not 0 <= base_index <= s.dim:
+        raise ShapeValidationError(f"base_index must be in 0..{s.dim}, got {base_index}")
     facets = s.facets
     centroid = np.delete(s.vertices, base_index, axis=0).mean(axis=0)
     h = float(facets.normals[base_index] @ (centroid - s.vertices[base_index]))
@@ -238,6 +247,9 @@ class Triangle:
         a triangle, and whose sides a, b, c are the facets opposite them.
         Its ``simplex`` is set before ``__post_init__`` runs, so it builds
         none of its own, even where the float screen cannot settle the gate."""
+        _check_lone(simplex)
+        if sorted(sides) != [0, 1, 2]:
+            raise ShapeValidationError(f"sides must be 0, 1, 2 in some order, got {sides}")
         t = cls.__new__(cls)
         vars(t).update(simplex=simplex, sides=tuple(sides))
         t.__init__(*simplex.vertices[list(sides)])

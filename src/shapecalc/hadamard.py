@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateSimplexError, DimensionMismatchError, float_range
 from .fields import AffineDensity, AffineField, div_density_field
-from .geometry import Simplex, _facet_index, gated_volumes
+from .geometry import Simplex, _check_lone, _facet_index, gated_volumes
 
 _EPS = float(np.finfo(float).eps)
 
@@ -55,12 +55,6 @@ class DerivativeReport:
 
     def to_dict(self) -> dict:
         return dict(vars(self))  # the fields in declaration order
-
-
-def _check_lone(s: Simplex):
-    if s.vertices.ndim != 2:
-        raise DimensionMismatchError(
-            f"this route takes one simplex, not a stack of shape {s.vertices.shape}")
 
 
 def _check_dims(s: Simplex, f: AffineDensity, xi: AffineField):

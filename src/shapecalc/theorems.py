@@ -25,12 +25,12 @@ for ``-``. The ``verify_*`` functions take one instance or a list, proved
 in stacks of at most ``PROOF_CHUNK`` so that its memory stays bounded. An
 instance is one vertex array: a ``Triangle``, or a ``RightSimplexSpec``,
 which holds only its vertices, apex first. The CLI reads a row's
-``generate(seed, dim, legs)``, ``verify`` and the ``ShapeDocument``
-methods ``document`` (an instance) and ``field_document`` (what derive's
-named fields take, which it wraps in a constant ``AffineField``). Rows
-call this module's functions by name at run time, so a tracer can rebind
-them. Tolerances are implementation choices (the underlying mathematics
-is exact).
+``flags`` (its generator's options after the seed, with defaults),
+``generate(seed, *flags)``, ``verify`` and the readers of a parsed shape
+document, ``document`` (an instance) and ``field_document`` (what derive's
+named fields take). Rows call this module's functions by name at run time,
+so a tracer can rebind them. Tolerances are implementation choices (the
+underlying mathematics is exact).
 """
 
 from __future__ import annotations
@@ -237,27 +237,51 @@ def _nd_entries(rs: _RightSimplices, decompositions: list[dict]):
         }, d[""][0]
 
 
+def _triangle_of(doc) -> Triangle:
+    if doc.dim != 2:
+        raise ShapeValidationError(
+            f"triangle theorems need dim = 2, document has dim = {doc.dim}")
+    labels = doc.labels or {"A": 0, "B": 1, "C": 2}
+    return Triangle.over(doc.simplex, [labels[k] for k in "ABC"])
+
+
+def _hypotenuse_of(doc):
+    """The document, checked to have the ``hyp_index`` that the field reads."""
+    if doc.hyp_index is None:
+        raise ShapeValidationError("nd-pythagoras needs 'hyp_index' in the shape document")
+    return doc
+
+
+def _right_simplex_of(doc) -> RightSimplexSpec:
+    """The document's own rows, apex first: the hypotenuse facet is opposite the apex."""
+    hyp = _hypotenuse_of(doc).hyp_index
+    order = [hyp] + [i for i in range(doc.dim + 1) if i != hyp]
+    return RightSimplexSpec(doc.simplex.vertices[order])
+
+
 @dataclass(frozen=True, eq=False)
 class Theorem:
     """One row of ``THEOREMS``; the module docstring says what it holds."""
 
     generate: Callable
+    flags: dict
     verify: Callable
-    document: str
-    field_document: str
+    document: Callable
+    field_document: Callable
     fields: dict[str, Callable]
     stack: Callable
     entries: Callable
     precondition: Callable = lambda instance: None
 
 
-_TRIANGLE = dict(document="triangle", field_document="triangle", stack=_Triangles)
+_TRIANGLE = dict(flags={}, document=lambda doc: _triangle_of(doc),
+                 field_document=lambda doc: _triangle_of(doc), stack=_Triangles)
 
 THEOREMS = {
     # Right angle at C, field c * n_c: side c contributes c^2, and sides a and
     # b contribute -a^2 and -b^2 (c * n_c . n_a = -a, c * n_c . n_b = -b).
     "pythagoras": Theorem(
-        generate=lambda seed, dim, legs: random_triangle(seed, "right"),
+        generate=lambda seed: random_triangle(seed, "right"),
         verify=lambda *args: verify_pythagoras(*args),
         fields={"": lambda t: pythagoras_field(t)},
         precondition=_right_angle_at_c,
@@ -268,7 +292,7 @@ THEOREMS = {
     # the others -b sin(gamma) and c sin(beta). The residual is the largest
     # pairwise deviation of the three ratios side / sin(opposite angle).
     "sines": Theorem(
-        generate=lambda seed, dim, legs: random_triangle(seed, "general"),
+        generate=lambda seed: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_sines(*args),
         fields={side: lambda t, side=side: sines_field(t, side) for side in "abc"},
         entries=_triangle_entries(_sines_auxiliary, residual=lambda _, auxiliary: (
@@ -278,7 +302,7 @@ THEOREMS = {
     # Field c n_c - a n_a - b n_b: the terms add up to
     # c^2 - a^2 - b^2 + 2ab cos(gamma), the law's own residual.
     "cosines": Theorem(
-        generate=lambda seed, dim, legs: random_triangle(seed, "general"),
+        generate=lambda seed: random_triangle(seed, "general"),
         verify=lambda *args: verify_law_of_cosines(*args),
         fields={"": lambda t: cosines_field(t)},
         entries=_triangle_entries(lambda t, dots, _: {
@@ -293,9 +317,10 @@ THEOREMS = {
     # ``hyp_index``: of the stack here, of the document in derive.
     "nd-pythagoras": Theorem(
         generate=lambda *args: random_right_simplex(*args),
+        flags={"dim": 3, "legs": "orthonormal"},
         verify=lambda *args: verify_nd_pythagoras(*args),
-        document="right_simplex",
-        field_document="hypotenuse",
+        document=lambda doc: _right_simplex_of(doc),
+        field_document=lambda doc: _hypotenuse_of(doc),
         fields={"": lambda shape: nd_pythagoras_field(shape.simplex, shape.hyp_index)},
         stack=_RightSimplices,
         entries=_nd_entries,

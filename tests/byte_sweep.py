@@ -4,13 +4,15 @@ Loads the package under ``PARENT_SRC`` and this checkout's ``src`` package
 in one process, each copied under its own name (the modules import each
 other relatively), and runs every job of the benchmark workloads
 (``bench/workloads.py``, read only) plus the triangles-json memory jobs on
-both, at each workload seed, then every call of ``tests/data/cli_corpus.json``
-once. Prints every call whose exit code, stdout, stderr or report differs,
+both, at each workload seed, with ``verify <theorem> --input`` of each of
+the four theorems on every derive-mixed shape document, then every call of
+``tests/data/cli_corpus.json`` once. Prints every call whose exit code, stdout, stderr or report differs,
 ``wall_time_s`` masked in stdout and report, and exits 1 if any does::
 
     python tests/byte_sweep.py PARENT_SRC --seeds 1 2 3
 
-``--jobs K`` keeps the first K jobs of each workload; every corpus call runs.
+``--jobs K`` keeps the first K jobs of each workload, and the verify calls
+on the documents of those derive jobs only; every corpus call runs.
 Both sources run on one BLAS kernel, so the corpus calls compare exactly on
 any kernel, where ``tests/test_corpus.py`` is exact only on the one that
 wrote the corpus.
@@ -34,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
+THEOREMS = ("pythagoras", "sines", "cosines", "nd-pythagoras")
 
 
 def _workloads():
@@ -128,6 +131,10 @@ def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[s
                     built += workloads.memory_jobs(name, seed, workdir, built)
                 for job in built:
                     compare(f"{name} seed {seed}", job.argv, job.out)
+                    if job.kind == "derive":  # argv: derive --input PATH ...
+                        for theorem in THEOREMS:
+                            compare(f"{name} seed {seed}",
+                                    ["verify", theorem, "--input", job.argv[2]], None)
         corpus = Path(scratch, "corpus")
         corpus.mkdir()
         for k, argv in enumerate(corpus_argvs(corpus)):

@@ -605,10 +605,11 @@ class TriangleReference:
 
 
 def document_triangle_reference(doc) -> Triangle:
-    """Reference ``ShapeDocument.triangle``, as before it read the
-    document's simplex: a ``Triangle`` of the labelled rows, which builds
-    a simplex of its own. For an unlabelled document, derive must report
-    the same bits with the package's ``ShapeDocument.triangle``."""
+    """Reference ``theorems._triangle_of``, the triangle rows' document
+    reader, as before it read the document's simplex: a ``Triangle`` of
+    the labelled rows, which builds a simplex of its own. For an
+    unlabelled document, derive must report the same bits with the
+    package's ``theorems._triangle_of``."""
     if doc.dim != 2:
         raise ShapeValidationError(
             f"triangle theorems need dim = 2, document has dim = {doc.dim}"

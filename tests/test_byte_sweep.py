@@ -21,9 +21,14 @@ def test_changed_version_differs_in_every_json_report(tmp_path, capsys):
     assert byte_sweep.main([str(tmp_path), "--seeds", "1", "--jobs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     # The first triangles-json and derive-mixed jobs and the three
-    # triangles-json memory jobs, then the 66 corpus calls that print a
-    # JSON report; a CSV report holds no version.
-    assert lines[-1] == "71 differences"
+    # triangles-json memory jobs, then verify sines and cosines on that
+    # derive job's document (a general triangle: pythagoras and nd-pythagoras
+    # exit 2), then the 66 corpus calls that print a JSON report; a CSV
+    # report holds no version.
+    assert lines[-1] == "73 differences"
     assert all(line.endswith(": report differ") for line in lines[:5])
+    assert [line.split(" --input ")[0] for line in lines[5:7]] == [
+        "derive-mixed seed 1: verify sines", "derive-mixed seed 1: verify cosines"]
+    assert all(line.endswith(": stdout differ") for line in lines[5:7])
     assert all(line.startswith("corpus call ") and line.endswith(": stdout differ")
-               for line in lines[5:-1])
+               for line in lines[7:-1])

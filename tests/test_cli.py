@@ -85,6 +85,18 @@ SKEWED_TETRA = {
     "hyp_index": 0,
 }
 
+# verify's generator flags, each with a value, and those that --random reads
+# for each theorem; a document reads none of them.
+FLAG_VALUES = {"--count": "2", "--seed": "3", "--dim": "4", "--legs": "scaled"}
+RANDOM_READS = {"pythagoras": ("--count", "--seed"), "sines": ("--count", "--seed"),
+                "cosines": ("--count", "--seed"), "nd-pythagoras": tuple(FLAG_VALUES)}
+UNREAD_FLAGS = [
+    (theorem, [*source, flag, value], flag)
+    for theorem, reads in RANDOM_READS.items()
+    for source in (["--random"], ["--input", RIGHT_TETRA if theorem == "nd-pythagoras"
+                                  else T345])
+    for flag, value in FLAG_VALUES.items() if "--input" in source or flag not in reads]
+
 
 # derive on the 3-4-5 triangle scaled by 1e-200 ... 2e153: exit code and
 # message. At 1e-200 det and scale**2 underflow, so the gate, which is not
@@ -129,7 +141,7 @@ class TestParseShape:
         doc = parse_shape(json.dumps(T345))
         assert doc.dim == 2
         assert doc.labels == {"A": 0, "B": 1, "C": 2}
-        t = doc.triangle()
+        t = THEOREMS["pythagoras"].document(doc)
         assert t.c == pytest.approx(5.0)
 
     def test_malformed_json(self):
@@ -226,8 +238,8 @@ class TestParseShape:
 
         monkeypatch.setattr(Simplex, "__post_init__", record)
         doc = parse_shape(json.dumps(RIGHT_TETRA))
-        doc.hypotenuse()
-        doc.right_simplex()
+        THEOREMS["nd-pythagoras"].field_document(doc)
+        THEOREMS["nd-pythagoras"].document(doc)
         assert len(built) == 1 and built[0] is doc.simplex
 
     @pytest.mark.parametrize("scale", [1.0, 1e150])
@@ -237,7 +249,7 @@ class TestParseShape:
         labels = dict(zip("ABC", order))
         vertices = [[x * scale for x in v] for v in GENERIC["vertices"]]
         doc = parse_shape(json.dumps(dict(GENERIC, vertices=vertices, labels=labels)))
-        t = doc.triangle()
+        t = THEOREMS["sines"].document(doc)
         assert t.simplex is doc.simplex
         normals = doc.simplex.facets.normals
         for k, vertex, normal in zip("ABC", (t.A, t.B, t.C), (t.n_a, t.n_b, t.n_c)):
@@ -266,20 +278,27 @@ class TestParseShape:
         for document in documents:
             path = shape_file(document)
             with monkeypatch.context() as patch:
-                patch.setattr(ShapeDocument, "triangle",
+                patch.setattr("shapecalc.theorems._triangle_of",
                               support.document_triangle_reference)
                 expected = outcome(path)
             assert outcome(path) == expected, document
 
     def test_triangle_requires_dim_2(self):
         doc = parse_shape(json.dumps(RIGHT_TETRA))
-        with pytest.raises(ShapeValidationError):
-            doc.triangle()
+        for name in ("pythagoras", "sines", "cosines"):
+            for read in (THEOREMS[name].document, THEOREMS[name].field_document):
+                with pytest.raises(ShapeValidationError) as err:
+                    read(doc)
+                assert str(err.value) == (
+                    "triangle theorems need dim = 2, document has dim = 3")
 
     def test_right_simplex_requires_hyp_index(self):
         doc = parse_shape(json.dumps(UNIT_SIMPLEX_2))
-        with pytest.raises(ShapeValidationError):
-            doc.right_simplex()
+        row = THEOREMS["nd-pythagoras"]
+        for read in (row.document, row.field_document):
+            with pytest.raises(ShapeValidationError) as err:
+                read(doc)
+            assert str(err.value) == "nd-pythagoras needs 'hyp_index' in the shape document"
 
 
 class TestRightSimplexDocuments:
@@ -475,6 +494,7 @@ class TestExitCodes:
         ("nd-pythagoras", ["--input", RIGHT_TETRA, "--seed", "0"], "--seed"),
         ("nd-pythagoras", ["--input", RIGHT_TETRA, "--dim", "3"], "--dim"),
         ("pythagoras", ["--input", T345, "--legs", "orthonormal"], "--legs"),
+        *UNREAD_FLAGS,
     ])
     def test_unread_flag_is_two(self, shape_file, capsys, theorem, argv, flag):
         argv = [shape_file(a) if isinstance(a, dict) else a for a in argv]

@@ -659,6 +659,19 @@ class TestTriangleVertices:
             assert t.vertices.tobytes() == s.vertices[sides].tobytes()
             assert not t.vertices.flags.writeable
 
+    @pytest.mark.parametrize("sides", [[0, 0, 1], [0, 1, 5], [2, 1, -1], [0, 1], [0, 1, 2, 0]])
+    def test_over_rejects_sides_other_than_the_three_vertices(self, sides):
+        with pytest.raises(ShapeValidationError) as err:
+            Triangle.over(unit_simplex(2), sides)
+        assert str(err.value) == f"sides must be 0, 1, 2 in some order, got {sides}"
+
+    def test_over_takes_one_simplex(self):
+        a = unit_simplex(2).vertices
+        with pytest.raises(DimensionMismatchError) as err:
+            Triangle.over(Simplex(np.array([a, 2 * a])), [0, 1, 2])
+        assert str(err.value) == (
+            "this route takes one simplex, not a stack of shape (2, 3, 2)")
+
     @pytest.mark.parametrize("vertices, error, message", [
         (((0.0, 1.0), (1.0, np.nan), (1.0, 0.0)), ShapeValidationError,
          "vertex B has non-finite entries"),
@@ -711,6 +724,21 @@ class TestBaseHeightVolume:
             assert base_height_volume(s, i) == pytest.approx(
                 s.volume, rel=1e-13
             )
+
+    def test_takes_one_simplex(self):
+        a = unit_simplex(2).vertices
+        for i in (0, 1):
+            with pytest.raises(DimensionMismatchError) as err:
+                base_height_volume(Simplex(np.array([a, 2 * a])), i)
+            assert str(err.value) == (
+                "this route takes one simplex, not a stack of shape (2, 3, 2)")
+
+    @pytest.mark.parametrize("dim, base", [(2, 5), (2, 3), (2, -1), (3, 4), (3, -4)])
+    def test_base_outside_the_facets_is_rejected(self, dim, base):
+        # -1 used to read facet N, 5 raised IndexError.
+        with pytest.raises(ShapeValidationError) as err:
+            base_height_volume(unit_simplex(dim), base)
+        assert str(err.value) == f"base_index must be in 0..{dim}, got {base}"
 
 
 class TestOracleEquivalence:

@@ -751,3 +751,28 @@ class TestProofChunks:
         got = outcome(lambda: verify_pythagoras(instances))
         assert got == outcome(lambda: [verify_pythagoras(bad)])
         assert got[0] is error
+
+
+class TestTheoremRows:
+    """Each row's ``generate`` takes exactly the seed, then the row's
+    ``flags`` in order: the triangle rows none, nd-pythagoras dim and legs."""
+
+    GENERATORS = {
+        "pythagoras": ({}, lambda seed: random_triangle(seed, "right")),
+        "sines": ({}, lambda seed: random_triangle(seed, "general")),
+        "cosines": ({}, lambda seed: random_triangle(seed, "general")),
+        "nd-pythagoras": ({"dim": 3, "legs": "orthonormal"}, random_right_simplex),
+    }
+
+    @pytest.mark.parametrize("name", list(theorems.THEOREMS))
+    def test_generate_takes_the_seed_then_the_flags(self, name):
+        row = theorems.THEOREMS[name]
+        flags, generator = self.GENERATORS[name]
+        assert row.flags == flags and list(row.flags) == list(flags)
+        given = [[]] if not flags else [list(flags.values()), [5, "scaled"], [2, "orthonormal"]]
+        for values in given:
+            for seed in (0, 7):
+                assert (row.generate(seed, *values).vertices.tobytes()
+                        == generator(seed, *values).vertices.tobytes())
+        with pytest.raises(TypeError):
+            row.generate(0, *flags.values(), None)
