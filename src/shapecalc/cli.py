@@ -478,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of random instances (default 1)")
     verify.add_argument("--seed", type=base_seed,
                         help="base seed; instance k uses seed + k")
-    verify.add_argument("--dim", type=int,
-                        help="simplex dimension for nd-pythagoras (default 3)")
+    verify.add_argument("--dim", type=int, help="simplex dimension for nd-pythagoras "
+                        f"(default {THEOREMS['nd-pythagoras'].flags['dim']})")
     verify.add_argument("--legs", choices=["orthonormal", "scaled"],
                         help="leg mode for random right simplices")
 

@@ -6,10 +6,18 @@ other relatively), and runs every job of the benchmark workloads
 (``bench/workloads.py``, read only) plus the triangles-json memory jobs on
 both, at each workload seed, with ``verify <theorem> --input`` of each of
 the four theorems on every derive-mixed shape document, then every call of
-``tests/data/cli_corpus.json`` once. Prints every call whose exit code, stdout, stderr or report differs,
-``wall_time_s`` masked in stdout and report, and exits 1 if any does::
+``tests/data/cli_corpus.json`` once. Prints every call whose exit code,
+stdout, stderr, report or warnings differ, ``wall_time_s`` masked in
+stdout and report, and exits 1 if any does::
 
     python tests/byte_sweep.py PARENT_SRC --seeds 1 2 3
+
+Each such line also says whether this checkout's outcome passes the
+corpus's off-kernel rule against the parent's (``test_corpus.
+outcome_mismatches``: exit code and stderr exact, no warning, floats within
+``FLOAT_BOUND`` times their report entry's peak, CSV residuals within
+``CSV_RESIDUAL_BOUND``): "within the corpus float bound", or "beyond the
+corpus float bound at" the first paths that fail it.
 
 ``--jobs K`` keeps the first K jobs of each workload, and the verify calls
 on the documents of those derive jobs only; every corpus call runs.
@@ -21,21 +29,22 @@ wrote the corpus.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
-import io
 import json
 import re
 import shutil
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the runner and the rule import shapecalc
+
+import support  # noqa: E402
+from test_corpus import CORPUS, outcome_mismatches, stored_call  # noqa: E402
+
 WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
-CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
 THEOREMS = ("pythagoras", "sines", "cosines", "nd-pythagoras")
 
 
@@ -65,44 +74,21 @@ def _forget(name: str) -> None:
         del sys.modules[module]
 
 
-def corpus_argvs(workdir: Path) -> list[list[str]]:
-    """The argv of every corpus call, each inline shape document written
-    to a file of its own in ``workdir``."""
-    calls = json.loads(CORPUS.read_text(encoding="utf-8"))["calls"]
-    argvs = []
-    for k, call in enumerate(calls):
-        argv = []
-        for item in call["argv"]:
-            if isinstance(item, dict):
-                path = workdir / f"shape-{k}.json"
-                path.write_text(item["file"], encoding="utf-8")
-                item = str(path)
-            argv.append(item)
-        argvs.append(argv)
-    return argvs
-
-
-def outcome(main, argv: list[str], out: str | None) -> tuple:
-    """(exit code, stdout, stderr, report text) of ``main(argv)``, the
-    report read from ``out`` (None without one), with ``wall_time_s``
-    masked in stdout and report."""
-    path = Path(out) if out else None
-    if path:
-        path.unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            warnings.catch_warnings():
-        warnings.simplefilter("always")
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    report = path.read_text(encoding="utf-8") if path and path.exists() else None
-    return code, _masked(stdout.getvalue()), stderr.getvalue(), _masked(report)
-
-
 def _masked(text: str | None) -> str | None:
     return None if text is None else WALL_TIME.sub('"wall_time_s": 0', text)
+
+
+def judged(argv: list, parent: support.CliOutcome, tree: support.CliOutcome) -> str:
+    """Whether ``tree`` passes the corpus's off-kernel rule against
+    ``parent``, and if not, the first paths where it fails."""
+    try:
+        mismatches = outcome_mismatches(tree, stored_call(argv, parent), exact=False)
+    except (ValueError, KeyError):  # a JSON report that does not parse, or has no aggregate
+        mismatches = ["report: unreadable"]
+    if not mismatches:
+        return "within the corpus float bound"
+    return "beyond the corpus float bound at " + ", ".join(
+        m.split(": ")[0] for m in mismatches[:3]) + (" ..." if len(mismatches) > 3 else "")
 
 
 def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[str]:
@@ -111,12 +97,16 @@ def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[s
     workloads = _workloads()
     differences = []
 
-    def compare(label: str, argv: list[str], out: str | None) -> None:
-        parent, tree = (outcome(main, argv, out) for main in mains)
+    def compare(label: str, argv: list, workdir: Path) -> None:
+        parent, tree = (support.run_cli(main, argv, workdir) for main in mains)
+        masked = (o._replace(stdout=_masked(o.stdout), report=_masked(o.report))
+                  for o in (parent, tree))
         fields = [field for field, a, b in zip(
-            ("exit code", "stdout", "stderr", "report"), parent, tree) if a != b]
+            ("exit code", "stdout", "stderr", "report", "warnings"), *masked) if a != b]
         if fields:
-            differences.append(f"{label}: {' '.join(argv)}: {', '.join(fields)} differ")
+            shown = " ".join(a if isinstance(a, str) else "<document>" for a in argv)
+            differences.append(f"{label}: {shown}: {', '.join(fields)} differ; "
+                               + judged(argv, parent, tree))
 
     with tempfile.TemporaryDirectory() as scratch:
         packages = Path(scratch, "packages")
@@ -130,15 +120,14 @@ def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[s
                 if name == "triangles-json":
                     built += workloads.memory_jobs(name, seed, workdir, built)
                 for job in built:
-                    compare(f"{name} seed {seed}", job.argv, job.out)
+                    compare(f"{name} seed {seed}", job.argv, workdir)
                     if job.kind == "derive":  # argv: derive --input PATH ...
                         for theorem in THEOREMS:
                             compare(f"{name} seed {seed}",
-                                    ["verify", theorem, "--input", job.argv[2]], None)
-        corpus = Path(scratch, "corpus")
-        corpus.mkdir()
-        for k, argv in enumerate(corpus_argvs(corpus)):
-            compare(f"corpus call {k}", argv, None)
+                                    ["verify", theorem, "--input", job.argv[2]], workdir)
+        calls = json.loads(CORPUS.read_text(encoding="utf-8"))["calls"]
+        for k, call in enumerate(calls):
+            compare(f"corpus call {k}", call["argv"], Path(scratch))
     for name in ("shapecalc_parent", "shapecalc_tree"):
         _forget(name)
     return differences

@@ -1,15 +1,21 @@
-"""Shared oracles and instance generators for the test suite.
+"""Shared oracles, instance generators and the in-process CLI runner for
+the test suite.
 
 The Cayley-Menger oracle is deliberately independent of the Gram-determinant
 route used inside the package.
 """
 
+import io
 import math
+import os
 import struct
 import sys
-from contextlib import nullcontext
+import warnings
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -649,3 +655,58 @@ def triangle_mismatches(vertex_triples=(), seeds=(), kinds=("general", "right", 
         reference = [triangle_outcome(lambda: theorems.random_triangle(*case))
                      for case in cases]
     return mismatches + [case for case, a, b in zip(cases, new, reference) if a != b]
+
+
+SHAPE = "shape.json"  # the file of a call's inline shape document, in its workdir
+
+
+class CliOutcome(NamedTuple):
+    code: int
+    stdout: str
+    stderr: str
+    report: str | None  # the text of the --out file, None where none was written
+    warnings: tuple[str, ...]
+
+    @property
+    def written(self) -> str:
+        """The report text: the ``--out`` file's, or else stdout."""
+        return self.stdout if self.report is None else self.report
+
+
+def run_cli(main, argv: list, workdir) -> CliOutcome:
+    """``main`` (a ``cli.main``) run in-process on ``argv`` with
+    ``workdir`` as the working directory, a ``{"file": text}`` item written
+    to ``SHAPE`` there and passed as that name, which reports then show.
+    argparse's ``SystemExit`` counts as its code. An ``--out`` file is
+    removed before the call and read back after it. Warnings are recorded,
+    neither raised nor printed, and returned as ``"Category: message"``:
+    a caller under pytest fails on any."""
+    args = []
+    for item in argv:
+        if isinstance(item, dict):
+            Path(workdir, SHAPE).write_text(item["file"], encoding="utf-8")
+            item = SHAPE
+        args.append(item)
+    out = None  # argparse reads the last --out
+    for flag, value in zip(args, args[1:] + [None]):
+        if flag == "--out" or flag.startswith("--out="):
+            out = value if flag == "--out" else flag[len("--out="):]
+    out = Path(workdir, out) if out else None
+    if out and out.is_file():
+        out.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(previous)
+    return CliOutcome(code, stdout.getvalue(), stderr.getvalue(),
+                      out.read_text(encoding="utf-8") if out and out.is_file() else None,
+                      tuple(f"{w.category.__name__}: {w.message}" for w in caught))

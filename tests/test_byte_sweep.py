@@ -1,5 +1,7 @@
-"""``tests/byte_sweep.py`` stays runnable and sees a changed report."""
+"""``tests/byte_sweep.py`` stays runnable, sees a changed report and labels
+each difference by the corpus's float rule."""
 
+import math
 import shutil
 from pathlib import Path
 
@@ -8,27 +10,49 @@ import byte_sweep
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _changed_copy(tmp_path, module: str, old: str, new: str) -> str:
+    """A copy of the package under ``tmp_path`` with ``old`` replaced by
+    ``new`` in ``module``, once."""
+    shutil.copytree(SRC / "shapecalc", tmp_path / "shapecalc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "shapecalc" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return str(tmp_path)
+
+
 def test_tree_against_itself_has_no_differences(capsys):
     assert byte_sweep.main([str(SRC), "--seeds", "1", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == "0 differences\n"
 
 
 def test_changed_version_differs_in_every_json_report(tmp_path, capsys):
-    shutil.copytree(SRC / "shapecalc", tmp_path / "shapecalc",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    init = tmp_path / "shapecalc" / "__init__.py"
-    init.write_text(init.read_text().replace('__version__ = "', '__version__ = "0+'))
-    assert byte_sweep.main([str(tmp_path), "--seeds", "1", "--jobs", "1"]) == 1
+    parent = _changed_copy(tmp_path, "__init__.py", '__version__ = "', '__version__ = "0+')
+    assert byte_sweep.main([parent, "--seeds", "1", "--jobs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     # The first triangles-json and derive-mixed jobs and the three
     # triangles-json memory jobs, then verify sines and cosines on that
     # derive job's document (a general triangle: pythagoras and nd-pythagoras
     # exit 2), then the 66 corpus calls that print a JSON report; a CSV
-    # report holds no version.
+    # report holds no version, and every other corpus call exits 2.
     assert lines[-1] == "73 differences"
-    assert all(line.endswith(": report differ") for line in lines[:5])
+    beyond = "differ; beyond the corpus float bound at .version"
+    assert all(line.endswith(f": report {beyond}") for line in lines[:5])
     assert [line.split(" --input ")[0] for line in lines[5:7]] == [
         "derive-mixed seed 1: verify sines", "derive-mixed seed 1: verify cosines"]
-    assert all(line.endswith(": stdout differ") for line in lines[5:7])
-    assert all(line.startswith("corpus call ") and line.endswith(": stdout differ")
+    assert all(line.endswith(f": stdout {beyond}") for line in lines[5:7])
+    assert all(line.startswith("corpus call ") and line.endswith(f": stdout {beyond}")
                for line in lines[7:-1])
+
+
+def test_float_only_change_is_within_the_bound(tmp_path, capsys):
+    # The default tol_abs moved by one ulp: every JSON verify report states
+    # it, and no verdict or message moves with it.
+    parent = _changed_copy(tmp_path, "theorems.py", "DEFAULT_TOL_ABS = 1e-12\n",
+                           f"DEFAULT_TOL_ABS = {math.nextafter(1e-12, 1)!r}\n")
+    assert byte_sweep.main([parent, "--seeds", "1", "--jobs", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # As above, less the derive job and the 32 corpus derive reports.
+    assert lines[-1] == "40 differences"
+    assert all(line.endswith(" differ; within the corpus float bound") for line in lines[:-1])

@@ -1,6 +1,5 @@
 """CLI contract tests: parsing, exit codes, determinism, output formats."""
 
-import contextlib
 import io
 import itertools
 import json
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 import shapecalc
 import support
+from test_corpus import stored_report
 from shapecalc import (
     AffineDensity,
     AffineField,
@@ -606,6 +606,17 @@ class TestExitCodes:
             main(["verify", "--help"])
         assert "(--input PATH | --random)" in " ".join(capsys.readouterr().out.split())
 
+    def test_dim_help_reads_the_row_default(self, monkeypatch, capsys):
+        monkeypatch.setitem(THEOREMS["nd-pythagoras"].flags, "dim", 5)
+        build_parser.cache_clear()
+        try:
+            with pytest.raises(SystemExit):
+                main(["verify", "--help"])
+        finally:
+            build_parser.cache_clear()
+        assert ("simplex dimension for nd-pythagoras (default 5)"
+                in " ".join(capsys.readouterr().out.split()))
+
     def test_bad_density_spec_is_two(self, shape_file):
         for spec in (
             "{broken",
@@ -810,32 +821,23 @@ class TestCachedParser:
         ["verify", "nd-pythagoras", "--random", "--dim", "16", "--count", "2"],
     ]
 
-    @staticmethod
-    def _run(argv, shape, out):
-        if argv[0] == "derive":
-            argv = argv[:1] + ["--input", shape] + argv[1:]
-        try:
-            code = main(argv + ["--out", str(out)])
-        except SystemExit as exc:
-            return exc.code, None
-        text = out.read_text()
-        if text.startswith("{"):
-            data = json.loads(text)
-            del data["aggregate"]["wall_time_s"]
-            text = json.dumps(data)
-        return code, text
-
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_reuse_leaks_no_state(self, shape_file, tmp_path, capsys):
-        shape = shape_file(T345)
-        out = tmp_path / "report.txt"
+    def test_reuse_leaks_no_state(self, tmp_path):
+        def run(argv):
+            if argv[0] == "derive":
+                argv = argv[:1] + ["--input", {"file": json.dumps(T345)}] + argv[1:]
+            got = support.run_cli(main, argv + ["--out", str(tmp_path / "report.txt")],
+                                  tmp_path)
+            assert got.warnings == (), argv
+            return got.code, stored_report(argv, got.report)
+
         fresh = []
         for argv in self.COMMANDS:
             build_parser.cache_clear()
-            fresh.append(self._run(argv, shape, out))
-        reused = [self._run(argv, shape, out) for argv in self.COMMANDS]
+            fresh.append(run(argv))
+        reused = [run(argv) for argv in self.COMMANDS]
         assert reused == fresh
         assert [code for code, _ in fresh] == [0, 2, 0, 0, 0]
         assert fresh[0] == fresh[4]
@@ -1395,10 +1397,9 @@ class TestFuzz:
     def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, data):
         base = data.draw(st.sampled_from([T345, GENERIC, UNIT_SIMPLEX_2, RIGHT_TETRA,
                                           SKEWED_TETRA]))
-        path = tmp_path_factory.getbasetemp() / "fuzz.json"
-        path.write_text(data.draw(mutated_json(base)))
+        document = {"file": data.draw(mutated_json(base))}
         if data.draw(st.booleans()):
-            argv = ["verify", data.draw(st.sampled_from(list(THEOREMS))), "--input", str(path)]
+            argv = ["verify", data.draw(st.sampled_from(list(THEOREMS))), "--input", document]
         else:
             # The field and the density take the document's dimension or another.
             dims = st.sampled_from([base["dim"], 2, 3, 5])
@@ -1407,18 +1408,16 @@ class TestFuzz:
                 st.sampled_from([*cli.NAMED_FIELDS, "sines:d", "nope"]),
                 mutated_json({"matrix": np.eye(n).tolist(), "offset": [0.5] * n})))
             # --field=TEXT: a spec such as -1e+16 is a value, not a flag.
-            argv = ["derive", "--input", str(path), f"--field={field}"]
+            argv = ["derive", "--input", document, f"--field={field}"]
             if data.draw(st.booleans()):
                 n = data.draw(dims)
                 argv.append("--density=" + data.draw(mutated_json(
                     {"gradient": [1.0] * n, "constant": 2})))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2), (argv, err.getvalue())
-        assert "internal error" not in err.getvalue(), argv
-        if code != 2:  # a report that a strict JSON parser reads: no NaN or Infinity
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        got = support.run_cli(main, argv, tmp_path_factory.getbasetemp())
+        assert got.code in (0, 1, 2) and got.warnings == (), (argv, got.stderr, got.warnings)
+        assert "internal error" not in got.stderr, argv
+        if got.code != 2:  # a report that a strict JSON parser reads: no NaN or Infinity
+            json.loads(got.stdout, parse_constant=_reject_constant)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -1428,14 +1427,13 @@ class TestFuzz:
         # holds every instance and entry of a call in memory.
         base = tmp_path_factory.getbasetemp()
         command = data.draw(st.sampled_from([*THEOREMS, "derive"]))
-        document = base / "flags.json"
-        document.write_text(json.dumps(RIGHT_TETRA if command == "nd-pythagoras" else T345))
+        document = {"file": json.dumps(RIGHT_TETRA if command == "nd-pythagoras" else T345)}
         if command == "derive":
-            argv = ["derive", "--input", str(document), "--field=cosines"]
+            argv = ["derive", "--input", document, "--field=cosines"]
         elif data.draw(st.booleans()):
             argv = ["verify", command, "--random"]
         else:
-            argv = ["verify", command, "--input", str(document)]
+            argv = ["verify", command, "--input", document]
         junk = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e400", "-1e400", "abc",
                                 "", "1.5", "0x10", "9" * 5000, "-" + "9" * 5000])
         values = {
@@ -1452,16 +1450,8 @@ class TestFuzz:
         for flag, strategy in values.items():
             if data.draw(st.booleans()):
                 argv.append(f"--{flag}={data.draw(strategy)}")  # =: "-inf" is a value
-        out_file = base / "report.out"
-        out_file.unlink(missing_ok=True)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects a value
-                code = exc.code
-        assert code in (0, 1, 2), (argv, err.getvalue())
-        assert "internal error" not in err.getvalue(), argv
-        written = out_file.read_text() if out_file.exists() else out.getvalue()
-        if code != 2 and "--format=csv" not in argv:  # strict JSON: no NaN or Infinity
-            json.loads(written, parse_constant=_reject_constant)
+        got = support.run_cli(main, argv, base)  # argparse's rejections exit 2
+        assert got.code in (0, 1, 2) and got.warnings == (), (argv, got.stderr, got.warnings)
+        assert "internal error" not in got.stderr, argv
+        if got.code != 2 and "--format=csv" not in argv:  # strict JSON: no NaN or Infinity
+            json.loads(got.written, parse_constant=_reject_constant)

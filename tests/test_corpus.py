@@ -1,18 +1,21 @@
 """A committed corpus of CLI calls and their outcomes.
 
-``tests/data/cli_corpus.json`` holds 94 ``cli.main`` calls: the
+``tests/data/cli_corpus.json`` holds 99 ``cli.main`` calls: the
 triangle theorems and nd-pythagoras on random batches, ``verify --input``
 on triangle and right-simplex documents, ``derive`` at dims 2 to 16 with
 named fields, inline fields and densities, on the 3-4-5 triangle
 with signed zeros, and the calls that exit 2, mismatched dimensions among them.
-Each call is stored as its argv, with a shape document inline in place
-of its path, and its exit code, stderr and report (JSON without
-``wall_time_s``, or the CSV text). The file also records the numpy
-version and the OpenBLAS core that wrote it.
+No call exits 1: on valid input, exit 1 needs a rounding residue above
+a tolerance, a verdict on a rounding edge. Each call is stored as its
+argv, with a shape document inline in place of its path, and its exit
+code, stderr and report (JSON without ``wall_time_s``, or the CSV text).
+The file also records the numpy version and the OpenBLAS core that wrote
+it. ``support.run_cli`` runs the calls.
 
-Where numpy and the OpenBLAS core match that record, each call must give
-the stored exit code and stderr and a stdout equal byte for byte to the
-stored report, written back with its own ``wall_time_s``. Elsewhere, or
+No call may raise a warning. Where numpy and the OpenBLAS core match the
+record, each call must give the stored exit code and stderr and a stdout
+equal byte for byte to the stored report, written back with its own
+``wall_time_s``. Elsewhere, or
 where the core name cannot be read, exit codes, stderr, report structure,
 strings, integers and verdicts must match exactly and every float within
 ``FLOAT_BOUND`` (see ``floats_close``). The corpus holds no call whose
@@ -27,10 +30,8 @@ CHANGES.md with its reason::
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import glob
-import io
 import json
 import math
 import os
@@ -41,10 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
+import support
 from shapecalc.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
-SHAPE = "shape.json"  # a document's file name, relative to the run's directory
 
 EPS = float(np.finfo(float).eps)
 # Off the writing environment, a float of a report may move by at most
@@ -212,8 +213,12 @@ def corpus_calls() -> list[list]:
               for theorem in ("sines", "cosines", "pythagoras")]
     calls += [["derive", "--input", _document(signed), "--field", field]
               for field in ("pythagoras", "sines:a", "sines:b", "sines:c", "cosines")]
-    # Calls that exit 2.
+    # Calls that exit 2. The last five are a non-orthogonal leg, a missing
+    # hyp_index, dim 3 for a triangle row, a triangle not right at C and a
+    # cosines proof that overflows where every side and c^2 fits; integer
+    # coordinates keep the floats of their messages exact.
     degenerate = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}
+    unit_tetra = {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}
     oversized = '{"dim": ' + "9" * 4300 + ', "vertices": [[0, 3], [4, 0], [0, 0]]}'
     nan_text = '{"dim": 2, "vertices": [[0, 3], [4, NaN], [0, 0]]}'
     calls += [
@@ -246,38 +251,21 @@ def corpus_calls() -> list[list]:
         ["derive", "--input", _document(_scaled(T345, 1e-160)), "--field", IDENTITY],
         ["derive", "--input", _document(_scaled(T345, 1e-200)), "--field", IDENTITY],
         ["verify", "pythagoras", "--input", _document(T345), "--tol-abs", "nan"],
+        ["verify", "nd-pythagoras", "--input", _document(
+            {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 1]],
+             "hyp_index": 0})],
+        ["verify", "nd-pythagoras", "--input", _document(unit_tetra)],
+        ["verify", "sines", "--input", _document(unit_tetra)],
+        ["verify", "pythagoras", "--input",
+         _document({"dim": 2, "vertices": [[1, 0], [1, 1], [0, 0]]})],
+        ["verify", "cosines", "--input", _document(_scaled(T345, 2e153))],
     ]
     return calls
 
 
 # --- running and comparing ----------------------------------------------
 
-def run_call(argv: list, workdir: str) -> tuple[int, str, str]:
-    """``cli.main`` in-process on ``argv``, each ``{"file": text}`` written
-    to ``SHAPE`` in ``workdir``, which is the working directory meanwhile;
-    (exit code, stdout, stderr), argparse's ``SystemExit`` counted as its
-    code."""
-    args = []
-    for item in argv:
-        if isinstance(item, dict):
-            Path(workdir, SHAPE).write_text(item["file"], encoding="utf-8")
-            item = SHAPE
-        args.append(item)
-    out, err = io.StringIO(), io.StringIO()
-    previous = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(args)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        os.chdir(previous)
-    return code, out.getvalue(), err.getvalue()
-
-
-def stored_report(argv: list, stdout: str):
+def stored_report(argv: list, stdout: str | None):
     """The report as the corpus stores it: JSON without ``wall_time_s``,
     the CSV text, or None where nothing was written."""
     if not stdout or "csv" in argv:
@@ -287,10 +275,10 @@ def stored_report(argv: list, stdout: str):
     return report
 
 
-def record(argv: list, workdir: str) -> dict:
-    code, stdout, stderr = run_call(argv, workdir)
-    return {"argv": argv, "code": code, "stderr": stderr,
-            "report": stored_report(argv, stdout)}
+def stored_call(argv: list, outcome: support.CliOutcome) -> dict:
+    """The corpus entry of ``argv`` and its ``outcome``."""
+    return {"argv": argv, "code": outcome.code, "stderr": outcome.stderr,
+            "report": stored_report(argv, outcome.written)}
 
 
 def floats_close(observed, stored, bound: float, path: str = "") -> list[str]:
@@ -363,6 +351,22 @@ def exact_stdout(stored, stdout: str) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+def outcome_mismatches(outcome: support.CliOutcome, call: dict, exact: bool) -> list[str]:
+    """Where ``outcome`` does not give the stored outcome of ``call``, each
+    as "where: what". Its exit code and stderr must match exactly and it
+    may raise no warning; its report must match byte for byte where
+    ``exact`` says so, and within the float bounds elsewhere."""
+    if outcome.warnings:
+        return [f"warnings: {list(outcome.warnings)}"]
+    if (outcome.code, outcome.stderr) != (call["code"], call["stderr"]):
+        return [f"exit code and stderr: {outcome.code} {outcome.stderr!r}, "
+                f"stored {call['code']} {call['stderr']!r}"]
+    if exact:
+        same = outcome.written == exact_stdout(call["report"], outcome.written)
+        return [] if same else ["report: differs from the stored one"]
+    return report_mismatches(stored_report(call["argv"], outcome.written), call["report"])
+
+
 def corpus_mismatches(exact: bool | None = None) -> list[str]:
     """Every corpus call that does not give its stored outcome: compared
     byte for byte where the environment matches the corpus's (or where
@@ -371,27 +375,19 @@ def corpus_mismatches(exact: bool | None = None) -> list[str]:
     if exact is None:
         written = corpus["environment"]
         exact = written["openblas_core"] is not None and written == environment()
-    mismatches = []
     with tempfile.TemporaryDirectory() as workdir:
-        for k, call in enumerate(corpus["calls"]):
-            code, stdout, stderr = run_call(call["argv"], workdir)
-            if (code, stderr) != (call["code"], call["stderr"]):
-                mismatches.append(f"call {k}: exit {code} {stderr!r}, "
-                                  f"stored {call['code']} {call['stderr']!r}")
-            elif exact:
-                if stdout != exact_stdout(call["report"], stdout):
-                    mismatches.append(f"call {k}: stdout differs")
-            else:
-                found = report_mismatches(stored_report(call["argv"], stdout), call["report"])
-                mismatches += [f"call {k}: {m}" for m in found]
-    return mismatches
+        return [f"call {k}: {m}" for k, call in enumerate(corpus["calls"])
+                for m in outcome_mismatches(support.run_cli(main, call["argv"], workdir),
+                                            call, exact)]
 
 
 def write_corpus() -> None:
-    calls = corpus_calls()
     with tempfile.TemporaryDirectory() as workdir:
-        records = [record(argv, workdir) for argv in calls]
-    lines = [json.dumps(r) for r in records]
+        outcomes = [(argv, support.run_cli(main, argv, workdir)) for argv in corpus_calls()]
+    warned = [argv for argv, outcome in outcomes if outcome.warnings]
+    if warned:
+        sys.exit(f"calls that warn: {warned}")
+    lines = [json.dumps(stored_call(argv, outcome)) for argv, outcome in outcomes]
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text('{"environment": ' + json.dumps(environment()) + ',\n "calls": [\n'
                       + ",\n".join(lines) + "\n]}\n", encoding="utf-8")
