@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and ``float_range``, the
-one guard that turns an overflow into ``FloatRangeError``."""
+one guard that turns an overflow into ``FloatRangeError``: its message names
+the guarded quantity only; how the overflow was noticed is its ``__cause__``."""
 
 import math
 from contextlib import contextmanager
@@ -60,4 +61,4 @@ def float_range(message: str):
         with np.errstate(over="raise", invalid="raise"):
             yield finite
     except (FloatingPointError, OverflowError) as err:
-        raise FloatRangeError(f"{message} ({err})") from err
+        raise FloatRangeError(message) from err

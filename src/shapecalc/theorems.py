@@ -154,9 +154,8 @@ def _triangle_entries(auxiliary: Callable, residual: Callable = lambda d, _: d["
     is the BLAS ddot of a lone ``n_i @ n_j``."""
 
     def entries(ts: _Triangles, decompositions: list[dict]):
-        normals = ts.simplex.facets.normals
-        dots = zip(*((normals[:, i, None] @ normals[:, j, :, None]).ravel().tolist()
-                     for i, j in ((2, 0), (2, 1), (0, 1))))
+        dots = zip(*((n_i[:, None] @ n_j[:, :, None]).ravel().tolist()
+                     for n_i, n_j in ((ts.n_c, ts.n_a), (ts.n_c, ts.n_b), (ts.n_a, ts.n_b))))
         for t, vertices, t_dots, d in zip(ts.items, ts.simplex.vertices.tolist(), dots,
                                           decompositions):
             extra = auxiliary(t, t_dots, d)

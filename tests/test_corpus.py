@@ -353,18 +353,29 @@ def exact_stdout(stored, stdout: str) -> str:
 
 def outcome_mismatches(outcome: support.CliOutcome, call: dict, exact: bool) -> list[str]:
     """Where ``outcome`` does not give the stored outcome of ``call``, each
-    as "where: what". Its exit code and stderr must match exactly and it
-    may raise no warning; its report must match byte for byte where
-    ``exact`` says so, and within the float bounds elsewhere."""
+    as "where: what": ``warnings``, ``code``, ``stderr``, or ``report`` or
+    a path in it. Its exit code and stderr must match exactly and it may
+    raise no warning; its report must match byte for byte where ``exact``
+    says so, and within the float bounds elsewhere."""
     if outcome.warnings:
         return [f"warnings: {list(outcome.warnings)}"]
-    if (outcome.code, outcome.stderr) != (call["code"], call["stderr"]):
-        return [f"exit code and stderr: {outcome.code} {outcome.stderr!r}, "
-                f"stored {call['code']} {call['stderr']!r}"]
+    mismatches = [f"{key}: {observed!r}, stored {call[key]!r}"
+                  for key, observed in (("code", outcome.code), ("stderr", outcome.stderr))
+                  if observed != call[key]]
+    report = stored_report(call["argv"], outcome.written)
+    if type(report) is not type(call["report"]):
+        return mismatches + [f"report: {type(report).__name__}, "
+                             f"stored {type(call['report']).__name__}"]
     if exact:
         same = outcome.written == exact_stdout(call["report"], outcome.written)
-        return [] if same else ["report: differs from the stored one"]
-    return report_mismatches(stored_report(call["argv"], outcome.written), call["report"])
+        return mismatches + ([] if same else ["report: differs from the stored one"])
+    return mismatches + report_mismatches(report, call["report"])
+
+
+def _exact(corpus: dict) -> bool:
+    """Whether this environment is the one that wrote ``corpus``."""
+    written = corpus["environment"]
+    return written["openblas_core"] is not None and written == environment()
 
 
 def corpus_mismatches(exact: bool | None = None) -> list[str]:
@@ -373,12 +384,30 @@ def corpus_mismatches(exact: bool | None = None) -> list[str]:
     ``exact`` says so), and within the float bounds elsewhere."""
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     if exact is None:
-        written = corpus["environment"]
-        exact = written["openblas_core"] is not None and written == environment()
+        exact = _exact(corpus)
     with tempfile.TemporaryDirectory() as workdir:
         return [f"call {k}: {m}" for k, call in enumerate(corpus["calls"])
                 for m in outcome_mismatches(support.run_cli(main, call["argv"], workdir),
                                             call, exact)]
+
+
+def outcome_changes(outcomes: list[tuple[list, support.CliOutcome]]) -> list[str]:
+    """Each stored call whose outcome ``outcomes`` (argv and outcome, in
+    corpus order) changes, as "call k: " and which of its ``argv``,
+    ``code``, ``stderr`` and ``report`` change, by ``outcome_mismatches``."""
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    exact = _exact(corpus)
+    changes = [] if len(outcomes) == len(corpus["calls"]) else [
+        f"calls: {len(corpus['calls'])} stored, {len(outcomes)} now"]
+    for k, (call, (argv, outcome)) in enumerate(zip(corpus["calls"], outcomes)):
+        if call["argv"] != argv:
+            changes.append(f"call {k}: argv")
+            continue
+        where = dict.fromkeys(key if key in ("code", "stderr") else "report" for key in (
+            m.split(": ")[0] for m in outcome_mismatches(outcome, call, exact)))
+        if where:
+            changes.append(f"call {k}: {', '.join(where)}")
+    return changes
 
 
 def write_corpus() -> None:
@@ -387,6 +416,8 @@ def write_corpus() -> None:
     warned = [argv for argv, outcome in outcomes if outcome.warnings]
     if warned:
         sys.exit(f"calls that warn: {warned}")
+    if CORPUS.exists():
+        print("\n".join(outcome_changes(outcomes)) or "no stored outcome changes")
     lines = [json.dumps(stored_call(argv, outcome)) for argv, outcome in outcomes]
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text('{"environment": ' + json.dumps(environment()) + ',\n "calls": [\n'
@@ -405,6 +436,21 @@ def test_corpus_matches_its_calls():
     assert [call["argv"] for call in corpus["calls"]] == json.loads(
         json.dumps(corpus_calls()))
     assert len(corpus["calls"]) <= 100
+
+
+def test_rewrite_names_each_changed_call():
+    # What ``--write`` prints before it overwrites the file: nothing for
+    # the stored outcomes, then only what each altered call changes.
+    with tempfile.TemporaryDirectory() as workdir:
+        outcomes = [(argv, support.run_cli(main, argv, workdir)) for argv in corpus_calls()]
+    assert outcome_changes(outcomes) == []
+    argv, first = outcomes[0]
+    outcomes[0] = argv, first._replace(stdout=first.stdout.replace("true", "false", 1))
+    outcomes[1] = ["verify", "sines", "--random"], outcomes[1][1]
+    outcomes[97] = outcomes[97][0], outcomes[97][1]._replace(code=3)
+    outcomes[98] = outcomes[98][0], outcomes[98][1]._replace(code=0, stderr="")
+    assert outcome_changes(outcomes) == [
+        "call 0: report", "call 1: argv", "call 97: code", "call 98: code, stderr"]
 
 
 def test_bounded_comparison_holds_on_the_writing_kernel():

@@ -245,8 +245,7 @@ class TestPerturbedIntegral:
             for steps in ([1e5], [1.0, 1e5]):
                 with pytest.raises(
                     FloatRangeError,
-                    match=r"^vertex coordinates overflow the float range "
-                    r"\(overflow encountered in det\)$",
+                    match="^vertex coordinates overflow the float range$",
                 ):
                     perturbed_integral(s, AffineDensity.one(2),
                                        identity_field(2).at(s.vertices), steps)
@@ -471,14 +470,16 @@ class TestFloatRange:
     """The one guard that turns an overflow into FloatRangeError."""
 
     def test_numpy_overflow(self):
-        with pytest.raises(FloatRangeError, match=r"^too big \(overflow encountered"):
+        with pytest.raises(FloatRangeError, match="^too big$") as err:
             with float_range("too big"):
                 np.float64(1e308) * 10.0
+        assert type(err.value.__cause__) is FloatingPointError
 
     def test_python_overflow(self):
-        with pytest.raises(FloatRangeError, match=r"^too big \("):
+        with pytest.raises(FloatRangeError, match="^too big$") as err:
             with float_range("too big"):
                 1e200**2
+        assert type(err.value.__cause__) is OverflowError
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_value(self, value):
