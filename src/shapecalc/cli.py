@@ -19,10 +19,11 @@ construction. The parser names each option after the ``run_verify`` /
 ``run_derive`` parameter it sets, so ``main`` passes the parsed options
 straight to the run function.
 
-A JSON report is written one value at a time by ``json_text``, as a
-layout, the text between the numbers, joined with the numbers' reprs.
-``RunReport.render`` keeps the layouts of a batch's entries, which share
-one, so the batch builds it once; a one-entry report gains nothing.
+A JSON report is written one value at a time by ``json_text``: one walk
+takes the value's numbers and its signature, and the layout, the text
+between the numbers, comes from the signature alone, memoized within
+``functools.lru_cache``'s default bound. Values with equal signatures, such
+as the entries of a batch, share one layout.
 
 Exit codes: 0 all instances pass, 1 at least one verification failure,
 2 input / parse / precondition error or a report that cannot be written,
@@ -73,23 +74,14 @@ _NUMBER = None
 _SLOT = "\x00"
 
 
-def json_text(value, indent: str = "\n", layouts: dict | None = None) -> str:
+def json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` for plain data (str-keyed dicts, lists,
     str, int, float, bool, None; any other type raises TypeError), with
     ``indent`` the newline and indentation of ``value``'s own line: the
-    value's layout filled with its numbers. ``layouts`` keeps the layouts
-    by signature, for values that may share one; without it the layout is
-    built in the same pass that takes the numbers."""
-    numbers = []
-    if layouts is None:
-        pieces = _layout(value, indent, numbers)
-    else:
-        signature = [indent]
-        _walk((value,), signature, numbers)
-        signature = tuple(signature)
-        pieces = layouts.get(signature)
-        if pieces is None:
-            pieces = layouts[signature] = _layout(value, indent, [])
+    layout of ``value``'s signature filled with its numbers."""
+    signature, numbers = [indent], []
+    _walk((value,), signature, numbers)
+    pieces = _layout(tuple(signature))
     if not numbers:
         return pieces[0]
     text = repr(numbers)  # ValueError past the int-string digit limit, as in json.dumps
@@ -128,34 +120,28 @@ def _walk(values, signature: list, numbers: list) -> None:
             raise TypeError(f"{kind.__name__} is not plain report data")
 
 
-def _layout(value, indent: str, numbers: list) -> list[str]:
-    """The layout of ``value``: its text as the pieces between its numbers,
-    which are appended to ``numbers``."""
-    return _layout_text(value, indent, numbers).split(_SLOT)
+@functools.lru_cache
+def _layout(signature: tuple) -> tuple[str, ...]:
+    """The layout of a ``json_text`` signature (its indent, then ``_walk``'s
+    tokens): the text of its value as the pieces between the numbers."""
+    tokens = iter(signature)
 
+    def text(indent: str) -> str:  # the next value's text, _SLOT for a number
+        token = next(tokens)
+        if token is _NUMBER:
+            return _SLOT
+        if type(token) is str:
+            return token
+        inner = indent + "  "
+        if type(token) is int:
+            start, end = "[]"
+            items = [text(inner) for _ in range(token)]
+        else:  # encode_basestring_ascii raises TypeError for non-str keys
+            start, end = "{}"
+            items = [f"{encode_basestring_ascii(key)}: {text(inner)}" for key in token]
+        return f"{start}{inner}{f',{inner}'.join(items)}{indent}{end}" if items else start + end
 
-def _layout_text(value, indent: str, numbers: list) -> str:
-    """``value``'s text with ``_SLOT`` in place of each number."""
-    kind = type(value)
-    if kind is float or kind is int:
-        numbers.append(value)
-        return _SLOT
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = indent + "  "
-    if kind is list:
-        items = [_layout_text(item, inner, numbers) for item in value]
-    elif kind is dict:  # encode_basestring_ascii raises TypeError for non-str keys
-        items = [f"{encode_basestring_ascii(key)}: {_layout_text(item, inner, numbers)}"
-                 for key, item in value.items()]
-    else:
-        raise TypeError(f"{kind.__name__} is not plain report data")
-    start, end = "[]" if kind is list else "{}"
-    return f"{start}{inner}{f',{inner}'.join(items)}{indent}{end}" if items else start + end
+    return tuple(text(next(tokens)).split(_SLOT))
 
 
 @dataclass
@@ -269,10 +255,7 @@ class RunReport:
             stream.write(f"{',' if i else '{'}\n  {encode_basestring_ascii(key)}: ")
             if key == "entries" and value:
                 indent = "\n    "
-                # The entries of a batch share one layout; one entry has none to share.
-                layouts = {} if len(value) > 1 else None
-                stream.writelines(("," if j else "[") + indent
-                                  + json_text(entry, indent, layouts)
+                stream.writelines(("," if j else "[") + indent + json_text(entry, indent)
                                   for j, entry in enumerate(value))
                 stream.write("\n  ]")
             else:

@@ -351,7 +351,8 @@ def prove(theorem: str, instances: list, tol_abs: float, tol_rel: float
             reports = []
             for d, (summary, scale, auxiliary, residual) in zip(
                     decompositions, row.entries(stack, decompositions)):
-                finite(residual, *(total for total, _ in d.values()))
+                finite(residual, *(total for total, _ in d.values()),
+                       *(v for v in auxiliary.values() if type(v) is float))
                 reports.append(TheoremReport(
                     theorem=theorem.replace("-", "_"),
                     summary=summary,

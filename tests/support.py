@@ -1,5 +1,5 @@
-"""Shared oracles, instance generators and the in-process CLI runner for
-the test suite.
+"""Shared oracles, instance generators, the in-process CLI runner and the
+second-kernel runner for the test suite.
 
 The Cayley-Menger oracle is deliberately independent of the Gram-determinant
 route used inside the package.
@@ -9,6 +9,7 @@ import io
 import math
 import os
 import struct
+import subprocess
 import sys
 import warnings
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
@@ -568,7 +569,8 @@ def prove_alone(theorem: str, instance, tol_abs: float, tol_rel: float) -> Theor
         }
         auxiliary = row.auxiliary(instance, decompositions)
         residual = row.residual(decompositions, auxiliary)
-        finite(residual, *(total for total, _ in decompositions.values()))
+        finite(residual, *(total for total, _ in decompositions.values()),
+               *(v for v in auxiliary.values() if type(v) is float))
         scale = row.scale(instance)
         return TheoremReport(
             theorem=row.report,
@@ -710,3 +712,14 @@ def run_cli(main, argv: list, workdir) -> CliOutcome:
     return CliOutcome(code, stdout.getvalue(), stderr.getvalue(),
                       out.read_text(encoding="utf-8") if out and out.is_file() else None,
                       tuple(f"{w.category.__name__}: {w.message}" for w in caught))
+
+
+def run_on_second_kernel(script: str, timeout: float) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter under OpenBLAS's Prescott
+    kernels, with ``src`` and ``tests`` on ``PYTHONPATH``, its output
+    captured as text. Builds without DYNAMIC_ARCH ignore the variable."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)

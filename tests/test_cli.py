@@ -1198,7 +1198,7 @@ def edge_id(value) -> str:
 
 class TestJsonWriter:
     """``json_text`` writes exactly what ``json.dumps(indent=2)`` writes, for
-    plain data only, whether its layout is built or reused."""
+    plain data only, whether its layout is built or taken from the memo."""
 
     @given(PLAIN_VALUES, st.data())
     @settings(max_examples=500, deadline=None)
@@ -1206,22 +1206,20 @@ class TestJsonWriter:
         assert json_text(value) == json.dumps(value, indent=2)
         nested = {"a": [value]}
         assert json_text(nested) == json.dumps(nested, indent=2)
-        # Written twice through one layouts dict, then with other numbers.
-        layouts = {}
-        assert json_text(value, "\n", layouts) == json_text(value, "\n", layouts)
+        # Written again from the memo, then with other numbers.
+        assert json_text(value) == json.dumps(value, indent=2)
         other = renumbered(value, data.draw)
-        assert json_text(other, "\n", layouts) == json.dumps(other, indent=2)
+        assert json_text(other) == json.dumps(other, indent=2)
 
     @pytest.mark.parametrize("value", EDGE_VALUES, ids=edge_id)
     def test_edge_values(self, value):
-        # Every edge value first fills one layouts dict, so a layout that two
+        # Every edge value first fills the emptied memo, so a layout that two
         # of them share by mistake writes the wrong text here.
-        layouts = {}
+        cli._layout.cache_clear()
         for other in EDGE_VALUES:
-            dumped(lambda v: json_text(v, "\n", layouts), other)
+            dumped(json_text, other)
         expected = dumped(lambda v: json.dumps(v, indent=2), value)
         assert dumped(json_text, value) == expected
-        assert dumped(lambda v: json_text(v, "\n", layouts), value) == expected
 
     @pytest.mark.parametrize(
         "value",
@@ -1233,7 +1231,7 @@ class TestJsonWriter:
     def test_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             json_text(value)
-        # The entries of a batch take their layouts by signature, on another path.
+        # So do a report's entries.
         report = cli.RunReport("0.1.0", [], None, [{"x": value}, {"x": value}])
         with pytest.raises(TypeError):
             report.render("json", io.StringIO())
@@ -1304,21 +1302,26 @@ class TestStreamedRender:
         (lambda j, entry: entry.update(passed=None if j % 2 else j), 2),
         (lambda j, entry: entry.update(extra=[0.5] * j), 25),
     ], ids=["batch", "seed None or int", "passed None or int", "lengths differ"])
-    def test_layouts_built_per_report(self, monkeypatch, change, layouts):
-        # A report builds one layout per distinct entry layout, and its other
-        # entries reuse it; a writer that rebuilds per entry fails here.
+    def test_layouts_built_per_report(self, change, layouts):
+        # A report builds one layout per distinct entry layout, and one per
+        # other top-level value (version, command, seeds and aggregate); its
+        # other entries reuse theirs. A writer that rebuilds per entry fails here.
         report, _ = run_verify("sines", random_batch=True, count=25, seed=2)
         for j, entry in enumerate(report.entries):
             change(j, entry)
-        built, layout = [], cli._layout
-
-        def counted(value, indent, numbers):
-            built.append(indent)  # an entry's is "\n    "
-            return layout(value, indent, numbers)
-
-        monkeypatch.setattr(cli, "_layout", counted)
+        cli._layout.cache_clear()
         assert rendered(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
-        assert built.count("\n    ") == layouts
+        assert cli._layout.cache_info().misses == layouts + 4
+
+    def test_memo_is_bounded(self):
+        # Every call's command is a layout of its own; an unbounded memo
+        # would keep them all.
+        assert cli._layout.cache_info().maxsize is not None
+        for k in range(200):
+            report = cli.RunReport("0.1.0", ["verify", str(k)], None, [{"residual": 0.5}])
+            assert rendered(report, "json") == json.dumps(report.to_dict(), indent=2) + "\n"
+            info = cli._layout.cache_info()
+            assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_main_writes_file_and_stdout_alike(self, tmp_path, capsys, fmt):

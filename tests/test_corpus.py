@@ -1,6 +1,6 @@
 """A committed corpus of CLI calls and their outcomes.
 
-``tests/data/cli_corpus.json`` holds 99 ``cli.main`` calls: the
+``tests/data/cli_corpus.json`` holds 100 ``cli.main`` calls: the
 triangle theorems and nd-pythagoras on random batches, ``verify --input``
 on triangle and right-simplex documents, ``derive`` at dims 2 to 16 with
 named fields, inline fields and densities, on the 3-4-5 triangle
@@ -35,7 +35,6 @@ import glob
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -213,9 +212,10 @@ def corpus_calls() -> list[list]:
               for theorem in ("sines", "cosines", "pythagoras")]
     calls += [["derive", "--input", _document(signed), "--field", field]
               for field in ("pythagoras", "sines:a", "sines:b", "sines:c", "cosines")]
-    # Calls that exit 2. The last five are a non-orthogonal leg, a missing
-    # hyp_index, dim 3 for a triangle row, a triangle not right at C and a
-    # cosines proof that overflows where every side and c^2 fits; integer
+    # Calls that exit 2. The last six are a non-orthogonal leg, a missing
+    # hyp_index, dim 3 for a triangle row, a triangle not right at C, a
+    # cosines proof that overflows where every side and c^2 fits, and one
+    # whose law value would be NaN where its decomposition fits; integer
     # coordinates keep the floats of their messages exact.
     degenerate = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}
     unit_tetra = {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -259,6 +259,10 @@ def corpus_calls() -> list[list]:
         ["verify", "pythagoras", "--input",
          _document({"dim": 2, "vertices": [[1, 0], [1, 1], [0, 0]]})],
         ["verify", "cosines", "--input", _document(_scaled(T345, 2e153))],
+        ["verify", "cosines", "--input", _document({"dim": 2, "vertices": [
+            [-4.885836024210497e+153, 1.4439758276114206e+151],
+            [-4.202084727505753e+153, 1.286838195075491e+153],
+            [4.1033311183986445e+153, -4.299727113573949e+153]]})],
     ]
     return calls
 
@@ -453,6 +457,16 @@ def test_rewrite_names_each_changed_call():
         "call 0: report", "call 1: argv", "call 97: code", "call 98: code, stderr"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_stored_reports_are_standard_json():
+    # No stored report holds NaN or Infinity, which a strict JSON parser
+    # rejects; nothing else in the file does either, so it is read whole.
+    json.loads(CORPUS.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 def test_bounded_comparison_holds_on_the_writing_kernel():
     # The comparison used off the writing environment accepts the calls
     # that match exactly, so its float bounds only ever add slack.
@@ -460,16 +474,10 @@ def test_bounded_comparison_holds_on_the_writing_kernel():
 
 
 def test_calls_give_their_stored_outcome_on_a_second_kernel():
-    # The whole corpus under OpenBLAS's Prescott kernels, in a fresh
-    # interpreter, compared exactly where the environment matches and
-    # within the float bounds elsewhere. Builds without DYNAMIC_ARCH ignore
-    # the variable and compare as above.
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    # The whole corpus under OpenBLAS's Prescott kernels, compared exactly
+    # where the environment matches and within the float bounds elsewhere.
     script = "import test_corpus; print(test_corpus.corpus_mismatches())"
-    result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = support.run_on_second_kernel(script, timeout=120)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 

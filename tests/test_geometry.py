@@ -3,11 +3,7 @@
 import dataclasses
 import itertools
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -619,18 +615,13 @@ class TestTriangleConstruction:
         assert support.triangle_mismatches([vertices]) == []
 
     def test_reference_match_on_a_second_kernel(self):
-        # The comparison on 2000 draws under OpenBLAS's Prescott kernels, in
-        # a fresh interpreter: an assumption about the default kernel in the
-        # one product fails here. Builds without DYNAMIC_ARCH ignore it.
-        root = Path(__file__).resolve().parents[1]
+        # The comparison on 2000 draws under OpenBLAS's Prescott kernels: an
+        # assumption about the default kernel in the one product fails here.
         script = ("import numpy as np, support\n"
                   "rng = np.random.default_rng(2)\n"
                   "draws = [tuple(rng.uniform(-1.0, 1.0, (3, 2))) for _ in range(1000)]\n"
                   "print(support.triangle_mismatches(draws, range(500), ('general', 'right')))\n")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = support.run_on_second_kernel(script, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 

@@ -2,12 +2,8 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import textwrap
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +180,16 @@ class TestOverflow:
         assert verify_law_of_sines(t).passed
         assert verify_pythagoras(t).passed
 
+    def test_overflowing_law_value_raises(self):
+        # The decomposition fits, but c^2 - a^2 - b^2 overflows to -inf and
+        # 2ab cos(gamma) to +inf, so the law's value would be NaN.
+        t = Triangle([-4.885836024210497e+153, 1.4439758276114206e+151],
+                     [-4.202084727505753e+153, 1.286838195075491e+153],
+                     [4.1033311183986445e+153, -4.299727113573949e+153])
+        with pytest.raises(FloatRangeError) as caught:
+            verify_law_of_cosines(t)
+        assert str(caught.value) == "the cosines proof overflows the float range"
+
     def test_overflowing_tolerance_raises(self):
         # A right tetrahedron scaled by 1e100: the volume fits, C^2 does not.
         r = support.right_simplex(np.zeros(3), np.eye(3) * 1e100)
@@ -357,14 +363,9 @@ class TestRandomTriangle:
         assert support.generator_mismatches(range(5000), (kind,)) == []
 
     def test_matches_reference_generator_on_a_second_kernel(self):
-        # The same comparison under OpenBLAS's Prescott kernels, in a fresh
-        # interpreter. Builds without DYNAMIC_ARCH ignore the variable.
-        root = Path(__file__).resolve().parents[1]
+        # The same comparison under OpenBLAS's Prescott kernels.
         script = "import support; print(support.generator_mismatches(range(5000)))\n"
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = support.run_on_second_kernel(script, timeout=120)
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
@@ -674,10 +675,9 @@ class TestStackedProof:
         assert theorems.prove("sines", [], 1e-12, 1e-12) == []
 
     def test_reference_match_on_a_second_kernel(self):
-        # Every row's comparison under OpenBLAS's Prescott kernels, in a fresh
-        # interpreter: 50 triangles per triangle row and 20 right simplices at
-        # each of dims 3, 8 and 16. Builds without DYNAMIC_ARCH ignore it.
-        root = Path(__file__).resolve().parents[1]
+        # Every row's comparison under OpenBLAS's Prescott kernels: 50
+        # triangles per triangle row and 20 right simplices at each of dims
+        # 3, 8 and 16.
         script = textwrap.dedent("""
             import json, support
             from shapecalc import theorems
@@ -696,10 +696,7 @@ class TestStackedProof:
                                if json.dumps(a.to_dict()) != json.dumps(b.to_dict())]
             print([len(instances) for _, instances in cases], mismatches)
         """)
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
+        result = support.run_on_second_kernel(script, timeout=60)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "[50, 50, 50, 20, 20, 20] []\n"
 
