@@ -17,7 +17,10 @@ derive its named ``fields`` (of its ``field_document`` reader). A shape file
 parses to a ``ShapeDocument``: its data and its ``simplex``, built once, at
 construction. The parser names each option after the ``run_verify`` /
 ``run_derive`` parameter it sets, so ``main`` passes the parsed options
-straight to the run function.
+straight to the run function. ``parse_options`` hands argv after a leading
+subcommand name straight to that subcommand's parser, and parses any argv
+that this does not settle from the top, so help and usage errors are
+argparse's own.
 
 A JSON report is written one value at a time by ``json_text``: one walk
 takes the value's numbers and its signature, and the layout, the text
@@ -203,8 +206,8 @@ def parse_shape(text: str) -> ShapeDocument:
              and all(isinstance(v, list) for v in vertices),
              "'vertices' must be a list of coordinate lists", parse=True)
     for v in vertices:
-        _require(len(v) == dim,
-                 f"every vertex needs {dim} coordinates, got {len(v)}")
+        if len(v) != dim:  # the message is formatted only for a bad vertex
+            raise ShapeValidationError(f"every vertex needs {dim} coordinates, got {len(v)}")
     # json.loads gives exact types, so this excludes bool as well.
     _require({type(x) for v in vertices for x in v} <= {int, float},
              "vertex coordinates must be numbers", parse=True)
@@ -430,7 +433,9 @@ def run_derive(
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built on the first call and then reused."""
+    """The CLI's argument parser, built on the first call and then reused.
+    Its ``subcommands`` attribute maps each subcommand name to that
+    subcommand's parser, the ``choices`` of its subparsers action."""
     parser = argparse.ArgumentParser(
         prog="shapecalc",
         description="Shape-derivative computations and theorem verification "
@@ -476,12 +481,29 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--density", dest="density_spec", metavar="DENSITY",
                         help='inline JSON {"gradient": ..., "constant": ...}; '
                         "defaults to f == 1")
+    parser.subcommands = sub.choices
     return parser
+
+
+def parse_options(argv: list[str]) -> dict:
+    """``vars(build_parser().parse_args(argv))``, parsed once: argv after a
+    leading subcommand name goes straight to that subcommand's parser, as
+    the top-level parser would hand it on. Any argv that this does not
+    settle (no subcommand first, a ``--``, an unrecognized argument) is
+    parsed again from the top, so help, usage errors and their text are
+    argparse's own."""
+    parser = build_parser()
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is not None and "--" not in argv:
+        options, unrecognized = subparser.parse_known_args(argv[1:])
+        if not unrecognized:
+            return {"command": argv[0], **vars(options)}
+    return vars(parser.parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    options = vars(build_parser().parse_args(argv))
+    options = parse_options(argv)
     run = run_verify if options.pop("command") == "verify" else run_derive
     fmt, out = options.pop("format"), options.pop("out")
     try:

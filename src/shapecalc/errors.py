@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and ``float_range``, the
 one guard that turns an overflow into ``FloatRangeError``: its message names
-the guarded quantity only; how the overflow was noticed is its ``__cause__``."""
+the guarded quantity only; how the overflow was noticed is its ``__cause__``.
+``float_range`` is a plain context-manager class: it is entered four times
+in every ``derive`` call, and a ``contextlib`` generator costs more to enter."""
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,21 +45,30 @@ class FloatRangeError(ShapeCalcError, ValueError):
     """A computed quantity overflows the double-precision float range."""
 
 
-@contextmanager
-def float_range(message: str):
+class float_range:
     """Raise ``FloatRangeError(message)`` when the block overflows: a numpy
     overflow or invalid operation (raised under ``np.errstate``; the inputs
     are finite, so an invalid operation can only follow an overflow), or
     Python's ``OverflowError``. The block gets ``finite(*values)``, which
     raises the same error for a value that plain float arithmetic took to
-    inf or nan without raising."""
+    inf or nan without raising. On exit the caller's numpy error state is
+    restored, whether or not the block raised."""
 
-    def finite(*values: float) -> None:
+    __slots__ = ("message", "_errstate")
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def finite(self, *values: float) -> None:
         if not all(map(math.isfinite, values)):
-            raise FloatRangeError(message)
+            raise FloatRangeError(self.message)
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield finite
-    except (FloatingPointError, OverflowError) as err:
-        raise FloatRangeError(message) from err
+    def __enter__(self):
+        self._errstate = np.errstate(over="raise", invalid="raise")
+        self._errstate.__enter__()
+        return self.finite
+
+    def __exit__(self, kind, err, traceback):
+        self._errstate.__exit__(kind, err, traceback)
+        if isinstance(err, (FloatingPointError, OverflowError)):
+            raise FloatRangeError(self.message) from err

@@ -126,7 +126,7 @@ class Simplex:
 
     @cached_property
     def centroid(self) -> np.ndarray:
-        c = self.vertices.mean(axis=-2)
+        c = self.vertices.sum(axis=-2) / self.vertices.shape[-2]  # the bits of .mean
         c.flags.writeable = False
         return c
 

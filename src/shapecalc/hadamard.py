@@ -146,7 +146,8 @@ def perturbed_integral(
         raise DegenerateSimplexError("perturbed simplex is degenerate at t = "
                                      f"{steps[err.index].item()!r}") from err
     # Python floats, so an overflow gives inf; f.at(c) rounds as on a lone image.
-    return [v * float(f.at(c)) for v, c in zip(volumes, moved.mean(axis=1))]
+    centroids = moved.sum(axis=1) / moved.shape[1]  # the bits of .mean(axis=1)
+    return [v * float(f.at(c)) for v, c in zip(volumes, centroids)]
 
 
 def fd_derivative(s: Simplex, f: AffineDensity, values) -> tuple[float, float]:
@@ -156,7 +157,8 @@ def fd_derivative(s: Simplex, f: AffineDensity, values) -> tuple[float, float]:
     max(1, max_v |xi(v)|), the usual truncation/rounding balance."""
     _check_lone(s)
     _check_values(s, values, f)
-    field_scale = float(np.linalg.norm(values, axis=1).max())
+    # The row norms as np.linalg.norm(values, axis=1) computes them, bit for bit.
+    field_scale = float(np.sqrt((values * values).sum(axis=1)).max())
     h = _EPS ** (1.0 / 3.0) * s.scale / max(1.0, field_scale)
     half = h / 2.0
     plus, minus, half_plus, half_minus = perturbed_integral(

@@ -6,7 +6,10 @@ other relatively), and runs every job of the benchmark workloads
 (``bench/workloads.py``, read only) plus the triangles-json memory jobs on
 both, at each workload seed, with ``verify <theorem> --input`` of each of
 the four theorems on every derive-mixed shape document, then every call of
-``tests/data/cli_corpus.json`` once. Prints every call whose exit code,
+``tests/data/cli_corpus.json`` once, then each argv of ``PARSER_ARGV``, the
+paths through argparse that neither the workloads nor the corpus take
+(help, usage errors, abbreviations, ``--``, unknown flags, a missing
+subcommand). Prints every call whose exit code,
 stdout, stderr, report or warnings differ, ``wall_time_s`` masked in
 stdout and report, and exits 1 if any does::
 
@@ -20,7 +23,8 @@ outcome_mismatches``: exit code and stderr exact, no warning, floats within
 corpus float bound at" the first paths that fail it.
 
 ``--jobs K`` keeps the first K jobs of each workload, and the verify calls
-on the documents of those derive jobs only; every corpus call runs.
+on the documents of those derive jobs only; every corpus call and every
+parser-path argv runs.
 Both sources run on one BLAS kernel, so the corpus calls compare exactly on
 any kernel, where ``tests/test_corpus.py`` is exact only on the one that
 wrote the corpus.
@@ -46,6 +50,28 @@ from test_corpus import CORPUS, outcome_mismatches, stored_call  # noqa: E402
 
 WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
 THEOREMS = ("pythagoras", "sines", "cosines", "nd-pythagoras")
+T345 = {"file": json.dumps({"dim": 2, "vertices": [[0, 3], [4, 0], [0, 0]],
+                            "labels": {"A": 0, "B": 1, "C": 2}})}
+# argv that reach argparse's help, its usage errors and its less common
+# spellings; of the abbreviated calls, 13 and 15 print a JSON report and 14
+# a CSV one.
+PARSER_ARGV = [
+    [], ["--help"], ["-h"], ["verify", "--help"], ["derive", "-h"],
+    ["verify", "sines", "--he"],
+    ["verify"], ["verif", "sines", "--random"], ["verify", "thales", "--random"],
+    ["--random", "verify", "sines"], ["verify", "sines", "--random", "extra"],
+    ["verify", "sines", "--random", "--bogus", "1"], ["derive", "-x"],
+    ["verify", "sines", "--random", "--cou", "2", "--se", "3"],
+    ["verify", "cosines", "--random", "--count=2", "--fo=csv"],
+    ["derive", "--in", T345, "--fi", "sines:a", "--dens", '{"gradient": [1, 2], "constant": 3}'],
+    ["derive", "--input", T345, "--f", "pythagoras"],  # ambiguous: --field, --format
+    ["verify", "sines", "--random", "--", "--count", "2"],
+    ["verify", "--", "sines", "--random"], ["--", "verify", "sines", "--random"],
+    ["verify", "sines", "--random", "--count", "two"],
+    ["verify", "sines", "--random", "--tol-abs=-1"],
+    ["verify", "sines", "--random", "--input", "x.json"],
+    ["derive", "--field", "pythagoras"],
+]
 
 
 def _workloads():
@@ -128,6 +154,8 @@ def sweep(parent_src: Path, seeds: list[int], jobs: int | None = None) -> list[s
         calls = json.loads(CORPUS.read_text(encoding="utf-8"))["calls"]
         for k, call in enumerate(calls):
             compare(f"corpus call {k}", call["argv"], Path(scratch))
+        for k, argv in enumerate(PARSER_ARGV):
+            compare(f"parser path {k}", argv, Path(scratch))
     for name in ("shapecalc_parent", "shapecalc_tree"):
         _forget(name)
     return differences

@@ -35,15 +35,19 @@ def test_changed_version_differs_in_every_json_report(tmp_path, capsys):
     # triangles-json memory jobs, then verify sines and cosines on that
     # derive job's document (a general triangle: pythagoras and nd-pythagoras
     # exit 2), then the 66 corpus calls that print a JSON report; a CSV
-    # report holds no version, and every other corpus call exits 2.
-    assert lines[-1] == "73 differences"
+    # report holds no version, and every other corpus call exits 2. Last,
+    # the two parser-path calls that print a JSON report.
+    assert lines[-1] == "75 differences"
     beyond = "differ; beyond the corpus float bound at .version"
     assert all(line.endswith(f": report {beyond}") for line in lines[:5])
     assert [line.split(" --input ")[0] for line in lines[5:7]] == [
         "derive-mixed seed 1: verify sines", "derive-mixed seed 1: verify cosines"]
     assert all(line.endswith(f": stdout {beyond}") for line in lines[5:7])
     assert all(line.startswith("corpus call ") and line.endswith(f": stdout {beyond}")
-               for line in lines[7:-1])
+               for line in lines[7:-3])
+    assert [line.split(":")[0] for line in lines[-3:-1]] == ["parser path 13",
+                                                             "parser path 15"]
+    assert all(line.endswith(f": stdout {beyond}") for line in lines[-3:-1])
 
 
 def test_float_only_change_is_within_the_bound(tmp_path, capsys):
@@ -53,6 +57,14 @@ def test_float_only_change_is_within_the_bound(tmp_path, capsys):
                            f"DEFAULT_TOL_ABS = {math.nextafter(1e-12, 1)!r}\n")
     assert byte_sweep.main([parent, "--seeds", "1", "--jobs", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # As above, less the derive job and the 32 corpus derive reports.
-    assert lines[-1] == "40 differences"
-    assert all(line.endswith(" differ; within the corpus float bound") for line in lines[:-1])
+    # As above, less the derive job, the 32 corpus derive reports and the
+    # derive parser-path call, plus the three help texts, which print the
+    # default: text, beyond the float rule.
+    assert lines[-1] == "44 differences"
+    helps = [line for line in lines if line.startswith(("parser path 3:", "parser path 4:",
+                                                        "parser path 5:"))]
+    assert len(helps) == 3
+    assert all(line.endswith(": stdout differ; beyond the corpus float bound at report")
+               for line in helps)
+    assert all(line.endswith(" differ; within the corpus float bound")
+               for line in lines[:-1] if line not in helps)

@@ -1,5 +1,6 @@
 """CLI contract tests: parsing, exit codes, determinism, output formats."""
 
+import argparse
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -829,6 +831,8 @@ class TestCachedParser:
         ["verify", "sines", "--random", "--count", "3", "--seed", "4",
          "--format", "csv"],
         ["verify", "nd-pythagoras", "--random", "--dim", "16", "--count", "2"],
+        # Unrecognized: the dispatch falls back to the top-level parse, exit 2.
+        ["verify", "sines", "--random", "--count", "2", "--bogus"],
     ]
 
     def test_parser_is_built_once(self):
@@ -841,7 +845,7 @@ class TestCachedParser:
             got = support.run_cli(main, argv + ["--out", str(tmp_path / "report.txt")],
                                   tmp_path)
             assert got.warnings == (), argv
-            return got.code, stored_report(argv, got.report)
+            return got.code, got.stderr, stored_report(argv, got.report)
 
         fresh = []
         for argv in self.COMMANDS:
@@ -849,8 +853,21 @@ class TestCachedParser:
             fresh.append(run(argv))
         reused = [run(argv) for argv in self.COMMANDS]
         assert reused == fresh
-        assert [code for code, _ in fresh] == [0, 2, 0, 0, 0]
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 2]
         assert fresh[0] == fresh[4]
+        assert fresh[5][1].endswith("\nshapecalc: error: unrecognized arguments: --bogus\n")
+
+    def test_a_settled_argv_is_parsed_once(self, monkeypatch):
+        # Only the subcommand's parser reads a valid argv: parse_args, the
+        # top-level parse, is never called.
+        argv = ["derive", "--input", "x.json", "--field", "sines:a", "--format=csv"]
+        expected = vars(build_parser().parse_args(argv))
+
+        def parse_args(*args):
+            raise AssertionError("argv parsed from the top")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+        assert cli.parse_options(argv) == expected
 
 
 class TestVerifyRuns:
@@ -1410,9 +1427,45 @@ def mutated_json(draw, base):
             .replace(json.dumps(DEEP), "[" * depth + "]" * depth))
 
 
+# argv for the dispatch fuzz: a head that may parse, then words of the flag
+# vocabulary. --t, --f (derive) and --tol are ambiguous abbreviations.
+ARGV_HEADS = [[], ["verify"], ["derive"], ["verify", "sines"],
+              ["verify", "nd-pythagoras", "--random"],
+              ["derive", "--input", "x.json", "--field", "cosines"]]
+ARGV_FLAGS = ["--input", "--in", "--random", "--ra", "--count", "--cou", "--seed", "--se",
+              "--dim", "--legs", "--tol-abs", "--tol-rel", "--tol", "--t", "--format", "--fo",
+              "--f", "--out", "--field", "--fi", "--density", "--dens", "-h", "--help", "--he",
+              "--bogus", "-x"]
+ARGV_VALUES = ["verify", "derive", "verif", *THEOREMS, "thales", "1", "-1", "2.5", "nan",
+               "csv", "scaled", "x.json", "sines:a", "{}", "-", ""]
+ARGV_WORDS = st.one_of(
+    st.sampled_from([*ARGV_FLAGS, *ARGV_VALUES, "--"]),
+    st.builds("{}={}".format, st.sampled_from(ARGV_FLAGS), st.sampled_from(ARGV_VALUES)))
+
+
+def _parse_outcome(parse, argv: list) -> tuple:
+    """``parse(argv)``'s options (None where it exits), exit code (None
+    where it returns), stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            options, code = parse(list(argv)), None
+        except SystemExit as exc:
+            options, code = None, exc.code
+    return options, code, stdout.getvalue(), stderr.getvalue()
+
+
 class TestFuzz:
     """``main`` on mutated shape documents, fields and densities exits 0, 1
-    or 2, never with an internal error, and writes strict JSON."""
+    or 2, never with an internal error, and writes strict JSON; argv reaches
+    the options that argparse's own parse gives."""
+
+    @given(head=st.sampled_from(ARGV_HEADS), words=st.lists(ARGV_WORDS, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_dispatch_matches_argparse(self, head, words):
+        argv = head + words
+        assert _parse_outcome(cli.parse_options, argv) == _parse_outcome(
+            lambda args: vars(build_parser().parse_args(args)), argv), argv
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

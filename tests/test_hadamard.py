@@ -492,3 +492,39 @@ class TestFloatRange:
             finite(1e308, -1e308, 0.0)
             total = np.float64(1e154) * 1e154
         assert total == 1e308
+
+    # Each test sets a state of its own around the guard, so a guard that
+    # failed to restore the state leaks nothing into the next test.
+    @np.errstate(over="warn", invalid="ignore")
+    def test_error_state_is_restored_on_normal_exit(self):
+        before = np.geterr()
+        with float_range("too big") as finite:
+            assert np.geterr()["over"] == np.geterr()["invalid"] == "raise"
+            finite(1.0)
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("block, error", [
+        (lambda finite: np.float64(1e308) * 10.0, FloatRangeError),
+        (lambda finite: 1e200**2, FloatRangeError),
+        (lambda finite: finite(math.inf), FloatRangeError),
+        (lambda finite: {}["missing"], KeyError),  # not an overflow: passes through
+    ])
+    @np.errstate(over="warn", invalid="ignore")
+    def test_error_state_is_restored_after_a_raise(self, block, error):
+        before = np.geterr()
+        with pytest.raises(error):
+            with float_range("too big") as finite:
+                block(finite)
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("block, cause", [
+        (lambda finite: np.float64(1e308) * 10.0, FloatingPointError),
+        (lambda finite: 1e200**2, OverflowError),
+        (lambda finite: finite(math.nan), type(None)),
+    ])
+    def test_nested_guard_keeps_the_inner_error(self, block, cause):
+        with pytest.raises(FloatRangeError, match="^inner$") as err:
+            with float_range("outer"):
+                with float_range("inner") as finite:
+                    block(finite)
+        assert type(err.value.__cause__) is cause
